@@ -1,49 +1,7 @@
 """Extremal incidence-graph laboratory over prime fields."""
 
 from .errors import GraphFormatError, ParameterError
-from .evasive import (
-    CoefficientStream,
-    ExactProbabilities,
-    PointSet,
-    TriPoly,
-    UniPoly,
-    exact_probabilities,
-    line_histogram,
-    prune_bad_lines,
-    restrict_to_line,
-    sample_poly,
-    zero_set,
-)
-from .furedi import FurediGraph, build_furedi, degree_profile, verify_appendix
-from .geom3 import (
-    AffineLine,
-    all_lines,
-    canonical_line,
-    dual_line,
-    incident,
-    line_through,
-    parallel_class_partition,
-    passes_origin,
-    points_on,
-)
-from .gf import FieldCtx
-from .incidence import (
-    IncidenceConstruction,
-    build_incidence,
-    count_ktt_via_lines,
-    verify_construction,
-)
-from .report import StatsReport, validate_report
-from .subgraph import (
-    BitGraph,
-    common_neighbors,
-    count_biclique,
-    count_biclique_general,
-    graph_from_text,
-    graph_to_text,
-    is_ksm_free,
-    read_graph,
-    write_graph,
-)
+from .incidence import build_incidence, count_ktt_via_lines
+from .subgraph import is_ksm_free
 
 __version__ = "0.1.0"

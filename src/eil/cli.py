@@ -31,7 +31,7 @@ from .evasive import (
     zero_set,
 )
 from .furedi import build_furedi, classes_to_text, verify_appendix
-from .geom3 import line_table
+from .geom3 import line_index, line_table
 from .gf import FieldCtx
 from .incidence import build_incidence, count_ktt_via_lines, verify_construction
 from .report import StatsReport, write_report
@@ -46,11 +46,10 @@ class RunConfig:
     q_values: list[int]
     t: int
     seed: int
-    trials: int
     out_dir: Path
     fmt: str
-    workers: int
-    force: bool
+    trials: int = 0  # montecarlo and sweep only
+    workers: int = 1
 
     def __post_init__(self) -> None:
         for q in self.q_values:
@@ -90,7 +89,7 @@ def _montecarlo_trial(args: tuple[int, int, int, int]) -> dict:
     pruned, vanishing = prune_bad_lines(ctx, f, x0)
     table = line_table(q)
     ref = reference_line(ctx)
-    ref_points = table.point_idx[table.index_of[ref]]
+    ref_points = table.point_idx[line_index(q, ref.base, ref.dir)]
     ref_count = int(x0.member[ref_points].sum())
     removed = x0.member & ~pruned.member
     return {
@@ -343,14 +342,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trials_default=1000):
+    def common(p):
         p.add_argument("--t", type=int, required=True)
         p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--trials", type=int, default=trials_default)
         p.add_argument("--out", default=".")
         p.add_argument("--format", choices=("json", "csv"), default="json")
+
+    def trial_options(p, trials_default):
+        p.add_argument("--trials", type=int, default=trials_default)
         p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--force", action="store_true")
 
     p_construct = sub.add_parser("construct", help="build a graph and verify it")
     p_construct.add_argument("kind", choices=("incidence", "furedi"))
@@ -368,15 +368,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mc = sub.add_parser("montecarlo", help="per-line statistics of the zero set")
     p_mc.add_argument("--q", type=int, required=True)
     common(p_mc)
+    trial_options(p_mc, 1000)
 
     p_sweep = sub.add_parser("sweep", help="mean K_{t,t} counts across several q")
     p_sweep.add_argument("--q", required=True, help="comma-separated list, e.g. 7,11,13")
-    common(p_sweep, trials_default=100)
+    common(p_sweep)
+    trial_options(p_sweep, 100)
     return parser
 
 
 def _workers_from(args) -> int:
-    if getattr(args, "workers", None) is not None:
+    if args.workers is not None:
         return args.workers
     env = os.environ.get(WORKERS_ENV)
     if env is not None:
@@ -405,16 +407,16 @@ def main(argv=None) -> int:
                     raise ParameterError(f"bad q list {args.q!r}") from exc
             else:
                 q_values = [args.q]
+            trial_opts = {} if args.command == "construct" else {
+                "trials": args.trials, "workers": _workers_from(args)}
             cfg = RunConfig(
                 subcommand=args.command if args.command != "construct" else args.kind,
                 q_values=q_values,
                 t=args.t,
                 seed=args.seed,
-                trials=args.trials,
                 out_dir=Path(args.out),
                 fmt=args.format,
-                workers=_workers_from(args),
-                force=args.force,
+                **trial_opts,
             )
             if args.command == "construct":
                 code = cmd_construct(cfg, args.kind)

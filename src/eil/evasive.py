@@ -1,10 +1,11 @@
 """Randomized algebraic construction of line-evasive point sets.
 
 Samples a uniform trivariate polynomial of total degree <= t, takes its
-zero set X0, then removes every point lying on a line on which the
-polynomial vanishes identically. The pruned set X meets every line in at
-most t points, and for each line the chance of hitting exactly t points
-stays bounded away from zero as q grows.
+zero set X0, then removes every point lying on a line that carries more
+than t points of X0 (for t < q, exactly the lines on which the polynomial
+vanishes identically). The pruned set X meets every line in at most t
+points, and for each line the chance of hitting exactly t points stays
+bounded away from zero as q grows.
 """
 
 from __future__ import annotations
@@ -63,22 +64,6 @@ class TriPoly:
                 f"degree-{self.t} polynomial needs {math.comb(self.t + 3, 3)} "
                 f"coefficients, got {len(self.coeffs)}"
             )
-
-    def coefficient(self, exponents: tuple[int, int, int]) -> int:
-        return self.coeffs[monomials(self.t).index(exponents)]
-
-    def to_text(self) -> str:
-        return ",".join(str(c) for c in self.coeffs)
-
-    @classmethod
-    def from_text(cls, ctx: FieldCtx, t: int, text: str) -> "TriPoly":
-        try:
-            coeffs = tuple(int(v) for v in text.strip().split(","))
-        except ValueError as exc:
-            raise GraphFormatError(f"bad coefficient list {text!r}") from exc
-        for c in coeffs:
-            ctx.check(c)
-        return cls(ctx.q, t, coeffs)
 
 
 @dataclass(frozen=True)
@@ -337,7 +322,11 @@ def restriction_tensor(q: int, t: int) -> np.ndarray:
 
 
 def restrict_all_lines(ctx: FieldCtx, f: TriPoly) -> np.ndarray:
-    """(n_lines, t+1) coefficients of f restricted to every canonical line."""
+    """(n_lines, t+1) coefficients of f restricted to every canonical line.
+
+    The symbolic oracle for prune_bad_lines; the construction path never
+    builds the restriction tensor.
+    """
     q, t = ctx.q, f.t
     tensor = restriction_tensor(q, t)
     a = np.asarray(f.coeffs, dtype=np.int64)
@@ -353,21 +342,21 @@ def zero_set(ctx: FieldCtx, f: TriPoly) -> PointSet:
 
 def prune_bad_lines(
     ctx: FieldCtx, f: TriPoly, x0: PointSet
-) -> tuple[PointSet, list[AffineLine]]:
-    """Remove all points lying on a line where f vanishes identically.
+) -> tuple[PointSet, np.ndarray]:
+    """Remove every point of x0 that lies on a line carrying more than t of them.
 
-    A line counts as vanishing when its symbolic restriction is the zero
-    polynomial. The returned set meets every line in at most t points: a
-    line with more than t surviving points would force its degree-<=t
-    restriction to have more than t roots, hence vanish, hence be cleared.
+    This count rule is the evasive invariant itself: the returned set meets
+    every line in at most t points. For t < q it clears exactly the lines
+    on which f vanishes identically: a nonzero restriction of degree <= t
+    has at most t roots, and a zero one vanishes at all q > t points of the
+    line. For t = q no line carries more than q points, so nothing is pruned
+    and X = X0, although f may still restrict to the zero polynomial on a
+    line. Returns the pruned set and the line-table rows that were cleared.
     """
-    table = line_table(ctx.q)
-    coeffs = restrict_all_lines(ctx, f)
-    vanishing = np.flatnonzero(~coeffs.any(axis=1))
+    vanishing = np.flatnonzero(line_intersection_counts(x0) > f.t)
     member = x0.member.copy()
-    if vanishing.size:
-        member[np.unique(table.point_idx[vanishing])] = False
-    return PointSet(ctx.q, member), [table.lines[i] for i in vanishing]
+    member[line_table(ctx.q).point_idx[vanishing]] = False
+    return PointSet(ctx.q, member), vanishing
 
 
 def line_intersection_counts(x: PointSet) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GraphFormatError, ParameterError
+from .errors import ParameterError
 from .gf import FieldCtx
 from .report import StatsReport
 from .subgraph import BitGraph, count_biclique_general, is_ksm_free
@@ -134,19 +134,3 @@ def classes_to_text(g: FurediGraph) -> str:
     """Sidecar mapping 'index a b', one vertex per line."""
     lines = [f"{i} {a} {b}" for i, (a, b) in enumerate(g.classes)]
     return "\n".join(lines) + "\n"
-
-
-def classes_from_text(text: str) -> list[tuple[int, int]]:
-    out = []
-    for lineno, row in enumerate(text.splitlines(), start=1):
-        parts = row.split()
-        if len(parts) != 3:
-            raise GraphFormatError(f"line {lineno}: expected 'index a b'")
-        try:
-            idx, a, b = (int(v) for v in parts)
-        except ValueError as exc:
-            raise GraphFormatError(f"line {lineno}: bad integer") from exc
-        if idx != lineno - 1:
-            raise GraphFormatError(f"line {lineno}: index {idx} out of order")
-        out.append((a, b))
-    return out

@@ -1,21 +1,31 @@
-"""Points, canonical affine lines, duality, and line enumeration in F_q^3.
+"""Points, canonical affine lines, and the array table of all lines of F_q^3.
 
 A line is stored as (base, dir) in a canonical form that makes equal point
 sets compare equal: dir is scaled so its first nonzero coordinate (the
 pivot) is 1, and base is slid along the line so its pivot coordinate is 0.
 In canonical form a line passes through the origin exactly when base is
 (0,0,0).
+
+LineTable holds all q^2 (q^2 + q + 1) canonical lines as numpy rows. The
+row of a line is closed-form: with pivot p, direction tail dir[p+1:] read
+as a base-q number, and v0, v1 the two non-pivot base coordinates in
+increasing position order, it is
+
+    offset[p] + tail*q^2 + v0*q + v1,   offset = (0, q^4, q^4 + q^3).
+
+The dual of an off-origin line base + F_q*dir is the line
+{z : base.z = 1, dir.z = 0}; its direction is base x dir and its base
+comes from Cramer's rule on a 2x2 system (see _dual_rows).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
-from .errors import GraphFormatError, ParameterError
+from .errors import ParameterError
 from .gf import FieldCtx
 
 Point3 = tuple[int, int, int]
@@ -33,13 +43,6 @@ def point_index(ctx: FieldCtx, p: Point3) -> int:
     """Index of a point in the fixed 0..q^3-1 layout (x1*q^2 + x2*q + x3)."""
     q = ctx.q
     return (p[0] * q + p[1]) * q + p[2]
-
-
-def point_from_index(ctx: FieldCtx, idx: int) -> Point3:
-    q = ctx.q
-    if not 0 <= idx < q**3:
-        raise ParameterError(f"point index {idx} out of range for q = {q}")
-    return (idx // (q * q), (idx // q) % q, idx % q)
 
 
 def check_point(ctx: FieldCtx, p: Point3) -> Point3:
@@ -87,136 +90,93 @@ def passes_origin(line: AffineLine) -> bool:
     return line.base == ORIGIN
 
 
-def incident(ctx: FieldCtx, x: Point3, y: Point3) -> bool:
-    """The bilinear incidence x1*y1 + x2*y2 + x3*y3 = 1."""
-    check_point(ctx, x)
-    check_point(ctx, y)
-    return (x[0] * y[0] + x[1] * y[1] + x[2] * y[2]) % ctx.q == 1
+def line_index(q: int, base: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """Table row of each canonical line (base, direction), vectorised over rows.
 
-
-def all_lines(ctx: FieldCtx):
-    """Every affine line of F_q^3 exactly once, in canonical form.
-
-    Enumerates canonical (base, dir) pairs directly: pivot position, then
-    dir tail, then the two free base coordinates, all in increasing order.
-    Total count is q^2 * (q^2 + q + 1).
+    With pivot p the first nonzero coordinate of direction, the row is
+    offset[p] + tail*q^2 + v0*q + v1: tail is the number whose base-q digits
+    are direction[p+1:], and v0, v1 are the two non-pivot base coordinates
+    in increasing position order.
     """
-    q = ctx.q
-    rng = range(q)
-    for pivot in range(3):
-        for tail in product(rng, repeat=2 - pivot):
-            d = [0, 0, 0]
-            d[pivot] = 1
-            d[pivot + 1 :] = tail
-            free = [i for i in range(3) if i != pivot]
-            for v0 in rng:
-                for v1 in rng:
-                    b = [0, 0, 0]
-                    b[free[0]] = v0
-                    b[free[1]] = v1
-                    yield AffineLine(tuple(b), tuple(d))
+    b = np.asarray(base, dtype=np.int64)
+    d = np.asarray(direction, dtype=np.int64)
+    p = np.argmax(d != 0, axis=-1)
+    tail = np.where(p == 0, d[..., 1] * q + d[..., 2], np.where(p == 1, d[..., 2], 0))
+    v0 = np.where(p == 0, b[..., 1], b[..., 0])
+    v1 = np.where(p == 2, b[..., 1], b[..., 2])
+    offset = np.array([0, q**4, q**4 + q**3], dtype=np.int64)
+    return offset[p] + (tail * q + v0) * q + v1
 
 
-def line_count(ctx: FieldCtx) -> int:
-    q = ctx.q
-    return q * q * (q * q + q + 1)
+def _dual_rows(q: int, b: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical (base, dir) of the dual of each off-origin canonical line.
 
-
-def dual_line(ctx: FieldCtx, line: AffineLine) -> AffineLine:
-    """The dual of a line avoiding the origin.
-
-    For l = base + F_q*dir, the dual is the solution set of the 2x3 system
-    base . z = 1, dir . z = 0; it is again a line avoiding the origin, and
-    the planes {y : z . y = 1} for z on the dual all contain l.
+    The dual {z : b.z = 1, d.z = 0} has direction w = b x d, scaled so its
+    pivot coordinate k is 1. Its canonical base has z_k = 0; for the other
+    two coordinates i < j, Cramer's rule gives z_i = d_j / det and
+    z_j = -d_i / det with det = b_i d_j - b_j d_i = +-w_k, nonzero.
     """
-    if canonical_line(ctx, line.base, line.dir) != line:
-        raise ParameterError(f"{line} is not in canonical form")
-    if passes_origin(line):
-        raise ParameterError("a line through the origin has no dual line")
-    q = ctx.q
-    rows = [list(line.base) + [1], list(line.dir) + [0]]
-    pivots: list[int] = []
-    r = 0
-    for col in range(3):
-        piv = next((i for i in range(r, 2) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = ctx.inv(rows[r][col])
-        rows[r] = [v * inv % q for v in rows[r]]
-        for i in range(2):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [(rows[i][j] - f * rows[r][j]) % q for j in range(4)]
-        pivots.append(col)
-        r += 1
-        if r == 2:
-            break
-    # base and dir are independent for a non-origin canonical line
-    assert r == 2, "degenerate dual system"
-    free = next(c for c in range(3) if c not in pivots)
-    z0 = [0, 0, 0]
-    w = [0, 0, 0]
-    w[free] = 1
-    for i, col in enumerate(pivots):
-        z0[col] = rows[i][3]
-        w[col] = (-rows[i][free]) % q
-    return canonical_line(ctx, tuple(z0), tuple(w))
+    inv = np.array([0] + [pow(a, q - 2, q) for a in range(1, q)], dtype=np.int64)
+    rows = np.arange(len(b))
+    w = np.cross(b, d) % q
+    k = np.argmax(w != 0, axis=1)
+    w = w * inv[w[rows, k]][:, None] % q
+    i = np.where(k == 0, 1, 0)
+    j = np.where(k == 2, 1, 2)
+    bi, bj, di, dj = b[rows, i], b[rows, j], d[rows, i], d[rows, j]
+    inv_det = inv[(bi * dj - bj * di) % q]
+    z = np.zeros_like(b)
+    z[rows, i] = dj * inv_det % q
+    z[rows, j] = -di * inv_det % q
+    return z, w
 
 
-def parallel_class_partition(ctx: FieldCtx) -> list[AffineLine]:
-    """q^2 disjoint lines with direction (1,0,0) covering all of F_q^3."""
-    q = ctx.q
-    return [AffineLine((0, b, c), (1, 0, 0)) for b in range(q) for c in range(q)]
-
-
-def line_to_text(line: AffineLine) -> str:
-    b, d = line.base, line.dir
-    return f"{b[0]},{b[1]},{b[2]};{d[0]},{d[1]},{d[2]}"
-
-
-def line_from_text(ctx: FieldCtx, text: str) -> AffineLine:
-    try:
-        b_part, d_part = text.strip().split(";")
-        b = tuple(int(v) for v in b_part.split(","))
-        d = tuple(int(v) for v in d_part.split(","))
-        line = AffineLine(check_point(ctx, b), check_point(ctx, d))
-    except (ValueError, ParameterError) as exc:
-        raise GraphFormatError(f"bad line literal {text!r}") from exc
-    if canonical_line(ctx, b, d) != line:
-        raise GraphFormatError(f"line literal {text!r} is not canonical")
-    return line
+def _pivot_block(q: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(base, dir) of the canonical lines with pivot p, in table order."""
+    tail, free = np.divmod(np.arange(q ** (4 - p), dtype=np.int64), q * q)
+    d = np.zeros((tail.size, 3), dtype=np.int64)
+    d[:, p] = 1
+    for c in range(p + 1, 3):
+        d[:, c] = tail // q ** (2 - c) % q
+    b = np.zeros_like(d)
+    i, j = (c for c in range(3) if c != p)
+    b[:, i], b[:, j] = np.divmod(free, q)
+    return b, d
 
 
 class LineTable:
-    """Array views of the full canonical line enumeration for one field.
+    """Every affine line of F_q^3 exactly once, as arrays of canonical rows.
 
-    Rows follow all_lines() order. Holds, per line, its q point indices, an
-    origin flag, and the index of its dual (-1 for lines through the origin).
+    Rows are grouped by the pivot p of dir (p = 0, 1, 2; blocks of q^4, q^3
+    and q^2 rows). Within a block they run over the direction tail
+    dir[p+1:], then the two free base coordinates, all in increasing order,
+    so line_index() gives the row of any canonical line in closed form.
+    Holds, per row, base and dir, the q point indices base + s*dir for
+    s = 0..q-1, an origin flag (base = 0), and dual_idx, the row of the dual
+    line (see _dual_rows), or -1 for a line through the origin.
     Shared by the bulk paths in evasive/incidence; built once per q.
     """
 
     def __init__(self, ctx: FieldCtx):
         q = ctx.q
-        self.ctx = ctx
-        self.lines = list(all_lines(ctx))
-        self.index_of = {line: i for i, line in enumerate(self.lines)}
-        n = len(self.lines)
-        assert n == line_count(ctx)
-        self.base = np.array([line.base for line in self.lines], dtype=np.int64)
-        self.dir = np.array([line.dir for line in self.lines], dtype=np.int64)
-        s = np.arange(q, dtype=np.int64)
-        pts = (self.base[:, None, :] + s[None, :, None] * self.dir[:, None, :]) % q
-        self.point_idx = (pts[:, :, 0] * q + pts[:, :, 1]) * q + pts[:, :, 2]
+        blocks = [_pivot_block(q, p) for p in range(3)]
+        self.base = np.concatenate([b for b, _ in blocks])
+        self.dir = np.concatenate([d for _, d in blocks])
+        n = len(self.base)
+        # walk[b, d] = the coordinates b + s*d mod q for s = 0..q-1
+        field = np.arange(q, dtype=np.int64)
+        walk = (field[:, None, None] + field[:, None] * field) % q
+        self.point_idx = walk[self.base[:, 0], self.dir[:, 0]]
+        for c in (1, 2):  # in place: the (n, q) array is the table's largest
+            self.point_idx *= q
+            self.point_idx += walk[self.base[:, c], self.dir[:, c]]
         self.origin_mask = (self.base == 0).all(axis=1)
-        dual_idx = np.full(n, -1, dtype=np.int64)
-        for i, line in enumerate(self.lines):
-            if not self.origin_mask[i]:
-                dual_idx[i] = self.index_of[dual_line(ctx, line)]
-        self.dual_idx = dual_idx
+        off = np.flatnonzero(~self.origin_mask)
+        self.dual_idx = np.full(n, -1, dtype=np.int64)
+        self.dual_idx[off] = line_index(q, *_dual_rows(q, self.base[off], self.dir[off]))
 
     def __len__(self) -> int:
-        return len(self.lines)
+        return len(self.base)
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,9 @@
-"""Arithmetic in the prime field F_q on canonical residues.
+"""The prime field F_q on canonical residues.
 
-Elements are plain ints in [0, q); every operation returns a canonical
-residue. A FieldCtx carries the modulus and validates its inputs, so a
-residue that escaped from a larger field is rejected at the boundary.
+Elements are plain ints in [0, q); the bulk paths do their arithmetic with
+`% q` on numpy arrays. A FieldCtx carries the modulus and validates its
+inputs, so a residue that escaped from a larger field is rejected at the
+boundary.
 """
 
 from __future__ import annotations
@@ -48,33 +49,11 @@ class FieldCtx:
             raise ParameterError(f"{a!r} is not a canonical residue mod {self.q}")
         return a
 
-    def add(self, a: int, b: int) -> int:
-        return (self.check(a) + self.check(b)) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (self.check(a) - self.check(b)) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (self.check(a) * self.check(b)) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-self.check(a)) % self.q
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse via Fermat; a = 0 is rejected."""
         if self.check(a) == 0:
             raise ParameterError("0 has no multiplicative inverse")
         return pow(a, self.q - 2, self.q)
-
-    def pow(self, a: int, e: int) -> int:
-        """a^e by square-and-multiply; 0^0 = 1."""
-        if e < 0:
-            raise ParameterError(f"exponent must be nonnegative, got {e}")
-        return pow(self.check(a), e, self.q)
-
-    def elements(self) -> list[int]:
-        """All field elements in increasing order."""
-        return list(range(self.q))
 
     def subgroup_of_order(self, t: int) -> set[int]:
         """The multiplicative subgroup H = {x : x^t = 1} of order exactly t.

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .evasive import CoefficientStream, PointSet, prune_bad_lines, sample_poly, zero_set
-from .geom3 import AffineLine, line_table
+from .geom3 import line_table
 from .gf import FieldCtx
 from .report import StatsReport
 from .subgraph import BitGraph, is_ksm_free
@@ -37,8 +37,8 @@ class IncidenceConstruction:
     seed_y: int
     x_set: PointSet
     y_set: PointSet
-    vanishing_x: tuple[AffineLine, ...]
-    vanishing_y: tuple[AffineLine, ...]
+    vanishing_x: tuple[int, ...]  # line-table rows cleared by pruning
+    vanishing_y: tuple[int, ...]
     graph: BitGraph
 
     @property
@@ -67,7 +67,7 @@ def build_incidence(
         f = sample_poly(ctx, t, CoefficientStream(seed))
         pruned, gone = prune_bad_lines(ctx, f, zero_set(ctx, f))
         sets.append(pruned)
-        vanishing.append(tuple(gone))
+        vanishing.append(tuple(gone.tolist()))
     x_set, y_set = sets
     assert x_set.count <= t * q * q and y_set.count <= t * q * q
     xi = x_set.indices()

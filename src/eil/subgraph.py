@@ -113,18 +113,6 @@ class BitGraph:
             raise ParameterError("graph is not bipartite")
         return range(self.sides[0], self.n)
 
-    def mirror(self) -> "BitGraph":
-        """The same bipartite graph with left and right swapped."""
-        if self.sides is None:
-            raise ParameterError("graph is not bipartite")
-        left, right = self.sides
-        perm = list(range(left, self.n)) + list(range(left))
-        inv = [0] * self.n
-        for new, old in enumerate(perm):
-            inv[old] = new
-        edges = [(inv[u], inv[v]) for u, v in self.edges()]
-        return BitGraph.from_edges(self.n, edges, (right, left))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitGraph):
             return NotImplemented

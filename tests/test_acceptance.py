@@ -19,7 +19,7 @@ from eil.evasive import (
 )
 from eil.evasive import TriPoly
 from eil.evasive import restriction_tensor
-from eil.geom3 import AffineLine, line_table
+from eil.geom3 import AffineLine, line_index, line_table
 from eil.gf import FieldCtx
 from eil.incidence import build_incidence, count_ktt_via_lines
 from eil.subgraph import count_biclique, count_biclique_general, is_ksm_free
@@ -35,9 +35,8 @@ def test_criterion_01_exact_restriction_uniformity():
     # all 2^20 degree-<=3 trivariate polynomials over F_2, restricted to the
     # line (0,0,0) + s(1,0,0): each of the 16 univariate polynomials must
     # appear exactly 2^16 times. Zero tolerance.
-    table = line_table(2)
     line = AffineLine((0, 0, 0), (1, 0, 0))
-    matrix = restriction_tensor(2, 3)[table.index_of[line]]  # (4, 20)
+    matrix = restriction_tensor(2, 3)[line_index(2, line.base, line.dir)]  # (4, 20)
     n_polys = 1 << 20
     vectors = (
         (np.arange(n_polys, dtype=np.uint32)[:, None] >> np.arange(20)[None, :]) & 1

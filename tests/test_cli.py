@@ -104,10 +104,20 @@ def test_sweep_requires_two_qs(capsys):
     assert "at least 2 distinct q" in capsys.readouterr().err
 
 
-def test_bad_flags_exit_1(capsys):
+def test_bad_flags_exit_1(tmp_path, capsys):
     assert main(["construct", "incidence", "--q", "7"]) == 1  # missing --t
     assert main(["frobnicate"]) == 1
-    capsys.readouterr()
+    # construct reads neither --trials nor --workers, and only verify has --force
+    for argv in (
+        ["construct", "incidence", "--q", "7", "--t", "3", "--force"],
+        ["construct", "furedi", "--q", "7", "--t", "3", "--trials", "100"],
+        ["construct", "incidence", "--q", "7", "--t", "3", "--workers", "2"],
+        ["montecarlo", "--q", "5", "--t", "3", "--force"],
+        ["sweep", "--q", "5,7", "--t", "3", "--force"],
+    ):
+        assert main(argv + ["--out", str(tmp_path)]) == 1, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_montecarlo_report_and_worker_independence(tmp_path):

@@ -22,7 +22,7 @@ from eil.evasive import (
     sample_poly,
     zero_set,
 )
-from eil.geom3 import AffineLine, line_table, point_index, points_on
+from eil.geom3 import AffineLine, line_index, line_table, point_index, points_on
 from eil.gf import FieldCtx
 
 
@@ -40,6 +40,11 @@ def zero_set_oracle(ctx, f):
 def vanishes_pointwise(ctx, f, line):
     """Oracle for full vanishing: zero at all q points (valid for t < q)."""
     return all(evaluate(f, p) == 0 for p in points_on(ctx, line))
+
+
+def row_line(table, i):
+    """Row i of a line table as an AffineLine."""
+    return AffineLine(tuple(map(int, table.base[i])), tuple(map(int, table.dir[i])))
 
 
 def poly_from_map(ctx, t, coeff_map):
@@ -118,7 +123,8 @@ def test_restriction_matches_pointwise_evaluation(q):
     rng = random.Random(q)
     for trial in range(10):
         f = sample_poly(ctx, 3, CoefficientStream(1000 * q + trial))
-        for line in rng.sample(table.lines, 25 if len(table) >= 25 else len(table)):
+        for i in rng.sample(range(len(table)), min(25, len(table))):
+            line = row_line(table, i)
             g = restrict_to_line(ctx, f, line)
             assert len(g.coeffs) == 4
             for s, p in enumerate(points_on(ctx, line)):
@@ -132,7 +138,7 @@ def test_restrict_all_lines_matches_scalar_path():
     bulk = restrict_all_lines(ctx, f)
     assert bulk.shape == (775, 5)
     for i in random.Random(0).sample(range(775), 60):
-        assert tuple(bulk[i]) == restrict_to_line(ctx, f, table.lines[i]).coeffs
+        assert tuple(bulk[i]) == restrict_to_line(ctx, f, row_line(table, i)).coeffs
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -159,13 +165,44 @@ def test_prune_removes_plane_entirely():
     assert pruned.count == 0
     # exactly the lines inside the plane x1 = 0 vanish: q(q + 1) of them
     assert len(vanishing) == 30
+    table = line_table(5)
     assert all(
-        all(p[0] == 0 for p in points_on(ctx, line)) for line in vanishing
+        all(p[0] == 0 for p in points_on(ctx, row_line(table, i))) for i in vanishing
     )
     f = poly_from_map(ctx, 3, {(0, 0, 0): 1})
     x0 = zero_set(ctx, f)
     pruned, vanishing = prune_bad_lines(ctx, f, x0)
-    assert vanishing == [] and pruned == x0
+    assert vanishing.size == 0 and pruned == x0
+
+
+@pytest.mark.parametrize("q,t", [(5, 3), (7, 3), (7, 4)])
+def test_prune_count_rule_matches_symbolic_rule(q, t):
+    # for t < q the rows with more than t points of X0 are exactly the rows
+    # on which the degree-<=t restriction is the zero polynomial
+    ctx = FieldCtx(q)
+    for trial in range(20):
+        f = sample_poly(ctx, t, CoefficientStream(40_000 + 100 * q + 10 * t + trial))
+        _, vanishing = prune_bad_lines(ctx, f, zero_set(ctx, f))
+        symbolic = np.flatnonzero(~restrict_all_lines(ctx, f).any(axis=1))
+        assert np.array_equal(vanishing, symbolic)
+
+
+def test_prune_t_equals_q_keeps_the_zero_set():
+    # decision for t = q: no line carries more than q points, so nothing is
+    # pruned, even where f restricts to the zero polynomial on a line
+    q = t = 5
+    ctx = FieldCtx(q)
+    for trial in range(20):
+        f = sample_poly(ctx, t, CoefficientStream(50_000 + trial))
+        x0 = zero_set(ctx, f)
+        pruned, vanishing = prune_bad_lines(ctx, f, x0)
+        assert vanishing.size == 0 and pruned == x0
+    # the plane x1 = 0 holds q(q + 1) lines on which x1 is symbolically zero
+    plane = poly_from_map(ctx, t, {(1, 0, 0): 1})
+    x0 = zero_set(ctx, plane)
+    pruned, vanishing = prune_bad_lines(ctx, plane, x0)
+    assert vanishing.size == 0 and pruned == x0 and x0.count == 25
+    assert int((~restrict_all_lines(ctx, plane).any(axis=1)).sum()) == 30
 
 
 def test_vanishing_detection_matches_pointwise_oracle_when_t_below_q():
@@ -176,7 +213,7 @@ def test_vanishing_detection_matches_pointwise_oracle_when_t_below_q():
         bulk = restrict_all_lines(ctx, f)
         symbolic = set(np.flatnonzero(~bulk.any(axis=1)))
         pointwise = {
-            i for i, line in enumerate(table.lines) if vanishes_pointwise(ctx, f, line)
+            i for i in range(len(table)) if vanishes_pointwise(ctx, f, row_line(table, i))
         }
         assert symbolic == pointwise
 
@@ -192,7 +229,7 @@ def test_zero_set_line_intersections_bounded_unless_vanishing(q):
         for i in rng.sample(range(len(table)), 30):
             on_line = int(x0.member[table.point_idx[i]].sum())
             if on_line > 3:
-                assert restrict_to_line(ctx, f, table.lines[i]).is_zero()
+                assert restrict_to_line(ctx, f, row_line(table, i)).is_zero()
 
 
 @pytest.mark.parametrize("q,t", [(7, 3), (5, 4)])
@@ -244,14 +281,6 @@ def test_unipoly_zero_and_eval():
     assert g.evaluate(2) == (1 + 4 + 24) % 7
 
 
-def test_tripoly_serialization_roundtrip():
-    ctx = FieldCtx(7)
-    f = sample_poly(ctx, 3, CoefficientStream(4))
-    assert TriPoly.from_text(ctx, 3, f.to_text()) == f
-    with pytest.raises(GraphFormatError):
-        TriPoly.from_text(ctx, 3, "1,2,three")
-
-
 def test_pointset_serialization_roundtrip():
     ctx = FieldCtx(5)
     f = sample_poly(ctx, 3, CoefficientStream(8))
@@ -274,7 +303,8 @@ def test_pointset_serialization_roundtrip():
 def test_reference_line_is_canonical_and_off_origin():
     ctx = FieldCtx(7)
     ref = reference_line(ctx)
-    assert ref in line_table(7).index_of
+    row = int(line_index(7, ref.base, ref.dir))
+    assert row_line(line_table(7), row) == ref
     assert ref.base != (0, 0, 0)
 
 

@@ -1,25 +1,29 @@
 from itertools import product
 
+import numpy as np
 import pytest
 
-from eil.errors import GraphFormatError, ParameterError
+from eil.errors import ParameterError
 from eil.geom3 import (
     AffineLine,
-    all_lines,
     canonical_line,
-    dual_line,
-    incident,
-    line_from_text,
+    line_index,
     line_table,
     line_through,
-    line_to_text,
-    parallel_class_partition,
     passes_origin,
-    point_from_index,
     point_index,
     points_on,
 )
 from eil.gf import FieldCtx
+
+
+def table_lines(q):
+    """Every row of line_table(q) as an AffineLine, in row order."""
+    table = line_table(q)
+    return [
+        AffineLine(tuple(map(int, b)), tuple(map(int, d)))
+        for b, d in zip(table.base, table.dir)
+    ]
 
 
 def lines_by_pair_dedup(ctx):
@@ -36,7 +40,7 @@ FROZEN_LINE_COUNTS = {2: 28, 3: 117, 5: 775}
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_all_lines_matches_pair_dedup_oracle(q):
     ctx = FieldCtx(q)
-    enumerated = list(all_lines(ctx))
+    enumerated = table_lines(q)
     assert len(enumerated) == len(set(enumerated)), "duplicate canonical lines"
     assert set(enumerated) == lines_by_pair_dedup(ctx)
     assert len(enumerated) == FROZEN_LINE_COUNTS[q]
@@ -87,32 +91,36 @@ def test_passes_origin():
     ctx = FieldCtx(3)
     assert passes_origin(AffineLine((0, 0, 0), (1, 0, 0)))
     assert not passes_origin(AffineLine((0, 1, 0), (1, 0, 0)))
-    through = [ln for ln in all_lines(ctx) if passes_origin(ln)]
+    through = [ln for ln in table_lines(3) if passes_origin(ln)]
     assert len(through) == 13  # q^2 + q + 1, confirmed by the scan below
-    for ln in all_lines(ctx):
+    for ln in table_lines(3):
         assert passes_origin(ln) == ((0, 0, 0) in points_on(ctx, ln))
 
 
 def test_dual_line_hand_example():
-    ctx = FieldCtx(5)
-    line = AffineLine((1, 0, 0), (0, 1, 0))
-    dual = dual_line(ctx, line)
+    q = 5
+    table = line_table(q)
+    row = int(line_index(q, (1, 0, 0), (0, 1, 0)))
+    assert row == q**4 + q  # pivot 1, tail 0, free base coordinates (1, 0)
+    dual = table.dual_idx[row]
     # solved by hand: z1 = 1, z2 = 0 leaves the z3 axis through (1,0,0)
-    assert dual == AffineLine((1, 0, 0), (0, 0, 1))
+    assert tuple(table.base[dual]) == (1, 0, 0)
+    assert tuple(table.dir[dual]) == (0, 0, 1)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_dual_line_exhaustive_properties(q):
     ctx = FieldCtx(q)
+    table = line_table(q)
     valid = 0
-    for line in all_lines(ctx):
+    for i, line in enumerate(table_lines(q)):
         if passes_origin(line):
-            with pytest.raises(ParameterError):
-                dual_line(ctx, line)
+            assert table.dual_idx[i] == -1
             continue
         valid += 1
-        dual = dual_line(ctx, line)
-        assert not passes_origin(dual)
+        j = table.dual_idx[i]
+        assert not table.origin_mask[j]
+        dual = AffineLine(tuple(map(int, table.base[j])), tuple(map(int, table.dir[j])))
         # defining system: base.z = 1 and dir.z = 0 for every dual point
         for z in points_on(ctx, dual):
             assert sum(a * b for a, b in zip(line.base, z)) % q == 1
@@ -120,53 +128,64 @@ def test_dual_line_exhaustive_properties(q):
         # completeness of the duality: all of dual x line is incident
         for x in points_on(ctx, dual):
             for y in points_on(ctx, line):
-                assert incident(ctx, x, y)
-        assert dual_line(ctx, dual) == line
+                assert sum(a * b for a, b in zip(x, y)) % q == 1
+        assert table.dual_idx[j] == i
     assert valid == q * q * (q * q + q + 1) - (q * q + q + 1)
     if q == 3:
         assert valid == 104
 
 
-def test_incident_examples():
-    f5 = FieldCtx(5)
-    assert incident(f5, (1, 0, 0), (1, 0, 0))
-    assert not incident(f5, (0, 0, 0), (3, 1, 4))
-    assert incident(f5, (1, 1, 0), (2, 4, 0))  # 2 + 4 = 6 = 1 mod 5
-    assert not incident(f5, (1, 1, 0), (2, 3, 0))  # 2 + 3 = 5 = 0 mod 5
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+def test_line_table_matches_closed_form_oracles(q):
+    table = line_table(q)
+    n = q * q * (q * q + q + 1)
+    b, d = table.base, table.dir
+    assert len(table) == n and b.shape == d.shape == (n, 3)
+    rows = np.arange(n)
+    # canonical: dir has pivot 1 with zeros before it, base is 0 at the pivot
+    pivot = np.argmax(d != 0, axis=1)
+    assert (d[rows, pivot] == 1).all() and (b[rows, pivot] == 0).all()
+    assert ((b >= 0) & (b < q) & (d >= 0) & (d < q)).all()
+    # distinct rows, each at the row its closed-form index names
+    assert len(np.unique(np.hstack([b, d]), axis=0)) == n
+    assert (line_index(q, b, d) == rows).all()
+    # point indices of base + s*dir, computed coordinate by coordinate
+    s = np.arange(q)
+    pts = (b[:, None, :] + s[None, :, None] * d[:, None, :]) % q
+    assert (table.point_idx == (pts[..., 0] * q + pts[..., 1]) * q + pts[..., 2]).all()
+    # origin rows hold -1; every other dual satisfies b.z = 1, d.z = 0 on
+    # all of its points, avoids the origin, and dualises back
+    origin = (b == 0).all(axis=1)
+    assert (table.origin_mask == origin).all()
+    assert (table.dual_idx[origin] == -1).all()
+    assert int(origin.sum()) == q * q + q + 1
+    off = rows[~origin]
+    dual = table.dual_idx[off]
+    assert not table.origin_mask[dual].any()
+    assert (table.dual_idx[dual] == off).all()
+    z = np.stack(
+        [table.point_idx[dual] // (q * q), table.point_idx[dual] // q % q,
+         table.point_idx[dual] % q],
+        axis=-1,
+    )
+    assert ((z * b[off, None, :]).sum(axis=-1) % q == 1).all()
+    assert ((z * d[off, None, :]).sum(axis=-1) % q == 0).all()
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_parallel_class_partition(q):
-    ctx = FieldCtx(q)
-    part = parallel_class_partition(ctx)
-    assert len(part) == q * q
-    covered = set()
-    for line in part:
-        assert line.dir == (1, 0, 0)
-        pts = set(points_on(ctx, line))
-        assert not (pts & covered)
-        covered |= pts
-    assert len(covered) == q**3
+    # the q^2 table rows with direction (1,0,0) are disjoint and cover F_q^3
+    table = line_table(q)
+    rows = np.flatnonzero((table.dir == (1, 0, 0)).all(axis=1))
+    assert len(rows) == q * q
+    assert sorted(table.point_idx[rows].ravel()) == list(range(q**3))
 
 
 def test_point_index_roundtrip():
     ctx = FieldCtx(5)
     for idx in range(125):
-        assert point_index(ctx, point_from_index(ctx, idx)) == idx
+        assert point_index(ctx, (idx // 25, idx // 5 % 5, idx % 5)) == idx
     assert point_index(ctx, (1, 2, 3)) == 25 + 10 + 3
-    with pytest.raises(ParameterError):
-        point_from_index(ctx, 125)
-
-
-def test_line_serialization_roundtrip():
-    ctx = FieldCtx(7)
-    line = canonical_line(ctx, (3, 1, 4), (0, 2, 5))
-    text = line_to_text(line)
-    assert line_from_text(ctx, text) == line
-    with pytest.raises(GraphFormatError):
-        line_from_text(ctx, "1,0,0;0,2,0")  # not canonical
-    with pytest.raises(GraphFormatError):
-        line_from_text(ctx, "1,0;0,0,1")
 
 
 def test_line_table_consistency():
@@ -174,11 +193,8 @@ def test_line_table_consistency():
     assert len(table) == 117
     assert int(table.origin_mask.sum()) == 13
     ctx = FieldCtx(3)
-    for i, line in enumerate(table.lines):
+    for i, line in enumerate(table_lines(3)):
+        assert int(line_index(3, line.base, line.dir)) == i
         expected = [point_index(ctx, p) for p in points_on(ctx, line)]
         assert list(table.point_idx[i]) == expected
-        if table.dual_idx[i] >= 0:
-            assert table.lines[table.dual_idx[i]] == dual_line(ctx, line)
-            assert table.dual_idx[table.dual_idx[i]] == i
-        else:
-            assert passes_origin(line)
+        assert (table.dual_idx[i] == -1) == passes_origin(line)

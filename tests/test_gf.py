@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from eil.errors import ParameterError
+from eil.evasive import _pow_mod
 from eil.gf import FieldCtx, is_prime
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
@@ -8,12 +10,9 @@ SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 
 def test_examples():
     f7 = FieldCtx(7)
-    assert f7.add(3, 5) == 1
-    assert f7.mul(3, 5) == 1
-    assert f7.sub(0, 1) == 6
     assert f7.inv(3) == 5
-    assert f7.pow(2, 3) == 1
-    assert f7.pow(0, 5) == 0
+    assert f7.inv(6) == 6
+    assert f7.check(0) == 0 and f7.check(6) == 6
 
 
 def test_construction_rejects_non_primes():
@@ -34,32 +33,23 @@ def test_is_prime_small():
 
 @pytest.mark.parametrize("q", SMALL_PRIMES)
 def test_field_axioms_exhaustive(q):
+    # FieldCtx implements only the multiplicative inverse; the bulk paths do
+    # the ring operations with % q, so the inverse axiom is the one to check
     ctx = FieldCtx(q)
-    els = ctx.elements()
-    assert els == list(range(q))
-    for a in els:
-        assert ctx.add(a, 0) == a
-        assert ctx.mul(a, 1) == a
-        assert ctx.add(a, ctx.neg(a)) == 0
+    for a in range(q):
+        assert ctx.check(a) == a
         if a != 0:
-            assert ctx.mul(a, ctx.inv(a)) == 1
-        for b in els:
-            assert ctx.add(a, b) == ctx.add(b, a)
-            assert ctx.mul(a, b) == ctx.mul(b, a)
-            for c in els:
-                assert ctx.add(ctx.add(a, b), c) == ctx.add(a, ctx.add(b, c))
-                assert ctx.mul(ctx.mul(a, b), c) == ctx.mul(a, ctx.mul(b, c))
-                assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
+            assert a * ctx.inv(a) % q == 1
 
 
 @pytest.mark.parametrize("q", SMALL_PRIMES)
 def test_pow_matches_repeated_multiplication(q):
-    ctx = FieldCtx(q)
-    for a in ctx.elements():
-        acc = 1
-        for e in range(21):
-            assert ctx.pow(a, e) == acc
-            acc = ctx.mul(acc, a)
+    # the bulk paths raise whole coordinate columns to powers with _pow_mod
+    col = np.arange(q, dtype=np.int64)
+    acc = np.ones(q, dtype=np.int64)
+    for e in range(21):
+        assert (_pow_mod(col, e, q) == acc).all()
+        acc = acc * col % q
 
 
 def test_inv_identities():
@@ -73,12 +63,11 @@ def test_inv_identities():
 
 def test_canonical_residues_enforced():
     ctx = FieldCtx(7)
+    for bad in (7, -1, True, 2.0):
+        with pytest.raises(ParameterError):
+            ctx.check(bad)
     with pytest.raises(ParameterError):
-        ctx.add(7, 0)
-    with pytest.raises(ParameterError):
-        ctx.mul(-1, 2)
-    with pytest.raises(ParameterError):
-        ctx.pow(2, -1)
+        ctx.inv(7)
 
 
 def test_subgroup_frozen_values():
@@ -106,6 +95,6 @@ def test_subgroup_structure(q):
         for a in h:
             assert ctx.inv(a) in h
             for b in h:
-                assert ctx.mul(a, b) in h
+                assert a * b % q in h
         # a nontrivial multiplicative subgroup sums to zero
         assert sum(h) % q == 0

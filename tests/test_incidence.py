@@ -21,6 +21,7 @@ def test_build_is_deterministic():
     assert a.graph == b.graph
     assert a.x_set == b.x_set and a.y_set == b.y_set
     assert a.seed_y == b.seed_y != 42
+    assert a == b
     c = build_incidence(7, 3, 43)
     assert c.graph != a.graph
 
