@@ -361,8 +361,8 @@ def prune_bad_lines(
 
 def line_intersection_counts(x: PointSet) -> np.ndarray:
     """|X intersect l| for every line of line_table(q), in table order."""
-    table = line_table(x.q)
-    return x.member[table.point_idx].sum(axis=1)
+    points = line_table(x.q).point_idx.T
+    return x.member[points].sum(axis=0, dtype=np.min_scalar_type(x.q)).astype(np.int64)
 
 
 @dataclass(frozen=True)

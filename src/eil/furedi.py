@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ParameterError
 from .gf import FieldCtx
 from .report import StatsReport
-from .subgraph import BitGraph, count_biclique_general, is_ksm_free
+from .subgraph import BitGraph, bit_rows, count_biclique_general, is_ksm_free
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,7 @@ def build_furedi(q: int, t: int) -> FurediGraph:
     dots = reps @ reps.T % q
     adj = np.isin(dots, np.array(subgroup, dtype=np.int64))
     np.fill_diagonal(adj, False)
-    rows = [
-        int.from_bytes(np.packbits(adj[i], bitorder="little").tobytes(), "little")
-        for i in range(len(classes))
-    ]
-    return FurediGraph(q, t, subgroup, tuple(classes), BitGraph(len(classes), rows))
+    return FurediGraph(q, t, subgroup, tuple(classes), BitGraph(len(classes), bit_rows(adj)))
 
 
 def degree_profile(g: FurediGraph) -> list[int]:

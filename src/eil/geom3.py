@@ -163,13 +163,16 @@ class LineTable:
         self.base = np.concatenate([b for b, _ in blocks])
         self.dir = np.concatenate([d for _, d in blocks])
         n = len(self.base)
-        # walk[b, d] = the coordinates b + s*d mod q for s = 0..q-1
+        # walk[s, b*q + d] = the coordinate b + s*d mod q
         field = np.arange(q, dtype=np.int64)
-        walk = (field[:, None, None] + field[:, None] * field) % q
-        self.point_idx = walk[self.base[:, 0], self.dir[:, 0]]
-        for c in (1, 2):  # in place: the (n, q) array is the table's largest
-            self.point_idx *= q
-            self.point_idx += walk[self.base[:, c], self.dir[:, c]]
+        walk = ((field[:, None, None] * field + field[:, None]) % q).reshape(q, q * q)
+        points = walk.take(self.base[:, 0] * q + self.dir[:, 0], axis=1)
+        for c in (1, 2):  # in place: the (q, n) array is the table's largest
+            points *= q
+            points += walk.take(self.base[:, c] * q + self.dir[:, c], axis=1)
+        # (n, q) view of the (q, n) array: a gather through the .T of this
+        # view reads and reduces contiguous rows of length n
+        self.point_idx = points.T
         self.origin_mask = (self.base == 0).all(axis=1)
         off = np.flatnonzero(~self.origin_mask)
         self.dual_idx = np.full(n, -1, dtype=np.int64)

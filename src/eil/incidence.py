@@ -18,7 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .evasive import CoefficientStream, PointSet, prune_bad_lines, sample_poly, zero_set
+from .evasive import (
+    CoefficientStream,
+    PointSet,
+    line_intersection_counts,
+    prune_bad_lines,
+    sample_poly,
+    zero_set,
+)
 from .geom3 import line_table
 from .gf import FieldCtx
 from .report import StatsReport
@@ -82,8 +89,8 @@ def build_incidence(
 def count_ktt_via_lines(c: IncidenceConstruction) -> int:
     """Exact K_{t,t} count: lines l with |Y on l| = t and |X on dual(l)| = t."""
     table = line_table(c.q)
-    cx = c.x_set.member[table.point_idx].sum(axis=1)
-    cy = c.y_set.member[table.point_idx].sum(axis=1)
+    cx = line_intersection_counts(c.x_set)
+    cy = line_intersection_counts(c.y_set)
     ok = ~table.origin_mask & (cy == c.t)
     ok &= cx[table.dual_idx] == c.t
     return int(ok.sum())

@@ -1,8 +1,11 @@
 """Bitset adjacency graphs, freeness checks, and biclique counting.
 
 Adjacency rows are Python ints used as n-bit masks, so common-neighborhood
-queries are single AND/popcount chains. Everything here is brute force on
-purpose: these are the oracles the constructions are verified against.
+queries are single AND/popcount chains. The biclique counts and the s >= 3
+freeness scan enumerate vertex subsets by brute force; the s = 2 freeness
+check counts co-degrees over the two-hop paths of a sparse edge list
+instead, in time O(sum of deg^2) and memory O(E + block), and its
+brute-force pair scan is kept in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ from .errors import GraphFormatError, ParameterError
 
 # C(n,3) row intersections beyond this size is no longer desk scale.
 TRIPLE_SCAN_LIMIT = 5000
+# Entries per temporary array of the s = 2 check: packed row bytes per
+# unpacking block, two-hop paths per counting block.
+CODEGREE_BLOCK = 1 << 16
 
 
 class BitGraph:
@@ -77,15 +83,8 @@ class BitGraph:
     def from_biadjacency(cls, adj: np.ndarray) -> "BitGraph":
         """Bipartite graph from an (L, R) boolean matrix."""
         left, right = adj.shape
-        n = left + right
-        rows = [0] * n
-        for i in range(left):
-            bits = int.from_bytes(np.packbits(adj[i], bitorder="little").tobytes(), "little")
-            rows[i] = bits << left
-        for j in range(right):
-            bits = int.from_bytes(np.packbits(adj[:, j], bitorder="little").tobytes(), "little")
-            rows[left + j] = bits
-        return cls(n, rows, (left, right))
+        rows = [r << left for r in bit_rows(adj)] + bit_rows(adj.T)
+        return cls(left + right, rows, (left, right))
 
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
@@ -119,6 +118,12 @@ class BitGraph:
         return self.n == other.n and self.sides == other.sides and self.rows == other.rows
 
 
+def bit_rows(adj: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an int mask, bit j = column j."""
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    return [int.from_bytes(r.tobytes(), "little") for r in packed]
+
+
 def _mask_to_vertices(mask: int) -> tuple[int, ...]:
     out = []
     while mask:
@@ -150,9 +155,12 @@ class FreenessResult:
 def is_ksm_free(graph: BitGraph, s: int, m: int, force: bool = False) -> FreenessResult:
     """No s vertices (per side, if bipartite) have m or more common neighbors.
 
-    Scans s-subsets of each side for bipartite graphs (both orientations)
-    and all s-subsets otherwise; on failure the witness is (S, m common
-    neighbors of S).
+    Checks s-subsets of each side for bipartite graphs (both orientations)
+    and all s-subsets otherwise. On failure the witness is (S, the m
+    smallest common neighbors of S), S being the first failing subset in
+    itertools.combinations order. For s = 2 the co-degrees are counted
+    over two-hop paths (see _first_rich_pair); larger s scans every subset
+    and refuses graphs above TRIPLE_SCAN_LIMIT vertices unless forced.
     """
     if not 1 <= s <= m:
         raise ParameterError(f"need 1 <= s <= m, got ({s}, {m})")
@@ -165,6 +173,14 @@ def is_ksm_free(graph: BitGraph, s: int, m: int, force: bool = False) -> Freenes
     else:
         groups = [range(graph.n)]
     rows = graph.rows
+    if s == 2:
+        edges = _edge_arrays(graph)
+        for group in groups:
+            pair = _first_rich_pair(*edges, group, m)
+            if pair is not None:
+                common = rows[pair[0]] & rows[pair[1]]
+                return FreenessResult(False, (pair, _mask_to_vertices(common)[:m]))
+        return FreenessResult(True)
     for group in groups:
         for subset in combinations(group, s):
             mask = rows[subset[0]]
@@ -173,6 +189,71 @@ def is_ksm_free(graph: BitGraph, s: int, m: int, force: bool = False) -> Freenes
             if mask.bit_count() >= m:
                 return FreenessResult(False, (subset, _mask_to_vertices(mask)[:m]))
     return FreenessResult(True)
+
+
+def _edge_arrays(graph: BitGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Directed edges (src, dst) sorted by src then dst, and CSR offsets into them.
+
+    Nonempty rows are unpacked a block at a time: the packed bytes of a block
+    take about CODEGREE_BLOCK bytes, and only their nonzero bytes are
+    unpacked into bits.
+    """
+    n = graph.n
+    nbytes = (n + 7) // 8
+    busy = [v for v, row in enumerate(graph.rows) if row]
+    per_block = max(1, CODEGREE_BLOCK // max(nbytes, 1))
+    srcs, dsts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for at in range(0, len(busy), per_block):
+        chunk = busy[at:at + per_block]
+        buf = b"".join(graph.rows[v].to_bytes(nbytes, "little") for v in chunk)
+        packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(chunk), nbytes)
+        row, byte = np.nonzero(packed)
+        bits = np.unpackbits(packed[row, byte][:, None], axis=1, bitorder="little")
+        hit, bit = np.nonzero(bits)
+        srcs.append(np.asarray(chunk, dtype=np.int64)[row[hit]])
+        dsts.append(byte[hit].astype(np.int64) * 8 + bit)
+    src, dst = np.concatenate(srcs), np.concatenate(dsts)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+    return src, dst, offsets
+
+
+def _first_rich_pair(
+    src: np.ndarray, dst: np.ndarray, offsets: np.ndarray, group: range, m: int
+) -> Optional[tuple[int, int]]:
+    """First pair u < v of the group, in combinations order, with co-degree >= m.
+
+    Every path u - w - v adds one to the co-degree of (u, v); two hops from
+    one side of a bipartite graph land on the same side, so v stays in the
+    group. First vertices u are taken in increasing order, in blocks of
+    about CODEGREE_BLOCK paths (a single u with more paths is a block of its
+    own, still O(E)). The keys u*n + v of a block are sorted, so the first
+    key repeated m times is the pair that combinations() meets first.
+    """
+    n = len(offsets) - 1
+    deg = np.diff(offsets)
+    # paths[e]: two-hop paths that leave through the edges before edge e
+    paths = np.concatenate(([0], np.cumsum(deg[dst])))
+    ends = paths[offsets[group.start + 1:group.stop + 1]]
+    at = group.start
+    while at < group.stop:
+        limit = paths[offsets[at]] + CODEGREE_BLOCK
+        stop = max(group.start + int(np.searchsorted(ends, limit, side="right")), at + 1)
+        e0, e1 = offsets[at], offsets[stop]
+        w = dst[e0:e1]
+        lens = deg[w]
+        first = offsets[w] - (np.cumsum(lens) - lens)
+        v = dst[np.arange(paths[e1] - paths[e0]) + np.repeat(first, lens)]
+        u = np.repeat(src[e0:e1], lens)
+        later = v > u
+        u *= n
+        u += v
+        keys = np.sort(u[later])
+        rich = np.flatnonzero(keys[m - 1:] == keys[:max(keys.size - m + 1, 0)])
+        if rich.size:
+            return divmod(int(keys[rich[0]]), n)
+        at = stop
+    return None
 
 
 def count_biclique(graph: BitGraph, a: int, b: int) -> int:

@@ -1,9 +1,18 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import eil
+import eil.subgraph as sg
+from eil.cli import main
 from eil.errors import GraphFormatError, ParameterError
 from eil.subgraph import (
     BitGraph,
@@ -51,6 +60,30 @@ def count_biclique_general_oracle(graph, a, b):
             if all(graph.rows[u] >> v & 1 for u in sub_a for v in sub_b):
                 total += 1
     return total
+
+
+def pair_scan_oracle(graph, m):
+    """K_{2,m}-freeness by ANDing the rows of every vertex pair of each side.
+
+    Returns (free, witness) with the witness of is_ksm_free: the first pair
+    in combinations order with m common neighbors, and the m smallest of them.
+    """
+    if graph.sides is not None:
+        groups = [graph.left_vertices(), graph.right_vertices()]
+    else:
+        groups = [range(graph.n)]
+    for group in groups:
+        for u, v in combinations(group, 2):
+            common = [w for w in range(graph.n) if (graph.rows[u] & graph.rows[v]) >> w & 1]
+            if len(common) >= m:
+                return False, ((u, v), tuple(common[:m]))
+    return True, None
+
+
+def random_general(n, p, seed):
+    rng = random.Random(seed)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return BitGraph.from_edges(n, edges)
 
 
 def random_bipartite(left, right, p, seed):
@@ -108,9 +141,56 @@ def test_is_ksm_free_checks_both_orientations():
     assert res.witness[0] == (3, 4)
 
 
-def test_triple_scan_guard(monkeypatch):
-    import eil.subgraph as sg
+PAIR_CHECK_GRAPHS = [
+    *[random_bipartite(left, right, p, seed)
+      for seed, (left, right, p) in enumerate(
+          [(0, 0, 0.5), (0, 6, 0.5), (6, 0, 0.5), (1, 1, 1.0), (1, 7, 0.9), (7, 1, 0.9),
+           (6, 7, 0.3), (6, 7, 0.6), (9, 5, 0.8), (12, 12, 0.35), (12, 12, 0.7)])],
+    *[random_general(n, p, 50 + seed)
+      for seed, (n, p) in enumerate(
+          [(0, 0.5), (1, 0.5), (2, 1.0), (3, 1.0), (8, 0.2), (8, 0.5), (14, 0.3), (14, 0.75)])],
+    complete_bipartite(2, 6),
+    complete_bipartite(6, 2),
+    cycle(4),
+    cycle(9),
+]
 
+
+@pytest.mark.parametrize("block", [1, 3, sg.CODEGREE_BLOCK])
+@pytest.mark.parametrize("m", range(2, 7))
+def test_pair_check_matches_pair_scan_oracle(monkeypatch, m, block):
+    monkeypatch.setattr(sg, "CODEGREE_BLOCK", block)
+    for g in PAIR_CHECK_GRAPHS:
+        res = is_ksm_free(g, 2, m)
+        assert (res.free, res.witness) == pair_scan_oracle(g, m), (g.n, g.sides, m)
+
+
+@st.composite
+def small_graphs(draw):
+    if draw(st.booleans()):
+        left, right = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+        pairs = [(i, left + j) for i in range(left) for j in range(right)]
+        n, sides = left + right, (left, right)
+    else:
+        n = draw(st.integers(0, 12))
+        pairs = list(combinations(range(n), 2))
+        sides = None
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return BitGraph.from_edges(n, [e for e, k in zip(pairs, keep) if k], sides)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(), st.integers(2, 6), st.sampled_from([1, 2, 5, 17, sg.CODEGREE_BLOCK]))
+def test_pair_check_property(graph, m, block):
+    # small blocks split the two-hop paths of one side across many blocks,
+    # so the first witness must survive the block boundaries
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sg, "CODEGREE_BLOCK", block)
+        res = is_ksm_free(graph, 2, m)
+    assert (res.free, res.witness) == pair_scan_oracle(graph, m)
+
+
+def test_triple_scan_guard(monkeypatch):
     monkeypatch.setattr(sg, "TRIPLE_SCAN_LIMIT", 10)
     big = BitGraph.from_edges(11, [(0, 1)])
     with pytest.raises(ParameterError):
@@ -229,3 +309,68 @@ def test_edges_listing():
     g = complete_bipartite(2, 2)
     assert g.edges() == [(0, 2), (0, 3), (1, 2), (1, 3)]
     assert g.degree(0) == 2
+
+
+# --- the s = 2 check on graphs whose C(n, 2) pair scan is out of reach ---------
+
+BIG = 20_000
+
+
+def write_general(path, n, edges):
+    path.write_text(f"general {n}\n" + "".join(f"{u} {v}\n" for u, v in sorted(edges)))
+
+
+def path_edges(n):
+    return [(i, i + 1) for i in range(n - 1)]
+
+
+def test_verify_pair_check_on_big_sparse_graphs(tmp_path, capsys):
+    for name, edges in [("path", path_edges(BIG)), ("edgeless", [])]:
+        graph = tmp_path / f"{name}.graph.txt"
+        write_general(graph, BIG, edges)
+        assert main(["verify", str(graph), "--s", "2", "--m", "2"]) == 0, name
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["aggregates"]["free"] is True
+
+
+def test_verify_pair_check_finds_a_c4_planted_at_the_end_of_a_long_path(tmp_path, capsys):
+    # The edge (n-4, n-1) closes a 4-cycle on the last four vertices. Every
+    # other pair has co-degree <= 1, so the witness sits at the same place
+    # relative to the end as on a path short enough for the pair scan.
+    def planted(n):
+        return path_edges(n) + [(n - 4, n - 1)]
+
+    small = 12
+    free, (pair, common) = pair_scan_oracle(BitGraph.from_edges(small, planted(small)), 2)
+    assert not free
+    shift = BIG - small
+    expected = [[v + shift for v in pair], [v + shift for v in common]]
+    graph = tmp_path / "planted.graph.txt"
+    write_general(graph, BIG, planted(BIG))
+    assert main(["verify", str(graph), "--s", "2", "--m", "2"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["trials"][0]["witness"] == expected == [[BIG - 4, BIG - 2], [BIG - 3, BIG - 1]]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_verify_pair_check_memory_on_a_big_path(tmp_path):
+    # VmHWM is the peak RSS of the process's own address space; ru_maxrss
+    # would also carry the peak of this test process across fork and exec.
+    graph = tmp_path / "path.graph.txt"
+    write_general(graph, BIG, path_edges(BIG))
+    probe = (
+        "import sys\n"
+        "from eil.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "status = open('/proc/self/status').read().split()\n"
+        "print(status[status.index('VmHWM:') + 1], file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eil.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, "verify", str(graph), "--s", "2", "--m", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stderr.split()[-1]) / 1024  # VmHWM is in kB
+    assert peak_mb < 200, peak_mb
