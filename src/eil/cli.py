@@ -22,10 +22,10 @@ import numpy as np
 
 from .errors import GraphFormatError, ParameterError
 from .evasive import (
+    REFERENCE_LINE,
     CoefficientStream,
     exact_probabilities,
     prune_bad_lines,
-    reference_line,
     restrict_to_line,
     sample_poly,
     zero_set,
@@ -88,8 +88,7 @@ def _montecarlo_trial(args: tuple[int, int, int, int]) -> dict:
     x0 = zero_set(ctx, f)
     pruned, vanishing = prune_bad_lines(ctx, f, x0)
     table = line_table(q)
-    ref = reference_line(ctx)
-    ref_points = table.point_idx[line_index(q, ref.base, ref.dir)]
+    ref_points = table.point_idx[line_index(q, REFERENCE_LINE.base, REFERENCE_LINE.dir)]
     ref_count = int(x0.member[ref_points].sum())
     removed = x0.member & ~pruned.member
     return {
@@ -100,7 +99,7 @@ def _montecarlo_trial(args: tuple[int, int, int, int]) -> dict:
         "vanishing_lines": len(vanishing),
         "ref_count_x0": ref_count,
         "ref_exact_t": ref_count == t,
-        "ref_vanished": restrict_to_line(ctx, f, ref).is_zero(),
+        "ref_vanished": restrict_to_line(ctx, f, REFERENCE_LINE).is_zero(),
         "ref_bad": bool(removed[ref_points].any()),
         "binom_stat": math.comb(ref_count, t),
     }

@@ -18,13 +18,12 @@ from itertools import product
 import numpy as np
 
 from .errors import GraphFormatError, ParameterError
-from .geom3 import AffineLine, line_table, point_index
+from .geom3 import AffineLine, line_table
 from .gf import FieldCtx
 
 # Fixed reference line used by the Monte Carlo commands: canonical and not
 # through the origin, valid for every q.
-def reference_line(ctx: FieldCtx) -> AffineLine:
-    return AffineLine((1, 0, 0), (0, 1, 0))
+REFERENCE_LINE = AffineLine((1, 0, 0), (0, 1, 0))
 
 
 @lru_cache(maxsize=None)
@@ -76,12 +75,6 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def evaluate(self, s: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * s + c) % self.q
-        return acc
-
 
 class PointSet:
     """Subset of F_q^3 as a membership bitmask over point indices."""
@@ -91,16 +84,6 @@ class PointSet:
             raise ParameterError("membership must be a bool array of length q^3")
         self.q = q
         self.member = member
-
-    @classmethod
-    def empty(cls, q: int) -> "PointSet":
-        return cls(q, np.zeros(q**3, dtype=np.bool_))
-
-    @classmethod
-    def from_indices(cls, q: int, indices) -> "PointSet":
-        member = np.zeros(q**3, dtype=np.bool_)
-        member[np.asarray(indices, dtype=np.int64)] = True
-        return cls(q, member)
 
     @property
     def count(self) -> int:
@@ -113,12 +96,6 @@ class PointSet:
         if not isinstance(other, PointSet):
             return NotImplemented
         return self.q == other.q and bool((self.member == other.member).all())
-
-    def contains_index(self, idx: int) -> bool:
-        return bool(self.member[idx])
-
-    def contains(self, ctx: FieldCtx, p) -> bool:
-        return bool(self.member[point_index(ctx, p)])
 
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self.member)
@@ -216,17 +193,6 @@ def sample_poly(ctx: FieldCtx, t: int, rng: CoefficientStream) -> TriPoly:
         raise ParameterError(f"degree bound t must be >= 3, got {t}")
     coeffs = rng.draw(ctx, math.comb(t + 3, 3))
     return TriPoly(ctx.q, t, tuple(int(c) for c in coeffs))
-
-
-def evaluate(f: TriPoly, p) -> int:
-    """f at a single point, by direct monomial summation."""
-    q = f.q
-    powers = [[pow(c, e, q) for e in range(f.t + 1)] for c in p]
-    acc = 0
-    for (i, j, k), a in zip(monomials(f.t), f.coeffs):
-        if a:
-            acc += a * powers[0][i] * powers[1][j] % q * powers[2][k]
-    return acc % q
 
 
 def restrict_to_line(ctx: FieldCtx, f: TriPoly, line: AffineLine) -> UniPoly:
@@ -363,31 +329,6 @@ def line_intersection_counts(x: PointSet) -> np.ndarray:
     """|X intersect l| for every line of line_table(q), in table order."""
     points = line_table(x.q).point_idx.T
     return x.member[points].sum(axis=0, dtype=np.min_scalar_type(x.q)).astype(np.int64)
-
-
-@dataclass(frozen=True)
-class LineHistogram:
-    """Lines bucketed by intersection size, split by origin membership."""
-
-    through_origin: dict[int, int]
-    off_origin: dict[int, int]
-
-    def total(self) -> dict[int, int]:
-        return {
-            k: self.through_origin[k] + self.off_origin[k] for k in self.through_origin
-        }
-
-
-def line_histogram(ctx: FieldCtx, x: PointSet) -> LineHistogram:
-    """Number of lines meeting X in exactly k points, for k = 0..q."""
-    counts = line_intersection_counts(x)
-    origin = line_table(ctx.q).origin_mask
-    on = np.bincount(counts[origin], minlength=ctx.q + 1)
-    off = np.bincount(counts[~origin], minlength=ctx.q + 1)
-    return LineHistogram(
-        {k: int(on[k]) for k in range(ctx.q + 1)},
-        {k: int(off[k]) for k in range(ctx.q + 1)},
-    )
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ParameterError
 from .gf import FieldCtx
 from .report import StatsReport
-from .subgraph import BitGraph, bit_rows, count_biclique_general, is_ksm_free
+from .subgraph import BitGraph, count_biclique_general, is_ksm_free
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,9 @@ def build_furedi(q: int, t: int) -> FurediGraph:
     reps = np.array(classes, dtype=np.int64)
     dots = reps @ reps.T % q
     adj = np.isin(dots, np.array(subgroup, dtype=np.int64))
-    np.fill_diagonal(adj, False)
-    return FurediGraph(q, t, subgroup, tuple(classes), BitGraph(len(classes), bit_rows(adj)))
+    # each edge once; the diagonal (self-incident classes) is left out
+    graph = BitGraph(len(classes), np.argwhere(np.triu(adj, 1)))
+    return FurediGraph(q, t, subgroup, tuple(classes), graph)
 
 
 def degree_profile(g: FurediGraph) -> list[int]:

@@ -25,69 +25,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParameterError
 from .gf import FieldCtx
 
 Point3 = tuple[int, int, int]
-
-ORIGIN: Point3 = (0, 0, 0)
 
 
 @dataclass(frozen=True)
 class AffineLine:
     base: Point3
     dir: Point3
-
-
-def point_index(ctx: FieldCtx, p: Point3) -> int:
-    """Index of a point in the fixed 0..q^3-1 layout (x1*q^2 + x2*q + x3)."""
-    q = ctx.q
-    return (p[0] * q + p[1]) * q + p[2]
-
-
-def check_point(ctx: FieldCtx, p: Point3) -> Point3:
-    if len(p) != 3:
-        raise ParameterError(f"a point needs 3 coordinates, got {p!r}")
-    for c in p:
-        ctx.check(c)
-    return tuple(p)
-
-
-def canonical_line(ctx: FieldCtx, base: Point3, direction: Point3) -> AffineLine:
-    """Canonicalize (base, direction); direction must be nonzero."""
-    q = ctx.q
-    base = check_point(ctx, base)
-    direction = check_point(ctx, direction)
-    if direction == ORIGIN:
-        raise ParameterError("line direction must be nonzero")
-    pivot = next(i for i in range(3) if direction[i] != 0)
-    inv = ctx.inv(direction[pivot])
-    d = tuple(c * inv % q for c in direction)
-    s = base[pivot]
-    b = tuple((base[i] - s * d[i]) % q for i in range(3))
-    return AffineLine(b, d)
-
-
-def line_through(ctx: FieldCtx, p: Point3, r: Point3) -> AffineLine:
-    """The unique line containing two distinct points."""
-    p = check_point(ctx, p)
-    r = check_point(ctx, r)
-    if p == r:
-        raise ParameterError("two distinct points are needed to span a line")
-    direction = tuple((r[i] - p[i]) % ctx.q for i in range(3))
-    return canonical_line(ctx, p, direction)
-
-
-def points_on(ctx: FieldCtx, line: AffineLine) -> list[Point3]:
-    """The q points base + s*dir, in increasing s order."""
-    q = ctx.q
-    b, d = line.base, line.dir
-    return [tuple((b[i] + s * d[i]) % q for i in range(3)) for s in range(q)]
-
-
-def passes_origin(line: AffineLine) -> bool:
-    """True iff (0,0,0) lies on the (canonical) line."""
-    return line.base == ORIGIN
 
 
 def line_index(q: int, base: np.ndarray, direction: np.ndarray) -> np.ndarray:

@@ -1,19 +1,23 @@
-"""Bitset adjacency graphs, freeness checks, and biclique counting.
+"""Graphs stored as a sorted CSR adjacency, freeness checks, biclique counting.
 
-Adjacency rows are Python ints used as n-bit masks, so common-neighborhood
-queries are single AND/popcount chains. The biclique counts and the s >= 3
-freeness scan enumerate vertex subsets by brute force; the s = 2 freeness
-check counts co-degrees over the two-hop paths of a sparse edge list
-instead, in time O(sum of deg^2) and memory O(E + block), and its
-brute-force pair scan is kept in the tests as the oracle.
+A BitGraph holds its edges once, as CSR arrays: offsets and nbr, the
+neighbours of each vertex in increasing order. Edge lists, degrees, the
+file text and the s = 2 freeness check read these arrays; the s = 2 check
+counts co-degrees over two-hop paths in time O(sum of deg^2) and memory
+O(E + block), and its brute-force pair scan is kept in the tests as the
+oracle. The s >= 3 freeness scan and the biclique counts enumerate vertex
+subsets by brute force over int-bitmask rows (n-bit Python ints, so a
+common neighbourhood is one AND chain), derived from the CSR on first use.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -21,86 +25,80 @@ from .errors import GraphFormatError, ParameterError
 
 # C(n,3) row intersections beyond this size is no longer desk scale.
 TRIPLE_SCAN_LIMIT = 5000
-# Entries per temporary array of the s = 2 check: packed row bytes per
-# unpacking block, two-hop paths per counting block.
+# Entries per temporary array: dense bits per block of derived rows,
+# two-hop paths per counting block of the s = 2 check.
 CODEGREE_BLOCK = 1 << 16
 
 
 class BitGraph:
-    """Simple undirected graph with int-bitmask adjacency rows.
+    """Simple undirected graph on 0..n-1, stored as a sorted CSR adjacency.
 
-    If `sides` is set the graph is bipartite with left vertices 0..L-1 and
-    right vertices L..L+R-1, and every edge crosses the bipartition.
+    The neighbours of v are nbr[offsets[v]:offsets[v + 1]], in increasing
+    order. If `sides` is set the graph is bipartite with left vertices
+    0..L-1 and right vertices L..L+R-1, and every edge crosses the
+    bipartition. `rows`, the int-bitmask rows of the subset scans, is
+    derived from the CSR on first use.
     """
 
-    def __init__(self, n: int, rows: Sequence[int], sides: Optional[tuple[int, int]] = None):
-        if len(rows) != n:
-            raise ParameterError(f"need {n} adjacency rows, got {len(rows)}")
+    def __init__(self, n: int, edges, sides: Optional[tuple[int, int]] = None):
+        """Any (u, v) pairs, as a sequence or an (E, 2) int array, each edge once."""
         if sides is not None and sides[0] + sides[1] != n:
             raise ParameterError(f"bipartition {sides} does not sum to n = {n}")
-        full = (1 << n) - 1
-        left_mask = ((1 << sides[0]) - 1) if sides else 0
-        for v, row in enumerate(rows):
-            if row & ~full:
-                raise ParameterError(f"row {v} has bits outside 0..{n - 1}")
-            if row >> v & 1:
-                raise ParameterError(f"loop at vertex {v}")
-            if sides is not None:
-                same = left_mask if v < sides[0] else full ^ left_mask
-                if row & same:
-                    raise ParameterError(f"vertex {v} has an edge inside its side")
-        for v, row in enumerate(rows):
-            m = row
-            while m:
-                u = (m & -m).bit_length() - 1
-                if not rows[u] >> v & 1:
-                    raise ParameterError(f"adjacency not symmetric at ({v}, {u})")
-                m &= m - 1
+        pairs = np.asarray(edges, dtype=np.int64)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ParameterError(f"edges must be (u, v) pairs, got shape {pairs.shape}")
+        u, v = pairs[:, 0], pairs[:, 1]
+        _reject(pairs, (u < 0) | (u >= n) | (v < 0) | (v >= n), "is out of range")
+        _reject(pairs, u == v, "is a loop")
+        if sides is not None:
+            _reject(pairs, (u < sides[0]) == (v < sides[0]), "lies inside one side")
+        src = np.concatenate((u, v))
+        keys = np.sort(src * n + np.concatenate((v, u)))
+        dup = np.flatnonzero(keys[1:] == keys[:-1])
+        if dup.size:
+            a, b = divmod(int(keys[dup[0]]), n)
+            raise ParameterError(f"duplicate edge ({a}, {b})")
         self.n = n
-        self.rows = tuple(rows)
         self.sides = sides
-
-    @classmethod
-    def from_edges(
-        cls, n: int, edges: Iterable[tuple[int, int]], sides: Optional[tuple[int, int]] = None
-    ) -> "BitGraph":
-        rows = [0] * n
-        seen = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParameterError(f"edge ({u}, {v}) out of range")
-            if u == v:
-                raise ParameterError(f"loop at vertex {u}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ParameterError(f"duplicate edge ({u}, {v})")
-            seen.add(key)
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return cls(n, rows, sides)
+        self.nbr = keys % max(n, 1)
+        self.offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=self.offsets[1:])
 
     @classmethod
     def from_biadjacency(cls, adj: np.ndarray) -> "BitGraph":
         """Bipartite graph from an (L, R) boolean matrix."""
         left, right = adj.shape
-        rows = [r << left for r in bit_rows(adj)] + bit_rows(adj.T)
-        return cls(left + right, rows, (left, right))
+        u, v = np.nonzero(adj)
+        return cls(left + right, np.column_stack((u, v + left)), (left, right))
+
+    @cached_property
+    def rows(self) -> tuple[int, ...]:
+        """Adjacency rows as n-bit int masks, bit w of row v set for each edge vw."""
+        n, offsets = self.n, self.offsets
+        per_block = max(1, CODEGREE_BLOCK // max(n, 1))
+        rows: list[int] = []
+        for at in range(0, n, per_block):
+            stop = min(at + per_block, n)
+            dense = np.zeros((stop - at, n), dtype=np.bool_)
+            local = np.repeat(np.arange(stop - at), np.diff(offsets[at:stop + 1]))
+            dense[local, self.nbr[offsets[at]:offsets[stop]]] = True
+            packed = np.packbits(dense, axis=1, bitorder="little")
+            rows.extend(int.from_bytes(r.tobytes(), "little") for r in packed)
+        return tuple(rows)
 
     def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
+        return int(self.offsets[v + 1] - self.offsets[v])
 
     def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows) // 2
+        return self.nbr.size // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(self.n):
-            m = self.rows[u] >> (u + 1) << (u + 1)
-            while m:
-                v = (m & -m).bit_length() - 1
-                out.append((u, v))
-                m &= m - 1
-        return out
+        """Every edge once as (u, v) with u < v, in increasing order."""
+        src = np.repeat(np.arange(self.n), np.diff(self.offsets))
+        up = src < self.nbr
+        return list(zip(src[up].tolist(), self.nbr[up].tolist()))
 
     def left_vertices(self) -> range:
         if self.sides is None:
@@ -115,13 +113,16 @@ class BitGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitGraph):
             return NotImplemented
-        return self.n == other.n and self.sides == other.sides and self.rows == other.rows
+        return (self.n == other.n and self.sides == other.sides
+                and np.array_equal(self.offsets, other.offsets)
+                and np.array_equal(self.nbr, other.nbr))
 
 
-def bit_rows(adj: np.ndarray) -> list[int]:
-    """Each row of a boolean matrix as an int mask, bit j = column j."""
-    packed = np.packbits(adj, axis=1, bitorder="little")
-    return [int.from_bytes(r.tobytes(), "little") for r in packed]
+def _reject(pairs: np.ndarray, bad: np.ndarray, what: str) -> None:
+    hit = np.flatnonzero(bad)
+    if hit.size:
+        u, v = pairs[hit[0]].tolist()
+        raise ParameterError(f"edge ({u}, {v}) {what}")
 
 
 def _mask_to_vertices(mask: int) -> tuple[int, ...]:
@@ -130,17 +131,6 @@ def _mask_to_vertices(mask: int) -> tuple[int, ...]:
         out.append((mask & -mask).bit_length() - 1)
         mask &= mask - 1
     return tuple(out)
-
-
-def common_neighbors(graph: BitGraph, vertices: Iterable[int]) -> set[int]:
-    """Intersection of the neighborhoods of a nonempty vertex set."""
-    vs = list(vertices)
-    if not vs:
-        raise ParameterError("common_neighbors needs a nonempty vertex set")
-    mask = (1 << graph.n) - 1
-    for v in vs:
-        mask &= graph.rows[v]
-    return set(_mask_to_vertices(mask))
 
 
 @dataclass(frozen=True)
@@ -159,8 +149,9 @@ def is_ksm_free(graph: BitGraph, s: int, m: int, force: bool = False) -> Freenes
     and all s-subsets otherwise. On failure the witness is (S, the m
     smallest common neighbors of S), S being the first failing subset in
     itertools.combinations order. For s = 2 the co-degrees are counted
-    over two-hop paths (see _first_rich_pair); larger s scans every subset
-    and refuses graphs above TRIPLE_SCAN_LIMIT vertices unless forced.
+    over two-hop paths of the CSR (see _first_rich_pair); larger s scans
+    every subset and refuses graphs above TRIPLE_SCAN_LIMIT vertices
+    unless forced.
     """
     if not 1 <= s <= m:
         raise ParameterError(f"need 1 <= s <= m, got ({s}, {m})")
@@ -172,15 +163,17 @@ def is_ksm_free(graph: BitGraph, s: int, m: int, force: bool = False) -> Freenes
         groups = [graph.left_vertices(), graph.right_vertices()]
     else:
         groups = [range(graph.n)]
-    rows = graph.rows
     if s == 2:
-        edges = _edge_arrays(graph)
+        offsets, nbr = graph.offsets, graph.nbr
         for group in groups:
-            pair = _first_rich_pair(*edges, group, m)
+            pair = _first_rich_pair(offsets, nbr, group, m)
             if pair is not None:
-                common = rows[pair[0]] & rows[pair[1]]
-                return FreenessResult(False, (pair, _mask_to_vertices(common)[:m]))
+                u, v = pair
+                common = np.intersect1d(nbr[offsets[u]:offsets[u + 1]],
+                                        nbr[offsets[v]:offsets[v + 1]], assume_unique=True)
+                return FreenessResult(False, (pair, tuple(common[:m].tolist())))
         return FreenessResult(True)
+    rows = graph.rows
     for group in groups:
         for subset in combinations(group, s):
             mask = rows[subset[0]]
@@ -191,35 +184,8 @@ def is_ksm_free(graph: BitGraph, s: int, m: int, force: bool = False) -> Freenes
     return FreenessResult(True)
 
 
-def _edge_arrays(graph: BitGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Directed edges (src, dst) sorted by src then dst, and CSR offsets into them.
-
-    Nonempty rows are unpacked a block at a time: the packed bytes of a block
-    take about CODEGREE_BLOCK bytes, and only their nonzero bytes are
-    unpacked into bits.
-    """
-    n = graph.n
-    nbytes = (n + 7) // 8
-    busy = [v for v, row in enumerate(graph.rows) if row]
-    per_block = max(1, CODEGREE_BLOCK // max(nbytes, 1))
-    srcs, dsts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for at in range(0, len(busy), per_block):
-        chunk = busy[at:at + per_block]
-        buf = b"".join(graph.rows[v].to_bytes(nbytes, "little") for v in chunk)
-        packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(chunk), nbytes)
-        row, byte = np.nonzero(packed)
-        bits = np.unpackbits(packed[row, byte][:, None], axis=1, bitorder="little")
-        hit, bit = np.nonzero(bits)
-        srcs.append(np.asarray(chunk, dtype=np.int64)[row[hit]])
-        dsts.append(byte[hit].astype(np.int64) * 8 + bit)
-    src, dst = np.concatenate(srcs), np.concatenate(dsts)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-    return src, dst, offsets
-
-
 def _first_rich_pair(
-    src: np.ndarray, dst: np.ndarray, offsets: np.ndarray, group: range, m: int
+    offsets: np.ndarray, nbr: np.ndarray, group: range, m: int
 ) -> Optional[tuple[int, int]]:
     """First pair u < v of the group, in combinations order, with co-degree >= m.
 
@@ -233,18 +199,18 @@ def _first_rich_pair(
     n = len(offsets) - 1
     deg = np.diff(offsets)
     # paths[e]: two-hop paths that leave through the edges before edge e
-    paths = np.concatenate(([0], np.cumsum(deg[dst])))
+    paths = np.concatenate(([0], np.cumsum(deg[nbr])))
     ends = paths[offsets[group.start + 1:group.stop + 1]]
     at = group.start
     while at < group.stop:
         limit = paths[offsets[at]] + CODEGREE_BLOCK
         stop = max(group.start + int(np.searchsorted(ends, limit, side="right")), at + 1)
         e0, e1 = offsets[at], offsets[stop]
-        w = dst[e0:e1]
+        w = nbr[e0:e1]
         lens = deg[w]
         first = offsets[w] - (np.cumsum(lens) - lens)
-        v = dst[np.arange(paths[e1] - paths[e0]) + np.repeat(first, lens)]
-        u = np.repeat(src[e0:e1], lens)
+        v = nbr[np.arange(paths[e1] - paths[e0]) + np.repeat(first, lens)]
+        u = np.repeat(np.repeat(np.arange(at, stop), deg[at:stop]), lens)
         later = v > u
         u *= n
         u += v
@@ -323,7 +289,7 @@ def graph_to_text(graph: BitGraph) -> str:
     else:
         head = f"general {graph.n}"
     lines = [head]
-    lines.extend(f"{u} {v}" for u, v in sorted(graph.edges()))
+    lines.extend(f"{u} {v}" for u, v in graph.edges())
     return "\n".join(lines) + "\n"
 
 
@@ -352,7 +318,7 @@ def graph_from_text(text: str) -> BitGraph:
         raise GraphFormatError("line 1: expected 'bipartite <L> <R>' or 'general <n>'")
     if n > 1_000_000:
         raise GraphFormatError(f"line 1: vertex count {n} too large")
-    edges = []
+    flat = array("q")  # u0, v0, u1, v1, ...: 16 bytes per edge
     prev = None
     for lineno, row in enumerate(rows[1:], start=2):
         parts = row.split()
@@ -376,8 +342,8 @@ def graph_from_text(text: str) -> BitGraph:
             if (u, v) < prev:
                 raise GraphFormatError(f"line {lineno}: edges not sorted")
         prev = (u, v)
-        edges.append((u, v))
-    return BitGraph.from_edges(n, edges, sides)
+        flat.extend((u, v))
+    return BitGraph(n, np.frombuffer(flat, dtype=np.int64).reshape(-1, 2), sides)
 
 
 def write_graph(graph: BitGraph, path) -> None:

@@ -62,7 +62,7 @@ def test_verify_furedi_graph_is_free(tmp_path, capsys):
 
 def test_verify_k23_fixture_reports_witness(tmp_path, capsys):
     fixture = tmp_path / "k23.graph.txt"
-    g = BitGraph.from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)], (2, 3))
+    g = BitGraph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)], (2, 3))
     write_graph(g, fixture)
     code = main(["verify", str(fixture), "--s", "2", "--m", "3"])
     out = capsys.readouterr().out
@@ -74,7 +74,7 @@ def test_verify_k23_fixture_reports_witness(tmp_path, capsys):
 
 def test_verify_can_write_report_file(tmp_path, capsys):
     fixture = tmp_path / "c5.graph.txt"
-    g = BitGraph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    g = BitGraph(5, [(i, (i + 1) % 5) for i in range(5)])
     write_graph(g, fixture)
     out = tmp_path / "c5.report.json"
     assert main(["verify", str(fixture), "--s", "2", "--m", "2",

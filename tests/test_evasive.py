@@ -6,24 +6,23 @@ import pytest
 
 from eil.errors import GraphFormatError, ParameterError
 from eil.evasive import (
+    REFERENCE_LINE,
     CoefficientStream,
     PointSet,
     TriPoly,
     UniPoly,
-    evaluate,
     exact_probabilities,
-    line_histogram,
     line_intersection_counts,
     monomials,
     prune_bad_lines,
-    reference_line,
     restrict_all_lines,
     restrict_to_line,
     sample_poly,
     zero_set,
 )
-from eil.geom3 import AffineLine, line_index, line_table, point_index, points_on
+from eil.geom3 import AffineLine, line_index, line_table
 from eil.gf import FieldCtx
+from oracles import evaluate, evaluate_uni, point_index, points_on
 
 
 def zero_set_oracle(ctx, f):
@@ -128,7 +127,7 @@ def test_restriction_matches_pointwise_evaluation(q):
             g = restrict_to_line(ctx, f, line)
             assert len(g.coeffs) == 4
             for s, p in enumerate(points_on(ctx, line)):
-                assert g.evaluate(s) == evaluate(f, p)
+                assert evaluate_uni(g, s) == evaluate(f, p)
 
 
 def test_restrict_all_lines_matches_scalar_path():
@@ -244,24 +243,23 @@ def test_pruned_set_meets_every_line_at_most_t(q, t):
 
 
 def test_line_histogram_empty_and_single_point():
+    # lines bucketed by how many points of X they carry, split by the origin
     ctx = FieldCtx(5)
-    hist = line_histogram(ctx, PointSet.empty(5))
-    assert hist.total()[0] == 775
-    assert sum(hist.total().values()) == 775
-    single = PointSet.from_indices(5, [point_index(ctx, (1, 2, 3))])
-    hist = line_histogram(ctx, single)
-    assert hist.total()[1] == 31  # q^2 + q + 1 lines through any point
-    assert hist.total()[0] == 775 - 31
-    assert sum(hist.through_origin.values()) == 31
+    origin = line_table(5).origin_mask
 
+    def histogram(member):
+        counts = line_intersection_counts(PointSet(5, member))
+        return np.bincount(counts, minlength=6), np.bincount(counts[origin], minlength=6)
 
-def test_histogram_buckets_above_t_empty_after_pruning():
-    ctx = FieldCtx(7)
-    for trial in range(20):
-        f = sample_poly(ctx, 3, CoefficientStream(3000 + trial))
-        pruned, _ = prune_bad_lines(ctx, f, zero_set(ctx, f))
-        hist = line_histogram(ctx, pruned).total()
-        assert all(hist[k] == 0 for k in range(4, 8))
+    empty = np.zeros(125, dtype=np.bool_)
+    total, through_origin = histogram(empty)
+    assert total[0] == total.sum() == 775
+    single = empty.copy()
+    single[point_index(ctx, (1, 2, 3))] = True
+    total, through_origin = histogram(single)
+    assert total[1] == 31  # q^2 + q + 1 lines through any point
+    assert total[0] == 775 - 31
+    assert through_origin.sum() == 31
 
 
 def test_exact_probabilities_closed_form_values():
@@ -278,7 +276,7 @@ def test_unipoly_zero_and_eval():
     assert g.is_zero()
     g = UniPoly(7, (1, 2, 0, 3))
     assert not g.is_zero()
-    assert g.evaluate(2) == (1 + 4 + 24) % 7
+    assert evaluate_uni(g, 2) == (1 + 4 + 24) % 7
 
 
 def test_pointset_serialization_roundtrip():
@@ -301,11 +299,10 @@ def test_pointset_serialization_roundtrip():
 
 
 def test_reference_line_is_canonical_and_off_origin():
-    ctx = FieldCtx(7)
-    ref = reference_line(ctx)
-    row = int(line_index(7, ref.base, ref.dir))
-    assert row_line(line_table(7), row) == ref
-    assert ref.base != (0, 0, 0)
+    for q in (2, 7, 13):
+        row = int(line_index(q, REFERENCE_LINE.base, REFERENCE_LINE.dir))
+        assert row_line(line_table(q), row) == REFERENCE_LINE
+    assert REFERENCE_LINE.base != (0, 0, 0)
 
 
 def test_bad_line_fraction_within_markov_bound():

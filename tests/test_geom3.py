@@ -4,17 +4,9 @@ import numpy as np
 import pytest
 
 from eil.errors import ParameterError
-from eil.geom3 import (
-    AffineLine,
-    canonical_line,
-    line_index,
-    line_table,
-    line_through,
-    passes_origin,
-    point_index,
-    points_on,
-)
+from eil.geom3 import AffineLine, line_index, line_table
 from eil.gf import FieldCtx
+from oracles import canonical_line, line_through, passes_origin, point_index, points_on
 
 
 def table_lines(q):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,9 +15,9 @@ import eil
 import eil.subgraph as sg
 from eil.cli import main
 from eil.errors import GraphFormatError, ParameterError
+from eil.incidence import build_incidence
 from eil.subgraph import (
     BitGraph,
-    common_neighbors,
     count_biclique,
     count_biclique_general,
     graph_from_text,
@@ -25,31 +26,34 @@ from eil.subgraph import (
     read_graph,
     write_graph,
 )
+from oracles import adjacency_sets, common_neighbors
 
 
 def complete_bipartite(a, b):
-    return BitGraph.from_edges(
+    return BitGraph(
         a + b, [(i, a + j) for i in range(a) for j in range(b)], (a, b)
     )
 
 
 def cycle(n):
-    return BitGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return BitGraph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def count_biclique_oracle(graph, a, b):
     """Naive: enumerate subsets of both sides and test all cross edges."""
     left, right = graph.sides
+    adj = adjacency_sets(graph)
     total = 0
     for sub_a in combinations(range(left), a):
         for sub_b in combinations(range(left, left + right), b):
-            if all(graph.rows[u] >> v & 1 for u in sub_a for v in sub_b):
+            if all(v in adj[u] for u in sub_a for v in sub_b):
                 total += 1
     return total
 
 
 def count_biclique_general_oracle(graph, a, b):
     """Naive: unordered pairs of disjoint subsets, complete between."""
+    adj = adjacency_sets(graph)
     total = 0
     for sub_a in combinations(range(graph.n), a):
         for sub_b in combinations(range(graph.n), b):
@@ -57,13 +61,13 @@ def count_biclique_general_oracle(graph, a, b):
                 continue
             if a == b and sub_b < sub_a:
                 continue
-            if all(graph.rows[u] >> v & 1 for u in sub_a for v in sub_b):
+            if all(v in adj[u] for u in sub_a for v in sub_b):
                 total += 1
     return total
 
 
 def pair_scan_oracle(graph, m):
-    """K_{2,m}-freeness by ANDing the rows of every vertex pair of each side.
+    """K_{2,m}-freeness by intersecting the neighbour sets of every pair of each side.
 
     Returns (free, witness) with the witness of is_ksm_free: the first pair
     in combinations order with m common neighbors, and the m smallest of them.
@@ -72,9 +76,10 @@ def pair_scan_oracle(graph, m):
         groups = [graph.left_vertices(), graph.right_vertices()]
     else:
         groups = [range(graph.n)]
+    adj = adjacency_sets(graph)
     for group in groups:
         for u, v in combinations(group, 2):
-            common = [w for w in range(graph.n) if (graph.rows[u] & graph.rows[v]) >> w & 1]
+            common = sorted(adj[u] & adj[v])
             if len(common) >= m:
                 return False, ((u, v), tuple(common[:m]))
     return True, None
@@ -83,7 +88,7 @@ def pair_scan_oracle(graph, m):
 def random_general(n, p, seed):
     rng = random.Random(seed)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return BitGraph.from_edges(n, edges)
+    return BitGraph(n, edges)
 
 
 def random_bipartite(left, right, p, seed):
@@ -94,29 +99,34 @@ def random_bipartite(left, right, p, seed):
         for j in range(right)
         if rng.random() < p
     ]
-    return BitGraph.from_edges(left + right, edges, (left, right))
+    return BitGraph(left + right, edges, (left, right))
+
+
+MALFORMED = [
+    (3, [(0, 0)], None, "loop"),
+    (3, [(0, 1), (1, 0)], None, "duplicate"),
+    (3, [(0, 3)], None, "out of range"),
+    (4, [(0, 1)], (2, 2), "inside one side"),
+    (4, [(0, 2), (3, 2)], (2, 2), "inside one side"),
+]
 
 
 def test_construction_validation():
-    with pytest.raises(ParameterError):
-        BitGraph.from_edges(3, [(0, 0)])
-    with pytest.raises(ParameterError):
-        BitGraph.from_edges(3, [(0, 1), (1, 0)])
-    with pytest.raises(ParameterError):
-        BitGraph.from_edges(3, [(0, 3)])
-    with pytest.raises(ParameterError):
-        BitGraph.from_edges(4, [(0, 1)], (2, 2))  # edge inside the left side
-    with pytest.raises(ParameterError):
-        BitGraph(2, [1, 0])  # asymmetric rows
+    for n, edges, sides, fragment in MALFORMED:
+        for given in (edges, np.array(edges, dtype=np.int64)):
+            with pytest.raises(ParameterError, match=fragment):
+                BitGraph(n, given, sides)
+    with pytest.raises(ParameterError, match="pairs"):
+        BitGraph(3, [(0, 1, 2)])
 
 
 def test_common_neighbors():
-    path = BitGraph.from_edges(3, [(0, 1), (1, 2)])
+    path = BitGraph(3, [(0, 1), (1, 2)])
     assert common_neighbors(path, [0, 2]) == {1}
     assert common_neighbors(path, [1]) == {0, 2}
     k23 = complete_bipartite(2, 3)
     assert common_neighbors(k23, [0, 1]) == {2, 3, 4}
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValueError):
         common_neighbors(path, [])
 
 
@@ -166,7 +176,8 @@ def test_pair_check_matches_pair_scan_oracle(monkeypatch, m, block):
 
 
 @st.composite
-def small_graphs(draw):
+def edge_lists(draw):
+    """(n, edges, sides): distinct edges in any order, each in either orientation."""
     if draw(st.booleans()):
         left, right = draw(st.integers(0, 9)), draw(st.integers(0, 9))
         pairs = [(i, left + j) for i in range(left) for j in range(right)]
@@ -176,7 +187,13 @@ def small_graphs(draw):
         pairs = list(combinations(range(n), 2))
         sides = None
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return BitGraph.from_edges(n, [e for e, k in zip(pairs, keep) if k], sides)
+    chosen = draw(st.permutations([e for e, k in zip(pairs, keep) if k]))
+    flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    return n, [(v, u) if flip else (u, v) for (u, v), flip in zip(chosen, flips)], sides
+
+
+def small_graphs():
+    return edge_lists().map(lambda case: BitGraph(*case))
 
 
 @settings(max_examples=300, deadline=None)
@@ -192,7 +209,7 @@ def test_pair_check_property(graph, m, block):
 
 def test_triple_scan_guard(monkeypatch):
     monkeypatch.setattr(sg, "TRIPLE_SCAN_LIMIT", 10)
-    big = BitGraph.from_edges(11, [(0, 1)])
+    big = BitGraph(11, [(0, 1)])
     with pytest.raises(ParameterError):
         is_ksm_free(big, 3, 3)
     assert is_ksm_free(big, 3, 3, force=True).free
@@ -201,9 +218,9 @@ def test_triple_scan_guard(monkeypatch):
 
 def test_count_biclique_fixtures():
     assert count_biclique(complete_bipartite(2, 3), 2, 3) == 1
-    empty = BitGraph.from_edges(5, [], (2, 3))
+    empty = BitGraph(5, [], (2, 3))
     assert count_biclique(empty, 1, 1) == 0
-    k33_minus = BitGraph.from_edges(
+    k33_minus = BitGraph(
         6, [(i, 3 + j) for i in range(3) for j in range(3) if (i, j) != (0, 0)], (3, 3)
     )
     assert count_biclique(k33_minus, 3, 3) == 0
@@ -226,7 +243,7 @@ def mirror(g):
     left, right = g.sides
     relabel = [v + right for v in range(left)] + [v - left for v in range(left, g.n)]
     edges = [(relabel[u], relabel[v]) for u, v in g.edges()]
-    return BitGraph.from_edges(g.n, edges, (right, left))
+    return BitGraph(g.n, edges, (right, left))
 
 
 def test_count_biclique_mirror_symmetry():
@@ -241,7 +258,7 @@ def test_count_biclique_mirror_symmetry():
 def test_count_biclique_general_fixtures():
     triangle = cycle(3)
     assert count_biclique_general(triangle, 1, 2) == 3
-    star = BitGraph.from_edges(5, [(0, i) for i in range(1, 5)])
+    star = BitGraph(5, [(0, i) for i in range(1, 5)])
     assert count_biclique_general(star, 1, 1) == 4
     assert count_biclique_general(cycle(4), 2, 2) == 1
 
@@ -251,7 +268,7 @@ def test_count_biclique_general_oracle():
     for seed in range(6):
         n = 8
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.45]
-        g = BitGraph.from_edges(n, edges)
+        g = BitGraph(n, edges)
         for a, b in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]:
             assert count_biclique_general(g, a, b) == count_biclique_general_oracle(g, a, b)
 
@@ -311,6 +328,44 @@ def test_edges_listing():
     assert g.degree(0) == 2
 
 
+@settings(max_examples=200, deadline=None)
+@given(edge_lists(), st.booleans(), st.sampled_from([1, 5, sg.CODEGREE_BLOCK]))
+def test_csr_form_matches_adjacency_sets(case, as_array, block):
+    # every view of the CSR, the derived bitmask rows included (built in
+    # blocks of `block` bits), against sets built from the raw edge list
+    n, edges, sides = case
+    given_edges = np.array(edges, dtype=np.int64).reshape(-1, 2) if as_array else edges
+    g = BitGraph(n, given_edges, sides)
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    expected = sorted((min(e), max(e)) for e in edges)
+    assert g.edges() == expected
+    assert g.edge_count() == len(edges)
+    assert [g.degree(v) for v in range(n)] == [len(a) for a in adj]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sg, "CODEGREE_BLOCK", block)
+        assert g.rows == tuple(sum(1 << w for w in a) for a in adj)
+    head = f"bipartite {sides[0]} {sides[1]}" if sides else f"general {n}"
+    text = "".join(f"{line}\n" for line in [head, *(f"{u} {v}" for u, v in expected)])
+    assert graph_to_text(g) == text
+    assert graph_from_text(text) == g
+
+
+def test_pair_check_and_incidence_build_leave_rows_unbuilt():
+    # the construction and the s = 2 check read only the CSR; the bitmask
+    # rows are derived for the subset scans alone
+    c = build_incidence(7, 3, 42)
+    assert "rows" not in vars(c.graph)
+    assert is_ksm_free(c.graph, 2, 4).free
+    square = cycle(4)
+    assert is_ksm_free(square, 2, 2).witness == ((0, 2), (1, 3))
+    assert "rows" not in vars(c.graph) and "rows" not in vars(square)
+    is_ksm_free(c.graph, 3, 4)
+    assert "rows" in vars(c.graph)
+
+
 # --- the s = 2 check on graphs whose C(n, 2) pair scan is out of reach ---------
 
 BIG = 20_000
@@ -341,7 +396,7 @@ def test_verify_pair_check_finds_a_c4_planted_at_the_end_of_a_long_path(tmp_path
         return path_edges(n) + [(n - 4, n - 1)]
 
     small = 12
-    free, (pair, common) = pair_scan_oracle(BitGraph.from_edges(small, planted(small)), 2)
+    free, (pair, common) = pair_scan_oracle(BitGraph(small, planted(small)), 2)
     assert not free
     shift = BIG - small
     expected = [[v + shift for v in pair], [v + shift for v in common]]
@@ -353,11 +408,12 @@ def test_verify_pair_check_finds_a_c4_planted_at_the_end_of_a_long_path(tmp_path
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
-def test_verify_pair_check_memory_on_a_big_path(tmp_path):
+@pytest.mark.parametrize("n", [BIG, 100_000])
+def test_verify_pair_check_memory_on_a_big_path(tmp_path, n):
     # VmHWM is the peak RSS of the process's own address space; ru_maxrss
     # would also carry the peak of this test process across fork and exec.
     graph = tmp_path / "path.graph.txt"
-    write_general(graph, BIG, path_edges(BIG))
+    write_general(graph, n, path_edges(n))
     probe = (
         "import sys\n"
         "from eil.cli import main\n"
