@@ -362,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--m", type=int, required=True)
     p_verify.add_argument("--out", default=None)
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
-    p_verify.add_argument("--force", action="store_true")
+    p_verify.add_argument("--force", action="store_true", help="scan past the key budget")
 
     p_mc = sub.add_parser("montecarlo", help="per-line statistics of the zero set")
     p_mc.add_argument("--q", type=int, required=True)

@@ -2,12 +2,12 @@
 
 A BitGraph holds its edges once, as CSR arrays: offsets and nbr, the
 neighbours of each vertex in increasing order. Edge lists, degrees, the
-file text and the s = 2 freeness check read these arrays; the s = 2 check
-counts co-degrees over two-hop paths in time O(sum of deg^2) and memory
-O(E + block), and its brute-force pair scan is kept in the tests as the
-oracle. The s >= 3 freeness scan and the biclique counts enumerate vertex
-subsets by brute force over int-bitmask rows (n-bit Python ints, so a
-common neighbourhood is one AND chain), derived from the CSR on first use.
+file text and every subset scan read these arrays. K_{s,m}-freeness and
+the biclique counts come from one engine: each s-subset of a
+neighbourhood N(w) is an int64 key, a key occurs once per common
+neighbour of its set, and sorted blocks of keys give the co-degrees in
+time and memory O(sum of C(deg w, s)), not O(C(n, s)). The brute-force
+subset scans are kept in the tests as the oracles.
 """
 
 from __future__ import annotations
@@ -15,18 +15,16 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
+from functools import reduce
 from typing import Optional
 
 import numpy as np
 
 from .errors import GraphFormatError, ParameterError
 
-# C(n,3) row intersections beyond this size is no longer desk scale.
-TRIPLE_SCAN_LIMIT = 5000
-# Entries per temporary array: dense bits per block of derived rows,
-# two-hop paths per counting block of the s = 2 check.
+# Subset keys per scan above which a scan is refused: about 5 s on a desk machine.
+KEY_BUDGET = 10**8
+# int64 entries per block of subset keys, over the arrays of all growth steps.
 CODEGREE_BLOCK = 1 << 16
 
 
@@ -36,8 +34,7 @@ class BitGraph:
     The neighbours of v are nbr[offsets[v]:offsets[v + 1]], in increasing
     order. If `sides` is set the graph is bipartite with left vertices
     0..L-1 and right vertices L..L+R-1, and every edge crosses the
-    bipartition. `rows`, the int-bitmask rows of the subset scans, is
-    derived from the CSR on first use.
+    bipartition.
     """
 
     def __init__(self, n: int, edges, sides: Optional[tuple[int, int]] = None):
@@ -72,21 +69,6 @@ class BitGraph:
         left, right = adj.shape
         u, v = np.nonzero(adj)
         return cls(left + right, np.column_stack((u, v + left)), (left, right))
-
-    @cached_property
-    def rows(self) -> tuple[int, ...]:
-        """Adjacency rows as n-bit int masks, bit w of row v set for each edge vw."""
-        n, offsets = self.n, self.offsets
-        per_block = max(1, CODEGREE_BLOCK // max(n, 1))
-        rows: list[int] = []
-        for at in range(0, n, per_block):
-            stop = min(at + per_block, n)
-            dense = np.zeros((stop - at, n), dtype=np.bool_)
-            local = np.repeat(np.arange(stop - at), np.diff(offsets[at:stop + 1]))
-            dense[local, self.nbr[offsets[at]:offsets[stop]]] = True
-            packed = np.packbits(dense, axis=1, bitorder="little")
-            rows.extend(int.from_bytes(r.tobytes(), "little") for r in packed)
-        return tuple(rows)
 
     def degree(self, v: int) -> int:
         return int(self.offsets[v + 1] - self.offsets[v])
@@ -125,21 +107,10 @@ def _reject(pairs: np.ndarray, bad: np.ndarray, what: str) -> None:
         raise ParameterError(f"edge ({u}, {v}) {what}")
 
 
-def _mask_to_vertices(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class FreenessResult:
     free: bool
     witness: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
-
-    def __bool__(self) -> bool:
-        return self.free
 
 
 def is_ksm_free(graph: BitGraph, s: int, m: int, force: bool = False) -> FreenessResult:
@@ -148,128 +119,124 @@ def is_ksm_free(graph: BitGraph, s: int, m: int, force: bool = False) -> Freenes
     Checks s-subsets of each side for bipartite graphs (both orientations)
     and all s-subsets otherwise. On failure the witness is (S, the m
     smallest common neighbors of S), S being the first failing subset in
-    itertools.combinations order. For s = 2 the co-degrees are counted
-    over two-hop paths of the CSR (see _first_rich_pair); larger s scans
-    every subset and refuses graphs above TRIPLE_SCAN_LIMIT vertices
-    unless forced.
+    itertools.combinations order. The co-degrees are counted from the
+    s-subsets of every neighbourhood (see _first_rich_subset), and a graph
+    whose scan needs more than KEY_BUDGET keys is refused unless forced.
     """
     if not 1 <= s <= m:
         raise ParameterError(f"need 1 <= s <= m, got ({s}, {m})")
-    if s >= 3 and graph.n > TRIPLE_SCAN_LIMIT and not force:
-        raise ParameterError(
-            f"n = {graph.n} exceeds the s>=3 scan limit {TRIPLE_SCAN_LIMIT}; pass force=True"
-        )
+    _check_key_budget(graph, s, force)
     if graph.sides is not None:
         groups = [graph.left_vertices(), graph.right_vertices()]
     else:
         groups = [range(graph.n)]
-    if s == 2:
-        offsets, nbr = graph.offsets, graph.nbr
-        for group in groups:
-            pair = _first_rich_pair(offsets, nbr, group, m)
-            if pair is not None:
-                u, v = pair
-                common = np.intersect1d(nbr[offsets[u]:offsets[u + 1]],
-                                        nbr[offsets[v]:offsets[v + 1]], assume_unique=True)
-                return FreenessResult(False, (pair, tuple(common[:m].tolist())))
-        return FreenessResult(True)
-    rows = graph.rows
+    offsets, nbr = graph.offsets, graph.nbr
     for group in groups:
-        for subset in combinations(group, s):
-            mask = rows[subset[0]]
-            for v in subset[1:]:
-                mask &= rows[v]
-            if mask.bit_count() >= m:
-                return FreenessResult(False, (subset, _mask_to_vertices(mask)[:m]))
+        subset = _first_rich_subset(offsets, nbr, group, s, m)
+        if subset is not None:
+            common = reduce(np.intersect1d, (nbr[offsets[v]:offsets[v + 1]] for v in subset))
+            return FreenessResult(False, (subset, tuple(common[:m].tolist())))
     return FreenessResult(True)
 
 
-def _first_rich_pair(
-    offsets: np.ndarray, nbr: np.ndarray, group: range, m: int
-) -> Optional[tuple[int, int]]:
-    """First pair u < v of the group, in combinations order, with co-degree >= m.
+def _check_key_budget(graph: BitGraph, s: int, force: bool) -> None:
+    """Refuse a scan of more than KEY_BUDGET keys unless forced, and always
+    one whose keys, s base-n digits, need n^s >= 2^63: its C(n, s) subsets
+    were never within reach of a plain enumeration either.
+    """
+    if graph.n ** s >= 2**63:
+        raise ParameterError(f"n = {graph.n} is too large for a scan of {s}-subsets")
+    # one key per s-subset of each neighbourhood
+    hist = np.bincount(np.diff(graph.offsets))
+    keys = sum(int(hist[d]) * math.comb(int(d), s) for d in np.flatnonzero(hist))
+    if keys > KEY_BUDGET and not force:
+        raise ParameterError(f"{s}-subset scan needs {keys} keys, above the budget of {KEY_BUDGET}")
 
-    Every path u - w - v adds one to the co-degree of (u, v); two hops from
-    one side of a bipartite graph land on the same side, so v stays in the
-    group. First vertices u are taken in increasing order, in blocks of
-    about CODEGREE_BLOCK paths (a single u with more paths is a block of its
-    own, still O(E)). The keys u*n + v of a block are sorted, so the first
-    key repeated m times is the pair that combinations() meets first.
+
+def _subset_keys(offsets: np.ndarray, nbr: np.ndarray, group: range, s: int):
+    """Yield, block by block, the sorted keys of the s-subsets of every neighbourhood.
+
+    A set v1 < ... < vs inside N(w) whose first vertex v1 is in the group
+    gives the key v1*n^(s-1) + ... + vs once per such w, so a key occurs as
+    often as its set has common neighbours. A key grows from an edge
+    (v1, w) by s - 1 two-hop steps, each appending a neighbour of w later
+    than the last vertex. In a bipartite graph two hops stay on one side,
+    so every vertex is in the group. First vertices are taken in
+    increasing order, in blocks whose arrays hold at most about
+    CODEGREE_BLOCK entries (a step keeps about four arrays as long as its
+    tuples; a single first vertex with more is a block of its own), so the
+    keys of one set never straddle two blocks.
     """
     n = len(offsets) - 1
     deg = np.diff(offsets)
-    # paths[e]: two-hop paths that leave through the edges before edge e
-    paths = np.concatenate(([0], np.cumsum(deg[nbr])))
-    ends = paths[offsets[group.start + 1:group.stop + 1]]
+    # rev[e]: where the reverse of edge e = (v, w) sits in nbr, i.e. v inside N(w):
+    # the positions sorted by (nbr, position); n * E < 2^63 for any graph in memory
+    rev = np.sort(nbr * nbr.size + np.arange(nbr.size)) % max(nbr.size, 1)
+    g0, g1 = offsets[group.start], offsets[group.stop]
+    # entries an edge (v1, w) adds at step j: C(neighbours of w after v1, j)
+    later = offsets[nbr[g0:g1] + 1] - rev[g0:g1] - 1
+    weight = term = np.ones_like(later)
+    for j in range(s - 1):
+        term = term * (later - j) // (j + 1)
+        weight = weight + term
+    cum = np.concatenate(([0], np.cumsum(weight)))
+    ends = cum[offsets[group.start + 1:group.stop + 1] - g0]
     at = group.start
     while at < group.stop:
-        limit = paths[offsets[at]] + CODEGREE_BLOCK
+        limit = cum[offsets[at] - g0] + CODEGREE_BLOCK // 4
         stop = max(group.start + int(np.searchsorted(ends, limit, side="right")), at + 1)
         e0, e1 = offsets[at], offsets[stop]
-        w = nbr[e0:e1]
-        lens = deg[w]
-        first = offsets[w] - (np.cumsum(lens) - lens)
-        v = nbr[np.arange(paths[e1] - paths[e0]) + np.repeat(first, lens)]
-        u = np.repeat(np.repeat(np.arange(at, stop), deg[at:stop]), lens)
-        later = v > u
-        u *= n
-        u += v
-        keys = np.sort(u[later])
+        keys = np.repeat(np.arange(at, stop), deg[at:stop])
+        # w: the far end of the last step; pos: the last vertex's place in nbr
+        w, pos = nbr[e0:e1], rev[e0:e1]
+        for _ in range(s - 1):
+            count = offsets[w + 1] - pos - 1
+            first = pos + 1 - (np.cumsum(count) - count)
+            pos = np.arange(int(count.sum())) + np.repeat(first, count)
+            keys = np.repeat(keys, count)
+            keys *= n
+            keys += nbr[pos]
+            w = np.repeat(w, count)
+        keys.sort()
+        yield keys
+        at = stop
+
+
+def _first_rich_subset(
+    offsets: np.ndarray, nbr: np.ndarray, group: range, s: int, m: int
+) -> Optional[tuple[int, ...]]:
+    """First s-subset of the group, in combinations order, with co-degree >= m.
+
+    Blocks come in increasing first vertex and their keys are sorted, so
+    the first key repeated m times is the set that combinations() meets
+    first.
+    """
+    n = len(offsets) - 1
+    for keys in _subset_keys(offsets, nbr, group, s):
         rich = np.flatnonzero(keys[m - 1:] == keys[:max(keys.size - m + 1, 0)])
         if rich.size:
-            return divmod(int(keys[rich[0]]), n)
-        at = stop
+            return tuple(int(v) for v in np.unravel_index(keys[rich[0]], (n,) * s))
     return None
-
-
-def count_biclique(graph: BitGraph, a: int, b: int) -> int:
-    """Number of (A in left, B in right) with |A| = a, |B| = b, fully joined.
-
-    The sides are labeled, so (a, b) and (b, a) are different counts and any
-    order is accepted. Enumerates subsets on whichever side yields fewer of
-    them and adds C(|common neighborhood|, other) for each; both routes
-    count the same set of bicliques.
-    """
-    if a < 1 or b < 1:
-        raise ParameterError(f"part sizes must be >= 1, got ({a}, {b})")
-    if graph.sides is None:
-        raise ParameterError("count_biclique needs a bipartite graph")
-    left, right = graph.sides
-    rows = graph.rows
-    total = 0
-    if math.comb(left, a) <= math.comb(right, b):
-        for subset in combinations(range(left), a):
-            mask = rows[subset[0]]
-            for v in subset[1:]:
-                mask &= rows[v]
-            total += math.comb(mask.bit_count(), b)
-    else:
-        for subset in combinations(range(left, graph.n), b):
-            mask = rows[subset[0]]
-            for v in subset[1:]:
-                mask &= rows[v]
-            total += math.comb(mask.bit_count(), a)
-    return total
 
 
 def count_biclique_general(graph: BitGraph, a: int, b: int) -> int:
     """Unordered pairs {A, B} of disjoint vertex sets, |A|=a, |B|=b, fully joined.
 
-    Common neighborhoods never contain their own subset (no loops), so
-    disjointness is automatic. For a = b every pair is seen from both sides,
-    hence the halving.
+    Each a-set A with c common neighbours gives C(c, b) sets B; common
+    neighbourhoods never contain their own set (no loops), so disjointness
+    is automatic. The a-sets and their co-degrees come from the keys of
+    _subset_keys, under the same budget as is_ksm_free. For a = b every
+    pair is seen from both sides, hence the halving.
     """
     if a > b:
         raise ParameterError(f"need a <= b, got ({a}, {b})")
     if a < 1:
         raise ParameterError(f"need a >= 1, got {a}")
-    rows = graph.rows
+    _check_key_budget(graph, a, force=False)
     total = 0
-    for subset in combinations(range(graph.n), a):
-        mask = rows[subset[0]]
-        for v in subset[1:]:
-            mask &= rows[v]
-        total += math.comb(mask.bit_count(), b)
+    for keys in _subset_keys(graph.offsets, graph.nbr, range(graph.n), a):
+        hist = np.bincount(np.unique(keys, return_counts=True)[1])
+        total += sum(int(hist[c]) * math.comb(int(c), b) for c in np.flatnonzero(hist))
     if a == b:
         assert total % 2 == 0
         total //= 2
@@ -294,7 +261,17 @@ def graph_to_text(graph: BitGraph) -> str:
 
 
 def graph_from_text(text: str) -> BitGraph:
-    rows = text.splitlines()
+    """Parse a graph file; GraphFormatError names the first bad line.
+
+    Edge lines in the form graph_to_text writes are converted in one numpy
+    call, others one by one as str.split and int() read them; the checks
+    of every line then run on arrays.
+    """
+    first, _, body = text.partition("\n")
+    # the fast path needs the first line to end at this "\n" for splitlines() too
+    plain = len((first + "\n").splitlines()) == 1
+    edges = _plain_edges(body.removesuffix("\n")) if plain else None
+    rows = text.splitlines() if edges is None else [first]
     if not rows:
         raise GraphFormatError("line 1: empty graph file")
     head = rows[0].split()
@@ -318,37 +295,58 @@ def graph_from_text(text: str) -> BitGraph:
         raise GraphFormatError("line 1: expected 'bipartite <L> <R>' or 'general <n>'")
     if n > 1_000_000:
         raise GraphFormatError(f"line 1: vertex count {n} too large")
-    flat = array("q")  # u0, v0, u1, v1, ...: 16 bytes per edge
-    prev = None
-    for lineno, row in enumerate(rows[1:], start=2):
-        parts = row.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"line {lineno}: expected 'u v'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise GraphFormatError(f"line {lineno}: bad vertex index") from exc
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"line {lineno}: vertex out of range 0..{n - 1}")
-        if u == v:
-            raise GraphFormatError(f"line {lineno}: loop at {u}")
-        if u > v:
-            raise GraphFormatError(f"line {lineno}: edges must satisfy u < v")
-        if sides is not None and not (u < sides[0] <= v):
-            raise GraphFormatError(f"line {lineno}: edge does not cross the bipartition")
-        if prev is not None:
-            if (u, v) == prev:
-                raise GraphFormatError(f"line {lineno}: duplicate edge ({u}, {v})")
-            if (u, v) < prev:
-                raise GraphFormatError(f"line {lineno}: edges not sorted")
-        prev = (u, v)
-        flat.extend((u, v))
-    return BitGraph(n, np.frombuffer(flat, dtype=np.int64).reshape(-1, 2), sides)
+    if edges is None:
+        flat = array("q")  # u0, v0, u1, v1, ...: 16 bytes per edge
+        for lineno, row in enumerate(rows[1:], start=2):
+            parts = row.split()
+            try:
+                u, v = map(int, parts)  # a wrong token count fails here too
+            except ValueError:
+                # a line before this one may fail a check of its own
+                _reject_lines(np.frombuffer(flat, dtype=np.int64).reshape(-1, 2), n, sides)
+                why = "bad vertex index" if len(parts) == 2 else "expected 'u v'"
+                raise GraphFormatError(f"line {lineno}: {why}") from None
+            flat.extend(x if 0 <= x < n else -1 for x in (u, v))
+        edges = np.frombuffer(flat, dtype=np.int64).reshape(-1, 2)
+    _reject_lines(edges, n, sides)
+    return BitGraph(n, edges, sides)
 
 
-def write_graph(graph: BitGraph, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(graph_to_text(graph))
+def _plain_edges(body: str) -> Optional[np.ndarray]:
+    """The (u, v) rows of "u v" lines joined by "\n", else None.
+
+    Every number must be 1 to 18 decimal digits, so that it fits in int64.
+    """
+    c = np.frombuffer(body.encode(), dtype=np.uint8)
+    seps = np.flatnonzero((c < ord("0")) | (c > ord("9")))
+    runs = np.diff(seps, prepend=-1, append=c.size) - 1  # digits around each separator
+    kinds = c[seps]
+    if (seps.size % 2 and (kinds[0::2] == ord(" ")).all() and (kinds[1::2] == ord("\n")).all()
+            and ((runs >= 1) & (runs <= 18)).all()):
+        return np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 2)
+    return None
+
+
+def _reject_lines(edges: np.ndarray, n: int, sides: Optional[tuple[int, int]]) -> None:
+    """Raise for the first edge line (file line i + 2 for row i) that fails a check.
+
+    The checks of one line are taken in a fixed order; a value outside
+    0..n-1 (the line-by-line path stores -1 for it) is out of range.
+    """
+    u, v = edges[:, 0], edges[:, 1]
+    pu, pv = np.concatenate(([-1], u[:-1])), np.concatenate(([-1], v[:-1]))
+    uncrossed = (u >= sides[0]) | (v < sides[0]) if sides else np.zeros(len(u), np.bool_)
+    bad = [(u < 0) | (u >= n) | (v < 0) | (v >= n), u == v, u > v, uncrossed,
+           (u == pu) & (v == pv), (u < pu) | ((u == pu) & (v < pv))]
+    first = [int(np.argmax(b)) if np.any(b) else len(u) for b in bad]
+    i = min(first)
+    if i == len(u):
+        return
+    x, y = int(u[i]), int(v[i])
+    why = [f"vertex out of range 0..{n - 1}", f"loop at {x}", "edges must satisfy u < v",
+           "edge does not cross the bipartition", f"duplicate edge ({x}, {y})",
+           "edges not sorted"]
+    raise GraphFormatError(f"line {i + 2}: {why[first.index(i)]}")
 
 
 def read_graph(path) -> BitGraph:

@@ -1,15 +1,23 @@
 """Scalar reference implementations that the tests check the array code against.
 
 None of these is on a production path: points and lines one tuple at a
-time, pointwise polynomial evaluation, and graph neighbourhoods as sets.
+time, pointwise polynomial evaluation, graph neighbourhoods as sets or
+n-bit masks, brute-force subset scans, and the line-by-line graph parser.
 """
 
 from __future__ import annotations
 
-from eil.errors import ParameterError
+import math
+from itertools import combinations
+from typing import Optional
+
+import numpy as np
+
+from eil.errors import GraphFormatError, ParameterError
 from eil.evasive import TriPoly, UniPoly, monomials
 from eil.geom3 import AffineLine, Point3
 from eil.gf import FieldCtx
+from eil.subgraph import BitGraph, graph_to_text
 
 ORIGIN: Point3 = (0, 0, 0)
 
@@ -100,3 +108,132 @@ def common_neighbors(graph, vertices) -> set[int]:
         raise ValueError("common_neighbors needs a nonempty vertex set")
     adj = adjacency_sets(graph)
     return set.intersection(*(adj[v] for v in vs))
+
+
+def bitmask_rows(graph) -> list[int]:
+    """Adjacency rows as n-bit int masks, bit w of row v set for each edge vw."""
+    return [sum(1 << w for w in adj) for adj in adjacency_sets(graph)]
+
+
+def _mask_to_vertices(mask: int) -> tuple[int, ...]:
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return tuple(out)
+
+
+def _common_masks(rows, group, s):
+    """(subset, common-neighbourhood mask) for every s-subset, in combinations order."""
+    for subset in combinations(group, s):
+        mask = rows[subset[0]]
+        for v in subset[1:]:
+            mask &= rows[v]
+        yield subset, mask
+
+
+def subset_scan(graph, s: int, m: int):
+    """K_{s,m}-freeness by an AND chain over every s-subset of each side.
+
+    Returns (free, witness) with the witness of is_ksm_free: the first
+    subset in combinations order with m common neighbours, and the m
+    smallest of them.
+    """
+    if graph.sides is not None:
+        groups = [graph.left_vertices(), graph.right_vertices()]
+    else:
+        groups = [range(graph.n)]
+    rows = bitmask_rows(graph)
+    for group in groups:
+        for subset, mask in _common_masks(rows, group, s):
+            if mask.bit_count() >= m:
+                return False, (subset, _mask_to_vertices(mask)[:m])
+    return True, None
+
+
+def count_biclique(graph, a: int, b: int) -> int:
+    """Number of (A in left, B in right) with |A| = a, |B| = b, fully joined.
+
+    The sides are labeled, so (a, b) and (b, a) are different counts.
+    Enumerates subsets on whichever side yields fewer of them and adds
+    C(|common neighborhood|, other) for each.
+    """
+    if a < 1 or b < 1:
+        raise ParameterError(f"part sizes must be >= 1, got ({a}, {b})")
+    if graph.sides is None:
+        raise ParameterError("count_biclique needs a bipartite graph")
+    left, right = graph.sides
+    rows = bitmask_rows(graph)
+    if math.comb(left, a) <= math.comb(right, b):
+        group, size, other = range(left), a, b
+    else:
+        group, size, other = range(left, graph.n), b, a
+    return sum(math.comb(mask.bit_count(), other)
+               for _, mask in _common_masks(rows, group, size))
+
+
+def count_biclique_general_scan(graph, a: int, b: int) -> int:
+    """count_biclique_general by an AND chain over every a-subset of the vertices."""
+    rows = bitmask_rows(graph)
+    total = sum(math.comb(mask.bit_count(), b)
+                for _, mask in _common_masks(rows, range(graph.n), a))
+    return total // 2 if a == b else total
+
+
+def write_graph(graph, path) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(graph_to_text(graph))
+
+
+def parse_graph_loop(text: str) -> BitGraph:
+    """The graph file parser one line at a time, as graph_from_text must behave."""
+    rows = text.splitlines()
+    if not rows:
+        raise GraphFormatError("line 1: empty graph file")
+    head = rows[0].split()
+    sides: Optional[tuple[int, int]] = None
+    if len(head) == 3 and head[0] == "bipartite":
+        try:
+            sides = (int(head[1]), int(head[2]))
+        except ValueError as exc:
+            raise GraphFormatError("line 1: bad bipartite header") from exc
+        if sides[0] < 0 or sides[1] < 0:
+            raise GraphFormatError("line 1: negative side size")
+        n = sides[0] + sides[1]
+    elif len(head) == 2 and head[0] == "general":
+        try:
+            n = int(head[1])
+        except ValueError as exc:
+            raise GraphFormatError("line 1: bad general header") from exc
+        if n < 0:
+            raise GraphFormatError("line 1: negative vertex count")
+    else:
+        raise GraphFormatError("line 1: expected 'bipartite <L> <R>' or 'general <n>'")
+    if n > 1_000_000:
+        raise GraphFormatError(f"line 1: vertex count {n} too large")
+    edges = []
+    prev = None
+    for lineno, row in enumerate(rows[1:], start=2):
+        parts = row.split()
+        if len(parts) != 2:
+            raise GraphFormatError(f"line {lineno}: expected 'u v'")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise GraphFormatError(f"line {lineno}: bad vertex index") from exc
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"line {lineno}: vertex out of range 0..{n - 1}")
+        if u == v:
+            raise GraphFormatError(f"line {lineno}: loop at {u}")
+        if u > v:
+            raise GraphFormatError(f"line {lineno}: edges must satisfy u < v")
+        if sides is not None and not (u < sides[0] <= v):
+            raise GraphFormatError(f"line {lineno}: edge does not cross the bipartition")
+        if prev is not None:
+            if (u, v) == prev:
+                raise GraphFormatError(f"line {lineno}: duplicate edge ({u}, {v})")
+            if (u, v) < prev:
+                raise GraphFormatError(f"line {lineno}: edges not sorted")
+        prev = (u, v)
+        edges.append((u, v))
+    return BitGraph(n, np.array(edges, dtype=np.int64).reshape(-1, 2), sides)

@@ -1,12 +1,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import eil
 from eil.cli import main, run_montecarlo, run_sweep
 from eil.report import validate_report
-from eil.subgraph import BitGraph, write_graph
+from eil.subgraph import BitGraph
+from oracles import write_graph
 
 
 def read_bytes(path):
@@ -39,6 +44,21 @@ def test_construct_furedi_writes_expected_graph(tmp_path):
     doc = json.loads((tmp_path / "furedi-q7-t3.report.json").read_text())
     validate_report(doc)
     assert all(c["passed"] for c in doc["checks"])
+
+
+def test_construct_furedi_q37_t4_counts_k44_within_a_minute(tmp_path):
+    # The K_{4,4} count runs over C(342, 4) vertex sets when done by brute
+    # force (about 300 s); from neighbourhood subsets it takes seconds. A
+    # silent return to brute force fails here instead of stalling the suite.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eil.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "eil", "construct", "furedi", "--q", "37", "--t", "4",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads((tmp_path / "furedi-q37-t4.report.json").read_text())
+    assert doc["trials"][0]["ktt_count"] == 0
 
 
 def test_construct_rejects_non_prime_q(tmp_path, capsys):

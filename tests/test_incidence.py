@@ -12,8 +12,8 @@ from eil.incidence import (
     verify_construction,
 )
 from eil.report import validate_report
-from eil.subgraph import BitGraph, count_biclique, is_ksm_free
-from oracles import adjacency_sets, point_index
+from eil.subgraph import BitGraph, is_ksm_free
+from oracles import adjacency_sets, count_biclique, point_index
 
 
 def test_build_is_deterministic():

@@ -4,7 +4,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -18,15 +18,21 @@ from eil.errors import GraphFormatError, ParameterError
 from eil.incidence import build_incidence
 from eil.subgraph import (
     BitGraph,
-    count_biclique,
     count_biclique_general,
     graph_from_text,
     graph_to_text,
     is_ksm_free,
     read_graph,
+)
+from oracles import (
+    adjacency_sets,
+    common_neighbors,
+    count_biclique,
+    count_biclique_general_scan,
+    parse_graph_loop,
+    subset_scan,
     write_graph,
 )
-from oracles import adjacency_sets, common_neighbors
 
 
 def complete_bipartite(a, b):
@@ -207,13 +213,63 @@ def test_pair_check_property(graph, m, block):
     assert (res.free, res.witness) == pair_scan_oracle(graph, m)
 
 
-def test_triple_scan_guard(monkeypatch):
-    monkeypatch.setattr(sg, "TRIPLE_SCAN_LIMIT", 10)
-    big = BitGraph(11, [(0, 1)])
-    with pytest.raises(ParameterError):
-        is_ksm_free(big, 3, 3)
-    assert is_ksm_free(big, 3, 3, force=True).free
-    assert is_ksm_free(big, 2, 3).free  # pair scans are not guarded
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(), st.integers(2, 4), st.integers(0, 4),
+       st.sampled_from([1, 2, 5, 17, sg.CODEGREE_BLOCK]))
+def test_subset_check_and_count_property(graph, s, extra, block):
+    # every s-subset check and biclique count of the key engine against the
+    # AND-chain scans, with blocks that split the keys of one side
+    m = s + extra
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sg, "CODEGREE_BLOCK", block)
+        res = is_ksm_free(graph, s, m)
+        counts = [count_biclique_general(graph, a, b) for a in (1, s) for b in (a, m)]
+    assert (res.free, res.witness) == subset_scan(graph, s, m)
+    assert counts == [count_biclique_general_scan(graph, a, b)
+                      for a in (1, s) for b in (a, m)]
+
+
+def test_scan_key_budget(monkeypatch, tmp_path, capsys):
+    # 4 vertices of degree 3 in K_4 give 4 * C(3, 2) = 12 pair keys and 4 triple keys
+    k4 = BitGraph(4, list(combinations(range(4), 2)))
+    monkeypatch.setattr(sg, "KEY_BUDGET", 11)
+    with pytest.raises(ParameterError, match="needs 12 keys"):
+        is_ksm_free(k4, 2, 2)
+    with pytest.raises(ParameterError, match="needs 12 keys"):
+        count_biclique_general(k4, 2, 2)
+    assert is_ksm_free(k4, 2, 2, force=True).witness == ((0, 1), (2, 3))
+    assert is_ksm_free(k4, 3, 3).free  # 4 triple keys, within the budget
+    monkeypatch.setattr(sg, "KEY_BUDGET", 12)
+    assert count_biclique_general(k4, 2, 2) == 3
+    # the CLI: verify exits 1 unless --force; construct has no --force to offer
+    monkeypatch.setattr(sg, "KEY_BUDGET", 11)
+    graph = tmp_path / "k4.graph.txt"
+    write_graph(k4, graph)
+    assert main(["verify", str(graph), "--s", "2", "--m", "2"]) == 1
+    assert "above the budget of 11" in capsys.readouterr().err
+    assert main(["verify", str(graph), "--s", "2", "--m", "2", "--force"]) == 2
+    capsys.readouterr()
+    assert main(["construct", "furedi", "--q", "7", "--t", "3", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "above the budget of 11" in err and "force" not in err
+
+
+def test_scan_refuses_keys_that_overflow_int64(tmp_path, capsys):
+    # keys are s base-n digits: n^s must stay below 2^63, even when forced
+    with pytest.raises(ParameterError, match="too large"):
+        is_ksm_free(BitGraph(2**21, []), 3, 3, force=True)  # n^s = 2^63 exactly
+    top = int(2 ** (63 / 4))
+    while top**4 >= 2**63:
+        top -= 1
+    while (top + 1) ** 4 < 2**63:
+        top += 1
+    assert is_ksm_free(BitGraph(top, []), 4, 4).free
+    with pytest.raises(ParameterError, match="too large"):
+        is_ksm_free(BitGraph(top + 1, []), 4, 4, force=True)
+    graph = tmp_path / "edgeless.graph.txt"
+    graph.write_text(f"general {top + 1}\n")
+    assert main(["verify", str(graph), "--s", "4", "--m", "4", "--force"]) == 1
+    assert "too large" in capsys.readouterr().err
 
 
 def test_count_biclique_fixtures():
@@ -322,6 +378,42 @@ def test_graph_parser_rejections(text, fragment):
     assert fragment in str(err.value)
 
 
+@st.composite
+def graph_texts(draw):
+    """Graph files in or near the plain form: edge lines, junk, odd line breaks."""
+    head = draw(st.sampled_from(
+        ["general 6", "bipartite 3 3", "general 0", "bipartite 2 4", " general\t6 ",
+         "general 6\r", "general 6\x85", "general x", "bipartite -1 7", "digraph 3", ""]))
+    number = st.integers(0, 7).map(str)
+    breaks = st.just("\n")
+    if draw(st.booleans()):  # off the plain form
+        number = st.one_of(st.integers(-1, 7).map(str), st.sampled_from(
+            ["007", "0000000000000000000003", "99999999999999999999", "+1", "1_0"]))
+        breaks = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\u2028"])
+    pair = st.tuples(number, number).map(" ".join)
+    junk = st.text(alphabet="0123456789 -+_x\t\r\x0b\x1c\u00a0\u0663", max_size=6)
+    lines = draw(st.lists(st.one_of(pair, pair, pair, junk), max_size=12))
+    if draw(st.booleans()):
+        lines = sorted(lines)
+    text = head
+    for line in lines:
+        text += draw(breaks) + line
+    return text + draw(st.sampled_from(["", "\n", "\n\n", " "]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(graph_texts(), st.text(max_size=40)))
+def test_parser_matches_the_line_by_line_parser(text):
+    # any text gives the same graph or the identical GraphFormatError message
+    outcomes = []
+    for parse in (parse_graph_loop, graph_from_text):
+        try:
+            outcomes.append(("graph", parse(text)))
+        except GraphFormatError as exc:
+            outcomes.append(("error", str(exc)))
+    assert outcomes[0] == outcomes[1]
+
+
 def test_edges_listing():
     g = complete_bipartite(2, 2)
     assert g.edges() == [(0, 2), (0, 3), (1, 2), (1, 3)]
@@ -329,10 +421,9 @@ def test_edges_listing():
 
 
 @settings(max_examples=200, deadline=None)
-@given(edge_lists(), st.booleans(), st.sampled_from([1, 5, sg.CODEGREE_BLOCK]))
-def test_csr_form_matches_adjacency_sets(case, as_array, block):
-    # every view of the CSR, the derived bitmask rows included (built in
-    # blocks of `block` bits), against sets built from the raw edge list
+@given(edge_lists(), st.booleans())
+def test_csr_form_matches_adjacency_sets(case, as_array):
+    # every view of the CSR against sets built from the raw edge list
     n, edges, sides = case
     given_edges = np.array(edges, dtype=np.int64).reshape(-1, 2) if as_array else edges
     g = BitGraph(n, given_edges, sides)
@@ -344,26 +435,28 @@ def test_csr_form_matches_adjacency_sets(case, as_array, block):
     assert g.edges() == expected
     assert g.edge_count() == len(edges)
     assert [g.degree(v) for v in range(n)] == [len(a) for a in adj]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sg, "CODEGREE_BLOCK", block)
-        assert g.rows == tuple(sum(1 << w for w in a) for a in adj)
     head = f"bipartite {sides[0]} {sides[1]}" if sides else f"general {n}"
     text = "".join(f"{line}\n" for line in [head, *(f"{u} {v}" for u, v in expected)])
     assert graph_to_text(g) == text
     assert graph_from_text(text) == g
 
 
-def test_pair_check_and_incidence_build_leave_rows_unbuilt():
-    # the construction and the s = 2 check read only the CSR; the bitmask
-    # rows are derived for the subset scans alone
-    c = build_incidence(7, 3, 42)
-    assert "rows" not in vars(c.graph)
-    assert is_ksm_free(c.graph, 2, 4).free
-    square = cycle(4)
-    assert is_ksm_free(square, 2, 2).witness == ((0, 2), (1, 3))
-    assert "rows" not in vars(c.graph) and "rows" not in vars(square)
-    is_ksm_free(c.graph, 3, 4)
-    assert "rows" in vars(c.graph)
+def test_key_blocks_are_bounded_and_hold_the_budgeted_keys(monkeypatch):
+    # A block holds at most CODEGREE_BLOCK // 4 tuples over all its steps
+    # unless it has a single first vertex; together the blocks of all groups
+    # hold exactly the sum over w of C(deg w, s) keys that the budget counts.
+    graphs = [build_incidence(7, 3, 42).graph, random_general(30, 0.3, 5), cycle(9)]
+    for block in [1, 160, sg.CODEGREE_BLOCK]:
+        monkeypatch.setattr(sg, "CODEGREE_BLOCK", block)
+        for g, s in product(graphs, [1, 2, 3, 4]):
+            groups = [g.left_vertices(), g.right_vertices()] if g.sides else [range(g.n)]
+            total = 0
+            for group in groups:
+                for keys in sg._subset_keys(g.offsets, g.nbr, group, s):
+                    firsts = np.unique(keys // g.n ** (s - 1))
+                    assert firsts.size == 1 or keys.size <= block // 4
+                    total += keys.size
+            assert total == sum(math.comb(g.degree(v), s) for v in range(g.n))
 
 
 # --- the s = 2 check on graphs whose C(n, 2) pair scan is out of reach ---------
@@ -405,6 +498,27 @@ def test_verify_pair_check_finds_a_c4_planted_at_the_end_of_a_long_path(tmp_path
     assert main(["verify", str(graph), "--s", "2", "--m", "2"]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["trials"][0]["witness"] == expected == [[BIG - 4, BIG - 2], [BIG - 3, BIG - 1]]
+
+
+def test_verify_triple_check_finds_a_k33_planted_at_the_end_of_a_long_path(tmp_path, capsys):
+    # The last six path vertices, evens against odds, are completed to a
+    # K_{3,3}. Elsewhere three vertices share at most one neighbour, so the
+    # witness sits at the same place relative to the end as on a path short
+    # enough for the AND-chain scan.
+    def planted(n):
+        return path_edges(n) + [(n - 6, n - 3), (n - 6, n - 1), (n - 5, n - 2), (n - 4, n - 1)]
+
+    n = 100_000
+    small = 12
+    free, (triple, common) = subset_scan(BitGraph(small, planted(small)), 3, 3)
+    assert not free
+    shift = n - small
+    expected = [[v + shift for v in triple], [v + shift for v in common]]
+    graph = tmp_path / "planted.graph.txt"
+    write_general(graph, n, planted(n))
+    assert main(["verify", str(graph), "--s", "3", "--m", "3"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["trials"][0]["witness"] == expected == [[n - 6, n - 4, n - 2], [n - 5, n - 3, n - 1]]
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
