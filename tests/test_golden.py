@@ -1,4 +1,4 @@
-"""Golden SHA-256 digests of the CLI's output bytes for small t < q configs.
+"""Golden SHA-256 digests of the CLI's output bytes for small configs.
 
 Every refactor must leave these bytes unchanged. Each config runs in its
 own empty directory with a relative --out, so the digests do not depend on
@@ -25,6 +25,12 @@ CONFIGS = {
     ],
     "sweep-q5-7-t3": [
         ["sweep", "--q", "5,7", "--t", "3", "--trials", "100", "--out", "out"],
+    ],
+    # t = q: one trial restricts to the zero polynomial on the reference
+    # line, while 9 have all 3 of its points in X0
+    "montecarlo-q3-t3-seed7": [
+        ["montecarlo", "--q", "3", "--t", "3", "--seed", "7", "--trials", "300",
+         "--out", "out"],
     ],
     "furedi-q13-t4-and-verify": [
         ["construct", "furedi", "--q", "13", "--t", "4", "--out", "out"],
@@ -63,6 +69,12 @@ GOLDEN = {
         "stdout0": "f1c071e1c128af147e7eb59473bfe00be9fe163894b77dbc65952d8fc51f2e8a",
         "sweep-q5-7-t3-seed1-trials100.report.json": "139706028c7b99bd2fa56988a263b90a7dd590937e8b73963a8a3c8665ba6cb9",
     },
+}
+
+# computed while the reference line was still tested by symbolic restriction
+GOLDEN["montecarlo-q3-t3-seed7"] = {
+    "stdout0": "b8d7dce946899310f2253c5dfeb0dbfde0e9198fc71b181f5bccc01acce6d7ce",
+    "montecarlo-q3-t3-seed7-trials300.report.json": "2429d63c235209b25634da4a8bca8ee697298aeac0c472f412778fa9362458de",
 }
 
 
