@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import GraphFormatError, ParameterError
+from .errors import ParameterError
 from .geom3 import AffineLine, line_table
 from .gf import FieldCtx
 
@@ -65,17 +65,6 @@ class TriPoly:
             )
 
 
-@dataclass(frozen=True)
-class UniPoly:
-    """Univariate polynomial of degree <= t; coeffs[d] multiplies s^d."""
-
-    q: int
-    coeffs: tuple[int, ...]
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-
 class PointSet:
     """Subset of F_q^3 as a membership bitmask over point indices."""
 
@@ -104,42 +93,6 @@ class PointSet:
         lines = [f"q={self.q} n={self.count}"]
         lines.extend(str(i) for i in self.indices())
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "PointSet":
-        rows = text.splitlines()
-        if not rows:
-            raise GraphFormatError("line 1: empty point-set file")
-        head = rows[0].split()
-        if len(head) != 2 or not head[0].startswith("q=") or not head[1].startswith("n="):
-            raise GraphFormatError("line 1: expected header 'q=<q> n=<count>'")
-        try:
-            q = int(head[0][2:])
-            n = int(head[1][2:])
-        except ValueError as exc:
-            raise GraphFormatError("line 1: bad header numbers") from exc
-        try:
-            FieldCtx(q)
-        except ParameterError as exc:
-            raise GraphFormatError(f"line 1: {exc}") from exc
-        if q > 1290:  # q^3 bools; keep hostile headers from exhausting memory
-            raise GraphFormatError(f"line 1: q = {q} too large for a point-set file")
-        member = np.zeros(q**3, dtype=np.bool_)
-        prev = -1
-        for lineno, row in enumerate(rows[1:], start=2):
-            try:
-                idx = int(row)
-            except ValueError as exc:
-                raise GraphFormatError(f"line {lineno}: expected a point index") from exc
-            if not 0 <= idx < q**3:
-                raise GraphFormatError(f"line {lineno}: index {idx} out of range")
-            if idx <= prev:
-                raise GraphFormatError(f"line {lineno}: indices must be strictly increasing")
-            prev = idx
-            member[idx] = True
-        if int(member.sum()) != n:
-            raise GraphFormatError(f"header count n={n} does not match {int(member.sum())} indices")
-        return cls(q, member)
 
 
 class CoefficientStream:
@@ -195,39 +148,19 @@ def sample_poly(ctx: FieldCtx, t: int, rng: CoefficientStream) -> TriPoly:
     return TriPoly(ctx.q, t, tuple(int(c) for c in coeffs))
 
 
-def restrict_to_line(ctx: FieldCtx, f: TriPoly, line: AffineLine) -> UniPoly:
-    """Symbolic substitution of base + s*dir into f, collected in s.
+def top_coefficient(f: TriPoly, direction) -> int:
+    """The s^t coefficient of f(base + s*direction), the same for every base.
 
-    Returns the full coefficient list of length t+1 (high coefficients may
-    be zero); g(s) = f(base + s*dir) for every s.
+    Only monomials of degree t reach s^t, so this is the degree-t
+    homogeneous part of f evaluated at the direction.
     """
-    q, t = ctx.q, f.t
-    # expansions[c][e] = coefficient list of (base[c] + s*dir[c])^e
-    expansions = []
-    for b, d in zip(line.base, line.dir):
-        per_e = [[1]]
-        for e in range(1, t + 1):
-            per_e.append(
-                [math.comb(e, m) * pow(b, e - m, q) * pow(d, m, q) % q for m in range(e + 1)]
-            )
-        expansions.append(per_e)
-    g = [0] * (t + 1)
-    for (i, j, k), a in zip(monomials(t), f.coeffs):
-        if a == 0:
-            continue
-        ei, ej, ek = expansions[0][i], expansions[1][j], expansions[2][k]
-        for m1, c1 in enumerate(ei):
-            if c1 == 0:
-                continue
-            ac1 = a * c1 % q
-            for m2, c2 in enumerate(ej):
-                if c2 == 0:
-                    continue
-                ac12 = ac1 * c2 % q
-                for m3, c3 in enumerate(ek):
-                    if c3:
-                        g[m1 + m2 + m3] = (g[m1 + m2 + m3] + ac12 * c3) % q
-    return UniPoly(q, tuple(g))
+    q = f.q
+    d0, d1, d2 = direction
+    total = 0
+    for (i, j, k), a in zip(monomials(f.t), f.coeffs):
+        if a and i + j + k == f.t:
+            total += a * pow(d0, i, q) * pow(d1, j, q) * pow(d2, k, q)
+    return total % q
 
 
 @lru_cache(maxsize=None)
@@ -261,6 +194,8 @@ def restriction_tensor(q: int, t: int) -> np.ndarray:
 
     Row l gives the matrix taking a TriPoly coefficient vector to the
     coefficients of its symbolic restriction to line l of line_table(q).
+    No command builds it: it backs the symbolic oracle in the tests, and
+    the benchmark's traced run times it under this name.
     """
     table = line_table(q)
     n = len(table)
@@ -285,19 +220,6 @@ def restriction_tensor(q: int, t: int) -> np.ndarray:
                     d = m1 + m2 + m3
                     tensor[:, d, m] = (tensor[:, d, m] + part * expans[2][k][m3]) % q
     return tensor
-
-
-def restrict_all_lines(ctx: FieldCtx, f: TriPoly) -> np.ndarray:
-    """(n_lines, t+1) coefficients of f restricted to every canonical line.
-
-    The symbolic oracle for prune_bad_lines; the construction path never
-    builds the restriction tensor.
-    """
-    q, t = ctx.q, f.t
-    tensor = restriction_tensor(q, t)
-    a = np.asarray(f.coeffs, dtype=np.int64)
-    flat = tensor.reshape(-1, a.size) @ a % q
-    return flat.reshape(tensor.shape[0], t + 1)
 
 
 def zero_set(ctx: FieldCtx, f: TriPoly) -> PointSet:

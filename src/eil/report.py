@@ -1,9 +1,9 @@
 """Experiment reports: one schema, deterministic JSON and CSV encodings.
 
 A report holds the run parameters, one record per trial (or per sweep row),
-recomputable aggregates, and named pass/fail checks with witnesses. The
-serialized bytes are a pure function of the run configuration; wall-clock
-duration is kept on the object for console display but never written, so
+recomputable aggregates, and named pass/fail checks with witnesses. A
+report holds no timings (the CLI prints its elapsed time to stderr), so
+the serialized bytes are a pure function of the run configuration and
 identical configs always produce identical files.
 """
 
@@ -27,7 +27,6 @@ class StatsReport:
     trials: list[dict]
     aggregates: dict
     checks: list[dict] = field(default_factory=list)
-    duration_seconds: Optional[float] = None
     # rows for the CSV encoding when it is not the per-trial table (the
     # sweep's plotting table lives in aggregates["per_q"])
     csv_rows: Optional[list[dict]] = None

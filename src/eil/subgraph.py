@@ -131,8 +131,9 @@ def is_ksm_free(graph: BitGraph, s: int, m: int, force: bool = False) -> Freenes
     else:
         groups = [range(graph.n)]
     offsets, nbr = graph.offsets, graph.nbr
+    rev = _reverse_positions(nbr)
     for group in groups:
-        subset = _first_rich_subset(offsets, nbr, group, s, m)
+        subset = _first_rich_subset(offsets, nbr, group, s, m, rev)
         if subset is not None:
             common = reduce(np.intersect1d, (nbr[offsets[v]:offsets[v + 1]] for v in subset))
             return FreenessResult(False, (subset, tuple(common[:m].tolist())))
@@ -153,7 +154,18 @@ def _check_key_budget(graph: BitGraph, s: int, force: bool) -> None:
         raise ParameterError(f"{s}-subset scan needs {keys} keys, above the budget of {KEY_BUDGET}")
 
 
-def _subset_keys(offsets: np.ndarray, nbr: np.ndarray, group: range, s: int):
+def _reverse_positions(nbr: np.ndarray) -> np.ndarray:
+    """rev[e]: where the reverse of edge e = (v, w) sits in nbr, i.e. v inside N(w).
+
+    The positions sorted by (nbr, position); n * E < 2^63 for any graph in memory.
+    """
+    return np.sort(nbr * nbr.size + np.arange(nbr.size)) % max(nbr.size, 1)
+
+
+def _subset_keys(
+    offsets: np.ndarray, nbr: np.ndarray, group: range, s: int,
+    rev: Optional[np.ndarray] = None,
+):
     """Yield, block by block, the sorted keys of the s-subsets of every neighbourhood.
 
     A set v1 < ... < vs inside N(w) whose first vertex v1 is in the group
@@ -165,13 +177,13 @@ def _subset_keys(offsets: np.ndarray, nbr: np.ndarray, group: range, s: int):
     increasing order, in blocks whose arrays hold at most about
     CODEGREE_BLOCK entries (a step keeps about four arrays as long as its
     tuples; a single first vertex with more is a block of its own), so the
-    keys of one set never straddle two blocks.
+    keys of one set never straddle two blocks. A scan over several groups
+    passes rev from _reverse_positions, so that it is sorted only once.
     """
     n = len(offsets) - 1
     deg = np.diff(offsets)
-    # rev[e]: where the reverse of edge e = (v, w) sits in nbr, i.e. v inside N(w):
-    # the positions sorted by (nbr, position); n * E < 2^63 for any graph in memory
-    rev = np.sort(nbr * nbr.size + np.arange(nbr.size)) % max(nbr.size, 1)
+    if rev is None:
+        rev = _reverse_positions(nbr)
     g0, g1 = offsets[group.start], offsets[group.stop]
     # entries an edge (v1, w) adds at step j: C(neighbours of w after v1, j)
     later = offsets[nbr[g0:g1] + 1] - rev[g0:g1] - 1
@@ -203,7 +215,7 @@ def _subset_keys(offsets: np.ndarray, nbr: np.ndarray, group: range, s: int):
 
 
 def _first_rich_subset(
-    offsets: np.ndarray, nbr: np.ndarray, group: range, s: int, m: int
+    offsets: np.ndarray, nbr: np.ndarray, group: range, s: int, m: int, rev: np.ndarray
 ) -> Optional[tuple[int, ...]]:
     """First s-subset of the group, in combinations order, with co-degree >= m.
 
@@ -212,7 +224,7 @@ def _first_rich_subset(
     first.
     """
     n = len(offsets) - 1
-    for keys in _subset_keys(offsets, nbr, group, s):
+    for keys in _subset_keys(offsets, nbr, group, s, rev):
         rich = np.flatnonzero(keys[m - 1:] == keys[:max(keys.size - m + 1, 0)])
         if rich.size:
             return tuple(int(v) for v in np.unravel_index(keys[rich[0]], (n,) * s))

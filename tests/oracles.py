@@ -1,20 +1,23 @@
 """Scalar reference implementations that the tests check the array code against.
 
-None of these is on a production path: points and lines one tuple at a
-time, pointwise polynomial evaluation, graph neighbourhoods as sets or
-n-bit masks, brute-force subset scans, and the line-by-line graph parser.
+None of these is on a production path: field residues and inverses, points
+and lines one tuple at a time, pointwise polynomial evaluation, symbolic
+restriction of a polynomial to a line (one line at a time, or to every line
+through the restriction tensor), graph neighbourhoods as sets or n-bit
+masks, brute-force subset scans, and the line-by-line graph parser.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
 from eil.errors import GraphFormatError, ParameterError
-from eil.evasive import TriPoly, UniPoly, monomials
+from eil.evasive import TriPoly, monomials, restriction_tensor
 from eil.geom3 import AffineLine, Point3
 from eil.gf import FieldCtx
 from eil.subgraph import BitGraph, graph_to_text
@@ -28,11 +31,25 @@ def point_index(ctx: FieldCtx, p: Point3) -> int:
     return (p[0] * q + p[1]) * q + p[2]
 
 
+def check_residue(ctx: FieldCtx, a: int) -> int:
+    """Reject values that are not canonical residues of the field."""
+    if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < ctx.q:
+        raise ParameterError(f"{a!r} is not a canonical residue mod {ctx.q}")
+    return a
+
+
+def inverse(ctx: FieldCtx, a: int) -> int:
+    """Multiplicative inverse via Fermat; a = 0 is rejected."""
+    if check_residue(ctx, a) == 0:
+        raise ParameterError("0 has no multiplicative inverse")
+    return pow(a, ctx.q - 2, ctx.q)
+
+
 def check_point(ctx: FieldCtx, p: Point3) -> Point3:
     if len(p) != 3:
         raise ParameterError(f"a point needs 3 coordinates, got {p!r}")
     for c in p:
-        ctx.check(c)
+        check_residue(ctx, c)
     return tuple(p)
 
 
@@ -44,7 +61,7 @@ def canonical_line(ctx: FieldCtx, base: Point3, direction: Point3) -> AffineLine
     if direction == ORIGIN:
         raise ParameterError("line direction must be nonzero")
     pivot = next(i for i in range(3) if direction[i] != 0)
-    inv = ctx.inv(direction[pivot])
+    inv = inverse(ctx, direction[pivot])
     d = tuple(c * inv % q for c in direction)
     s = base[pivot]
     b = tuple((base[i] - s * d[i]) % q for i in range(3))
@@ -82,6 +99,64 @@ def evaluate(f: TriPoly, p) -> int:
         if a:
             acc += a * powers[0][i] * powers[1][j] % q * powers[2][k]
     return acc % q
+
+
+@dataclass(frozen=True)
+class UniPoly:
+    """Univariate polynomial of degree <= t; coeffs[d] multiplies s^d."""
+
+    q: int
+    coeffs: tuple[int, ...]
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+
+def restrict_to_line(ctx: FieldCtx, f: TriPoly, line: AffineLine) -> UniPoly:
+    """Symbolic substitution of base + s*dir into f, collected in s.
+
+    Returns the full coefficient list of length t+1 (high coefficients may
+    be zero); g(s) = f(base + s*dir) for every s.
+    """
+    q, t = ctx.q, f.t
+    # expansions[c][e] = coefficient list of (base[c] + s*dir[c])^e
+    expansions = []
+    for b, d in zip(line.base, line.dir):
+        per_e = [[1]]
+        for e in range(1, t + 1):
+            per_e.append(
+                [math.comb(e, m) * pow(b, e - m, q) * pow(d, m, q) % q for m in range(e + 1)]
+            )
+        expansions.append(per_e)
+    g = [0] * (t + 1)
+    for (i, j, k), a in zip(monomials(t), f.coeffs):
+        if a == 0:
+            continue
+        ei, ej, ek = expansions[0][i], expansions[1][j], expansions[2][k]
+        for m1, c1 in enumerate(ei):
+            if c1 == 0:
+                continue
+            ac1 = a * c1 % q
+            for m2, c2 in enumerate(ej):
+                if c2 == 0:
+                    continue
+                ac12 = ac1 * c2 % q
+                for m3, c3 in enumerate(ek):
+                    if c3:
+                        g[m1 + m2 + m3] = (g[m1 + m2 + m3] + ac12 * c3) % q
+    return UniPoly(q, tuple(g))
+
+
+def restrict_all_lines(ctx: FieldCtx, f: TriPoly) -> np.ndarray:
+    """(n_lines, t+1) coefficients of f restricted to every canonical line.
+
+    The symbolic oracle for prune_bad_lines, through restriction_tensor.
+    """
+    q, t = ctx.q, f.t
+    tensor = restriction_tensor(q, t)
+    a = np.asarray(f.coeffs, dtype=np.int64)
+    flat = tensor.reshape(-1, a.size) @ a % q
+    return flat.reshape(tensor.shape[0], t + 1)
 
 
 def evaluate_uni(g: UniPoly, s: int) -> int:

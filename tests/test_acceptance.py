@@ -12,18 +12,16 @@ import numpy as np
 from eil.cli import log_log_slope, main, run_montecarlo, run_sweep
 from eil.evasive import (
     CoefficientStream,
+    TriPoly,
     line_intersection_counts,
-    restrict_all_lines,
-    restrict_to_line,
+    restriction_tensor,
     sample_poly,
 )
-from eil.evasive import TriPoly
-from eil.evasive import restriction_tensor
 from eil.geom3 import AffineLine, line_index, line_table
 from eil.gf import FieldCtx
 from eil.incidence import build_incidence, count_ktt_via_lines
 from eil.subgraph import count_biclique_general, is_ksm_free
-from oracles import count_biclique
+from oracles import count_biclique, restrict_all_lines, restrict_to_line
 
 
 def _verdict(num, name, ok, detail=""):

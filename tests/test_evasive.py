@@ -4,25 +4,31 @@ import random
 import numpy as np
 import pytest
 
-from eil.errors import GraphFormatError, ParameterError
+from eil.errors import ParameterError
 from eil.evasive import (
     REFERENCE_LINE,
     CoefficientStream,
     PointSet,
     TriPoly,
-    UniPoly,
     exact_probabilities,
     line_intersection_counts,
     monomials,
     prune_bad_lines,
-    restrict_all_lines,
-    restrict_to_line,
     sample_poly,
+    top_coefficient,
     zero_set,
 )
 from eil.geom3 import AffineLine, line_index, line_table
 from eil.gf import FieldCtx
-from oracles import evaluate, evaluate_uni, point_index, points_on
+from oracles import (
+    UniPoly,
+    evaluate,
+    evaluate_uni,
+    point_index,
+    points_on,
+    restrict_all_lines,
+    restrict_to_line,
+)
 
 
 def zero_set_oracle(ctx, f):
@@ -204,6 +210,62 @@ def test_prune_t_equals_q_keeps_the_zero_set():
     assert int((~restrict_all_lines(ctx, plane).any(axis=1)).sum()) == 30
 
 
+@pytest.mark.parametrize("q,t", [(3, 3), (5, 4), (7, 3), (7, 7)])
+def test_top_coefficient_is_the_leading_restriction_coefficient(q, t):
+    ctx = FieldCtx(q)
+    table = line_table(q)
+    rng = random.Random(q * t)
+    for trial in range(10):
+        f = sample_poly(ctx, t, CoefficientStream(70_000 + trial))
+        for i in rng.sample(range(len(table)), 25):
+            line = row_line(table, i)
+            assert top_coefficient(f, line.dir) == restrict_to_line(ctx, f, line).coeffs[t]
+
+
+@pytest.mark.parametrize("q,t", [(3, 3), (5, 3), (5, 5), (7, 3), (7, 7)])
+def test_montecarlo_ref_vanished_matches_symbolic_restriction(q, t, monkeypatch):
+    # The trial decides ref_vanished from the zero count on the reference
+    # line and the s^t coefficient; the oracle restricts f symbolically.
+    # Seeded polynomials rarely vanish on one line, so each is also tried
+    # with its restriction cancelled (the zero polynomial on the line) and,
+    # for t = q, with c (y^q - y) added back: zero at all q points, yet not
+    # the zero polynomial. y^q - y itself is planted too.
+    from eil import cli
+
+    assert REFERENCE_LINE == AffineLine((1, 0, 0), (0, 1, 0))
+    ctx = FieldCtx(q)
+    mons = monomials(t)
+
+    def shifted(f, shift):
+        # add shift[j] to the coefficient of y^j
+        coeffs = list(f.coeffs)
+        for j, c in enumerate(shift):
+            m = mons.index((0, j, 0))
+            coeffs[m] = (coeffs[m] + c) % q
+        return TriPoly(q, t, tuple(coeffs))
+
+    seeded = [sample_poly(ctx, t, CoefficientStream(60_000 + i)) for i in range(300)]
+    # f(1, s, 0) collects the monomials x^i y^j into s^j, so subtracting
+    # its coefficients from those of y^j cancels the restriction
+    cancelled = [
+        shifted(f, [-c for c in restrict_to_line(ctx, f, REFERENCE_LINE).coeffs])
+        for f in seeded
+    ]
+    polys = seeded + cancelled
+    if t == q:
+        planted = [0, q - 1] + [0] * (q - 2) + [1]  # y^q - y
+        polys.append(shifted(poly_from_map(ctx, t, {}), planted))
+        polys += [shifted(f, [c * (1 + i % (q - 1)) for c in planted])
+                  for i, f in enumerate(cancelled)]
+    monkeypatch.setattr(cli, "sample_poly", lambda ctx, t, rng: polys[rng.seed])
+    trials = [cli._montecarlo_trial((q, t, 0, i)) for i in range(len(polys))]
+    for f, trial in zip(polys, trials):
+        assert trial["ref_vanished"] == restrict_to_line(ctx, f, REFERENCE_LINE).is_zero()
+    assert sum(r["ref_vanished"] for r in trials) >= 300
+    full_not_zero = sum(r["ref_count_x0"] == q and not r["ref_vanished"] for r in trials)
+    assert full_not_zero >= (301 if t == q else 0)
+
+
 def test_vanishing_detection_matches_pointwise_oracle_when_t_below_q():
     ctx = FieldCtx(5)
     table = line_table(5)
@@ -283,19 +345,14 @@ def test_pointset_serialization_roundtrip():
     ctx = FieldCtx(5)
     f = sample_poly(ctx, 3, CoefficientStream(8))
     x0 = zero_set(ctx, f)
-    text = x0.to_text()
-    assert text.splitlines()[0] == f"q=5 n={x0.count}"
-    assert PointSet.from_text(text) == x0
-    with pytest.raises(GraphFormatError):
-        PointSet.from_text("q=5 n=2\n3\n3\n")
-    with pytest.raises(GraphFormatError):
-        PointSet.from_text("q=5 n=1\n125\n")
-    with pytest.raises(GraphFormatError):
-        PointSet.from_text("n=1 q=5\n0\n")
-    with pytest.raises(GraphFormatError):
-        PointSet.from_text("q=4 n=0\n")  # q must be prime
-    with pytest.raises(GraphFormatError):
-        PointSet.from_text("q=524287 n=0\n")  # prime, but absurd for a file
+    # the file is written, never read back: decode it here by its layout,
+    # a header and then the point indices in increasing order
+    head, *rows = x0.to_text().splitlines()
+    assert head == f"q=5 n={x0.count}"
+    member = np.zeros(125, dtype=np.bool_)
+    member[[int(r) for r in rows]] = True
+    assert [int(r) for r in rows] == sorted({int(r) for r in rows})
+    assert PointSet(5, member) == x0
 
 
 def test_reference_line_is_canonical_and_off_origin():
