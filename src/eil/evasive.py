@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ParameterError
-from .geom3 import AffineLine, line_table
+from .geom3 import AffineLine, line_at, line_counts, line_points, line_table
 from .gf import FieldCtx
 
 # Fixed reference line used by the Monte Carlo commands: canonical and not
@@ -66,13 +66,18 @@ class TriPoly:
 
 
 class PointSet:
-    """Subset of F_q^3 as a membership bitmask over point indices."""
+    """Subset of F_q^3 as a membership bitmask over point indices.
 
-    def __init__(self, q: int, member: np.ndarray):
+    line_counts, when given, must be the set's per-row line counts; they
+    are otherwise computed on first use by line_intersection_counts.
+    """
+
+    def __init__(self, q: int, member: np.ndarray, line_counts: np.ndarray | None = None):
         if member.shape != (q**3,) or member.dtype != np.bool_:
             raise ParameterError("membership must be a bool array of length q^3")
         self.q = q
         self.member = member
+        self._line_counts = line_counts
 
     @property
     def count(self) -> int:
@@ -193,14 +198,13 @@ def restriction_tensor(q: int, t: int) -> np.ndarray:
     """(n_lines, t+1, n_monomials) linear maps: coeffs -> per-line restriction.
 
     Row l gives the matrix taking a TriPoly coefficient vector to the
-    coefficients of its symbolic restriction to line l of line_table(q).
-    No command builds it: it backs the symbolic oracle in the tests, and
-    the benchmark's traced run times it under this name.
+    coefficients of its symbolic restriction to the line of row l (see
+    geom3.line_index). No command builds it: it backs the symbolic oracle
+    in the tests, and the benchmark's traced run times it under this name.
     """
-    table = line_table(q)
-    n = len(table)
+    base, dirv = line_table(q)
+    n = len(base)
     mons = monomials(t)
-    base, dirv = table.base, table.dir
     # expans[c][e] has shape (e+1, n): binomial expansion of (b_c + s d_c)^e
     expans = []
     for c in range(3):
@@ -239,18 +243,32 @@ def prune_bad_lines(
     has at most t roots, and a zero one vanishes at all q > t points of the
     line. For t = q no line carries more than q points, so nothing is pruned
     and X = X0, although f may still restrict to the zero polynomial on a
-    line. Returns the pruned set and the line-table rows that were cleared.
+    line. Returns the pruned set and the rows (geom3.line_index) of the
+    cleared lines. The points of those few rows come from geom3.line_at;
+    the pruned set carries X0's line counts minus those of the removed
+    points, so its counts are never projected from scratch.
     """
-    vanishing = np.flatnonzero(line_intersection_counts(x0) > f.t)
+    q = ctx.q
+    counts = line_intersection_counts(x0)
+    vanishing = np.flatnonzero(counts > f.t)
     member = x0.member.copy()
-    member[line_table(ctx.q).point_idx[vanishing]] = False
-    return PointSet(ctx.q, member), vanishing
+    if vanishing.size == 0:
+        return PointSet(q, member, counts), vanishing
+    member[line_points(q, *line_at(q, vanishing))] = False
+    removed = np.flatnonzero(x0.member & ~member)
+    return PointSet(q, member, counts - line_counts(q, removed)), vanishing
 
 
 def line_intersection_counts(x: PointSet) -> np.ndarray:
-    """|X intersect l| for every line of line_table(q), in table order."""
-    points = line_table(x.q).point_idx.T
-    return x.member[points].sum(axis=0, dtype=np.min_scalar_type(x.q)).astype(np.int64)
+    """|X intersect l| for every line, indexed by row (geom3.line_index).
+
+    Projected once per set by geom3.line_counts and kept on the set
+    (read-only, since a pruned set that lost no point shares X0's array).
+    """
+    if x._line_counts is None:
+        x._line_counts = line_counts(x.q, x.indices())
+    x._line_counts.flags.writeable = False
+    return x._line_counts
 
 
 @dataclass(frozen=True)

@@ -79,7 +79,10 @@ def verify_appendix(g: FurediGraph) -> StatsReport:
     degrees_ok = all(d in (q - 1, q) for d in degrees)
     free_k2 = is_ksm_free(g.graph, 2, t + 1)
     free_k3t = is_ksm_free(g.graph, min(3, t), max(3, t))
-    ktt_count = count_biclique_general(g.graph, t, t) if t >= 3 else None
+    # a K_{t,t} with t >= 3 contains a K_{3,t}, so a K_{3,t}-free graph has none
+    ktt_count = None
+    if t >= 3:
+        ktt_count = 0 if free_k3t.free else count_biclique_general(g.graph, t, t)
     edge_count = g.graph.edge_count()
     record = {
         "trial": 0,

@@ -1,24 +1,27 @@
 """Scalar reference implementations that the tests check the array code against.
 
 None of these is on a production path: field residues and inverses, points
-and lines one tuple at a time, pointwise polynomial evaluation, symbolic
-restriction of a polynomial to a line (one line at a time, or to every line
-through the restriction tensor), graph neighbourhoods as sets or n-bit
-masks, brute-force subset scans, and the line-by-line graph parser.
+and lines one tuple at a time, the whole table of lines with the q points
+of every row and line counts gathered through it, pointwise polynomial
+evaluation, symbolic restriction of a polynomial to a line (one line at a
+time, or to every line through the restriction tensor), graph
+neighbourhoods as sets or n-bit masks, brute-force subset scans, and the
+line-by-line graph parser.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
 from eil.errors import GraphFormatError, ParameterError
-from eil.evasive import TriPoly, monomials, restriction_tensor
-from eil.geom3 import AffineLine, Point3
+from eil.evasive import PointSet, TriPoly, monomials, restriction_tensor
+from eil.geom3 import AffineLine, Point3, dual_index
 from eil.gf import FieldCtx
 from eil.subgraph import BitGraph, graph_to_text
 
@@ -88,6 +91,69 @@ def points_on(ctx: FieldCtx, line: AffineLine) -> list[Point3]:
 def passes_origin(line: AffineLine) -> bool:
     """True iff (0,0,0) lies on the (canonical) line."""
     return line.base == ORIGIN
+
+
+def _pivot_block(q: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(base, dir) of the canonical lines with pivot p, in row order."""
+    tail, free = np.divmod(np.arange(q ** (4 - p), dtype=np.int64), q * q)
+    d = np.zeros((tail.size, 3), dtype=np.int64)
+    d[:, p] = 1
+    for c in range(p + 1, 3):
+        d[:, c] = tail // q ** (2 - c) % q
+    b = np.zeros_like(d)
+    i, j = (c for c in range(3) if c != p)
+    b[:, i], b[:, j] = np.divmod(free, q)
+    return b, d
+
+
+@dataclass(frozen=True)
+class LineTable:
+    """Every canonical line as a row: base, dir, the q point indices
+    base + s*dir, an origin flag (base = 0), and the row of the dual line
+    (-1 for a line through the origin)."""
+
+    base: np.ndarray
+    dir: np.ndarray
+    point_idx: np.ndarray
+    origin_mask: np.ndarray
+    dual_idx: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.base)
+
+
+@lru_cache(maxsize=None)
+def line_table_oracle(q: int) -> LineTable:
+    """The whole table of lines, enumerated block by block, for q <= 13.
+
+    Rows are grouped by the pivot p of dir (blocks of q^4, q^3 and q^2
+    rows) and run over the direction tail dir[p+1:], then the two free base
+    coordinates, all in increasing order.
+    """
+    assert q <= 13, "the table holds q^2 (q^2 + q + 1) x q point indices"
+    blocks = [_pivot_block(q, p) for p in range(3)]
+    base = np.concatenate([b for b, _ in blocks])
+    direction = np.concatenate([d for _, d in blocks])
+    s = np.arange(q)
+    pts = (base[:, None, :] + s[None, :, None] * direction[:, None, :]) % q
+    origin = (base == 0).all(axis=1)
+    dual = np.full(len(base), -1, dtype=np.int64)
+    dual[~origin] = dual_index(q, np.flatnonzero(~origin))
+    return LineTable(base, direction, (pts[..., 0] * q + pts[..., 1]) * q + pts[..., 2],
+                     origin, dual)
+
+
+def gather_line_counts(x: PointSet) -> np.ndarray:
+    """|X intersect l| for every row, by gathering membership of its q points."""
+    return x.member[line_table_oracle(x.q).point_idx].sum(axis=1)
+
+
+def ktt_count_by_table(x: PointSet, y: PointSet, t: int) -> int:
+    """Off-origin rows t-rich in Y whose dual row is t-rich in X, over the table."""
+    table = line_table_oracle(x.q)
+    cx, cy = gather_line_counts(x), gather_line_counts(y)
+    ok = ~table.origin_mask & (cy == t)
+    return int((ok & (cx[table.dual_idx] == t)).sum())
 
 
 def evaluate(f: TriPoly, p) -> int:

@@ -17,11 +17,11 @@ from eil.evasive import (
     restriction_tensor,
     sample_poly,
 )
-from eil.geom3 import AffineLine, line_index, line_table
+from eil.geom3 import AffineLine, line_index, n_lines
 from eil.gf import FieldCtx
 from eil.incidence import build_incidence, count_ktt_via_lines
 from eil.subgraph import count_biclique_general, is_ksm_free
-from oracles import count_biclique, restrict_all_lines, restrict_to_line
+from oracles import count_biclique, line_table_oracle, restrict_all_lines, restrict_to_line
 
 
 def _verdict(num, name, ok, detail=""):
@@ -69,10 +69,10 @@ def test_criterion_02_vanishing_probability():
     for i in range(trials):
         f = sample_poly(ctx, 3, CoefficientStream(seed + i))
         per_poly[i] = int((~restrict_all_lines(ctx, f).any(axis=1)).sum())
-    n_lines = len(line_table(5))
-    rate = per_poly.sum() / (trials * n_lines)
+    lines = n_lines(5)
+    rate = per_poly.sum() / (trials * lines)
     target = 1 / 625
-    se = per_poly.std(ddof=1) / (n_lines * math.sqrt(trials))
+    se = per_poly.std(ddof=1) / (lines * math.sqrt(trials))
     ok = abs(rate - target) <= 3 * se
     assert _verdict(
         2, "vanishing probability", ok,
@@ -175,7 +175,7 @@ def test_criterion_07_quadratic_growth_proxy():
     # over X and Y of the sweep's own constructions (same seeds as the sweep)
     pi_hat, unfactorised, mismatches = {}, [], 0
     for q in qs:
-        off_origin = ~line_table(q).origin_mask
+        off_origin = ~line_table_oracle(q).origin_mask
         n_off = int(off_origin.sum())
         assert n_off == q**4 + q**3 - q - 1
         counts = {r["trial"]: r["ktt_count"] for r in report.trials if r["q"] == q}

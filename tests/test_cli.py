@@ -150,6 +150,39 @@ def test_montecarlo_report_and_worker_independence(tmp_path):
     assert r1.trials[0]["seed"] == 9 and r1.trials[119]["seed"] == 128
 
 
+def _binomial_check(report):
+    return next(c for c in report["checks"] if c["name"] == "binomial_mean_z")
+
+
+def test_montecarlo_t_equals_q_without_spread_passes(tmp_path):
+    # at q = t = 5 the statistic C(ref_count, 5) is nonzero only when all 5
+    # reference points are zeros (probability 5^-5), so all 300 are 0 and
+    # the z-score falls back to the largest standard error of a statistic
+    # in [0, C(5, 5)] with mean 5^-5
+    assert main(["montecarlo", "--q", "5", "--t", "5", "--seed", "7",
+                 "--trials", "300", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "montecarlo-q5-t5-seed7-trials300.report.json").read_text())
+    assert doc["aggregates"]["binom_std"] == 0 and doc["aggregates"]["binom_mean"] == 0
+    e = 5**-5
+    check = _binomial_check(doc)
+    assert check["passed"] and check["z"] == pytest.approx(-e / (e * (1 - e) / 300) ** 0.5)
+
+
+def test_montecarlo_constant_statistic_far_from_target_fails(monkeypatch):
+    from eil import cli
+
+    real = cli._montecarlo_trial
+
+    def constant(args):
+        return dict(real(args), binom_stat=1)
+
+    monkeypatch.setattr(cli, "_montecarlo_trial", constant)
+    doc = run_montecarlo(5, 5, 7, 300).to_json_dict()
+    assert doc["aggregates"]["binom_std"] == 0 and doc["aggregates"]["binom_mean"] == 1
+    check = _binomial_check(doc)
+    assert not check["passed"] and check["z"] > 3
+
+
 def test_montecarlo_cli_writes_report(tmp_path):
     assert main(["montecarlo", "--q", "5", "--t", "3", "--seed", "9",
                  "--trials", "120", "--out", str(tmp_path)]) == 0
@@ -214,3 +247,55 @@ def test_sweep_cli_round_trip(tmp_path):
     rows = path.read_text().splitlines()
     assert rows[0].startswith("q,t,trials,mean_count")
     assert len(rows) == 3  # header + one row per q
+
+
+def test_no_command_enumerates_every_line(tmp_path, monkeypatch, capsys):
+    # line_table and restriction_tensor are O(q^4)-memory enumerations kept
+    # for the oracles; every command must produce the same bytes without them
+    import eil.evasive
+    import eil.geom3
+    import eil.incidence
+
+    argvs = [
+        ["construct", "incidence", "--q", "7", "--t", "3", "--seed", "42"],
+        ["montecarlo", "--q", "5", "--t", "3", "--seed", "7", "--trials", "150"],
+        ["sweep", "--q", "5,7", "--t", "3", "--trials", "100", "--workers", "2"],
+    ]
+
+    def outputs(out):
+        for argv in argvs:
+            assert main(argv + ["--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    expected = outputs(tmp_path / "plain")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command enumerated every line")
+
+    for module in (eil.cli, eil.evasive, eil.geom3, eil.incidence):
+        monkeypatch.setattr(module, "line_table", refuse)
+    monkeypatch.setattr(eil.evasive, "restriction_tensor", refuse)
+    assert outputs(tmp_path / "guarded") == expected
+    capsys.readouterr()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_construct_incidence_q37_memory(tmp_path):
+    # the line counts are O(q^4) bytes: no (n_lines, q) table is built
+    probe = (
+        "import sys\n"
+        "from eil.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "status = open('/proc/self/status').read().split()\n"
+        "print(status[status.index('VmHWM:') + 1], file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eil.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, "construct", "incidence", "--q", "37", "--t", "3",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stderr.split()[-1]) / 1024  # VmHWM is in kB
+    assert peak_mb < 300, peak_mb

@@ -18,12 +18,13 @@ from eil.evasive import (
     top_coefficient,
     zero_set,
 )
-from eil.geom3 import AffineLine, line_index, line_table
+from eil.geom3 import AffineLine, line_at, line_index, n_lines
 from eil.gf import FieldCtx
 from oracles import (
     UniPoly,
     evaluate,
     evaluate_uni,
+    line_table_oracle,
     point_index,
     points_on,
     restrict_all_lines,
@@ -47,9 +48,10 @@ def vanishes_pointwise(ctx, f, line):
     return all(evaluate(f, p) == 0 for p in points_on(ctx, line))
 
 
-def row_line(table, i):
-    """Row i of a line table as an AffineLine."""
-    return AffineLine(tuple(map(int, table.base[i])), tuple(map(int, table.dir[i])))
+def row_line(q, i):
+    """Row i (see line_index) as an AffineLine."""
+    base, direction = line_at(q, i)
+    return AffineLine(tuple(map(int, base)), tuple(map(int, direction)))
 
 
 def poly_from_map(ctx, t, coeff_map):
@@ -124,12 +126,11 @@ def test_restriction_example_and_shape():
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_restriction_matches_pointwise_evaluation(q):
     ctx = FieldCtx(q)
-    table = line_table(q)
     rng = random.Random(q)
     for trial in range(10):
         f = sample_poly(ctx, 3, CoefficientStream(1000 * q + trial))
-        for i in rng.sample(range(len(table)), min(25, len(table))):
-            line = row_line(table, i)
+        for i in rng.sample(range(n_lines(q)), min(25, n_lines(q))):
+            line = row_line(q, i)
             g = restrict_to_line(ctx, f, line)
             assert len(g.coeffs) == 4
             for s, p in enumerate(points_on(ctx, line)):
@@ -138,12 +139,11 @@ def test_restriction_matches_pointwise_evaluation(q):
 
 def test_restrict_all_lines_matches_scalar_path():
     ctx = FieldCtx(5)
-    table = line_table(5)
     f = sample_poly(ctx, 4, CoefficientStream(31))
     bulk = restrict_all_lines(ctx, f)
     assert bulk.shape == (775, 5)
     for i in random.Random(0).sample(range(775), 60):
-        assert tuple(bulk[i]) == restrict_to_line(ctx, f, row_line(table, i)).coeffs
+        assert tuple(bulk[i]) == restrict_to_line(ctx, f, row_line(5, i)).coeffs
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -170,9 +170,8 @@ def test_prune_removes_plane_entirely():
     assert pruned.count == 0
     # exactly the lines inside the plane x1 = 0 vanish: q(q + 1) of them
     assert len(vanishing) == 30
-    table = line_table(5)
     assert all(
-        all(p[0] == 0 for p in points_on(ctx, row_line(table, i))) for i in vanishing
+        all(p[0] == 0 for p in points_on(ctx, row_line(5, i))) for i in vanishing
     )
     f = poly_from_map(ctx, 3, {(0, 0, 0): 1})
     x0 = zero_set(ctx, f)
@@ -213,12 +212,11 @@ def test_prune_t_equals_q_keeps_the_zero_set():
 @pytest.mark.parametrize("q,t", [(3, 3), (5, 4), (7, 3), (7, 7)])
 def test_top_coefficient_is_the_leading_restriction_coefficient(q, t):
     ctx = FieldCtx(q)
-    table = line_table(q)
     rng = random.Random(q * t)
     for trial in range(10):
         f = sample_poly(ctx, t, CoefficientStream(70_000 + trial))
-        for i in rng.sample(range(len(table)), 25):
-            line = row_line(table, i)
+        for i in rng.sample(range(n_lines(q)), 25):
+            line = row_line(q, i)
             assert top_coefficient(f, line.dir) == restrict_to_line(ctx, f, line).coeffs[t]
 
 
@@ -268,21 +266,19 @@ def test_montecarlo_ref_vanished_matches_symbolic_restriction(q, t, monkeypatch)
 
 def test_vanishing_detection_matches_pointwise_oracle_when_t_below_q():
     ctx = FieldCtx(5)
-    table = line_table(5)
+    lines = [row_line(5, i) for i in range(n_lines(5))]
     for trial in range(40):
         f = sample_poly(ctx, 3, CoefficientStream(200 + trial))
         bulk = restrict_all_lines(ctx, f)
         symbolic = set(np.flatnonzero(~bulk.any(axis=1)))
-        pointwise = {
-            i for i in range(len(table)) if vanishes_pointwise(ctx, f, row_line(table, i))
-        }
+        pointwise = {i for i, line in enumerate(lines) if vanishes_pointwise(ctx, f, line)}
         assert symbolic == pointwise
 
 
 @pytest.mark.parametrize("q", [5, 7, 11])
 def test_zero_set_line_intersections_bounded_unless_vanishing(q):
     ctx = FieldCtx(q)
-    table = line_table(q)
+    table = line_table_oracle(q)
     rng = random.Random(q)
     for trial in range(67):
         f = sample_poly(ctx, 3, CoefficientStream(10_000 * q + trial))
@@ -290,7 +286,7 @@ def test_zero_set_line_intersections_bounded_unless_vanishing(q):
         for i in rng.sample(range(len(table)), 30):
             on_line = int(x0.member[table.point_idx[i]].sum())
             if on_line > 3:
-                assert restrict_to_line(ctx, f, row_line(table, i)).is_zero()
+                assert restrict_to_line(ctx, f, row_line(q, i)).is_zero()
 
 
 @pytest.mark.parametrize("q,t", [(7, 3), (5, 4)])
@@ -307,7 +303,7 @@ def test_pruned_set_meets_every_line_at_most_t(q, t):
 def test_line_histogram_empty_and_single_point():
     # lines bucketed by how many points of X they carry, split by the origin
     ctx = FieldCtx(5)
-    origin = line_table(5).origin_mask
+    origin = line_table_oracle(5).origin_mask
 
     def histogram(member):
         counts = line_intersection_counts(PointSet(5, member))
@@ -358,7 +354,7 @@ def test_pointset_serialization_roundtrip():
 def test_reference_line_is_canonical_and_off_origin():
     for q in (2, 7, 13):
         row = int(line_index(q, REFERENCE_LINE.base, REFERENCE_LINE.dir))
-        assert row_line(line_table(q), row) == REFERENCE_LINE
+        assert row_line(q, row) == REFERENCE_LINE
     assert REFERENCE_LINE.base != (0, 0, 0)
 
 

@@ -4,8 +4,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from eil import furedi
 from eil.errors import ParameterError
 from eil.furedi import (
+    FurediGraph,
     build_furedi,
     classes_to_text,
     degree_profile,
@@ -14,8 +16,8 @@ from eil.furedi import (
 )
 from eil.gf import FieldCtx
 from eil.report import validate_report
-from eil.subgraph import count_biclique_general, is_ksm_free
-from oracles import adjacency_sets, common_neighbors
+from eil.subgraph import BitGraph, count_biclique_general, is_ksm_free
+from oracles import adjacency_sets, common_neighbors, count_biclique_general_scan
 
 
 def test_vertex_counts_frozen():
@@ -114,6 +116,40 @@ def test_verify_appendix_report():
     assert rec["n"] == rec["n_expected"] == 16
     assert rec["k2_free"] and rec["k3t_free"]
     assert rec["ktt_count"] == 0
+
+
+def _counting_calls(monkeypatch):
+    calls = []
+
+    def spy(graph, a, b):
+        calls.append((a, b))
+        return count_biclique_general(graph, a, b)
+
+    monkeypatch.setattr(furedi, "count_biclique_general", spy)
+    return calls
+
+
+@pytest.mark.parametrize("q,t", [(7, 3), (13, 4)])
+def test_verify_appendix_skips_the_count_on_a_k3t_free_graph(q, t, monkeypatch):
+    # a K_{t,t} with t >= 3 contains a K_{3,t}, so K_{3,t}-freeness settles it
+    calls = _counting_calls(monkeypatch)
+    rec = verify_appendix(build_furedi(q, t)).trials[0]
+    assert rec["k3t_free"] and rec["ktt_count"] == 0
+    assert calls == []
+
+
+def test_verify_appendix_counts_when_not_k3t_free(monkeypatch):
+    # K_{4,4} as a general graph under a Furedi wrapper: it holds K_{3,3}s,
+    # so the count must come from count_biclique_general
+    k44 = BitGraph(8, [(u, v) for u in range(4) for v in range(4, 8)])
+    g = FurediGraph(7, 3, (1, 2, 4), tuple((0, v) for v in range(1, 9)), k44)
+    calls = _counting_calls(monkeypatch)
+    report = verify_appendix(g)
+    rec = report.trials[0]
+    assert not rec["k3t_free"]
+    assert calls == [(3, 3)]
+    assert rec["ktt_count"] == count_biclique_general_scan(k44, 3, 3) == 16
+    assert not [c for c in report.checks if c["name"] == "ktt_count_zero"][0]["passed"]
 
 
 def test_verify_appendix_t2():

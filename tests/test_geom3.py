@@ -4,17 +4,23 @@ import numpy as np
 import pytest
 
 from eil.errors import ParameterError
-from eil.geom3 import AffineLine, line_index, line_table
+from eil.geom3 import AffineLine, dual_index, line_at, line_index, line_points, line_table
 from eil.gf import FieldCtx
-from oracles import canonical_line, line_through, passes_origin, point_index, points_on
+from oracles import (
+    canonical_line,
+    line_table_oracle,
+    line_through,
+    passes_origin,
+    point_index,
+    points_on,
+)
 
 
 def table_lines(q):
     """Every row of line_table(q) as an AffineLine, in row order."""
-    table = line_table(q)
+    base, direction = line_table(q)
     return [
-        AffineLine(tuple(map(int, b)), tuple(map(int, d)))
-        for b, d in zip(table.base, table.dir)
+        AffineLine(tuple(map(int, b)), tuple(map(int, d))) for b, d in zip(base, direction)
     ]
 
 
@@ -91,19 +97,20 @@ def test_passes_origin():
 
 def test_dual_line_hand_example():
     q = 5
-    table = line_table(q)
     row = int(line_index(q, (1, 0, 0), (0, 1, 0)))
     assert row == q**4 + q  # pivot 1, tail 0, free base coordinates (1, 0)
-    dual = table.dual_idx[row]
+    dual = int(dual_index(q, [row])[0])
+    assert dual == line_table_oracle(q).dual_idx[row]
     # solved by hand: z1 = 1, z2 = 0 leaves the z3 axis through (1,0,0)
-    assert tuple(table.base[dual]) == (1, 0, 0)
-    assert tuple(table.dir[dual]) == (0, 0, 1)
+    base, direction = line_at(q, dual)
+    assert tuple(base) == (1, 0, 0)
+    assert tuple(direction) == (0, 0, 1)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_dual_line_exhaustive_properties(q):
     ctx = FieldCtx(q)
-    table = line_table(q)
+    table = line_table_oracle(q)
     valid = 0
     for i, line in enumerate(table_lines(q)):
         if passes_origin(line):
@@ -129,10 +136,13 @@ def test_dual_line_exhaustive_properties(q):
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
 def test_line_table_matches_closed_form_oracles(q):
-    table = line_table(q)
+    table = line_table_oracle(q)
     n = q * q * (q * q + q + 1)
     b, d = table.base, table.dir
     assert len(table) == n and b.shape == d.shape == (n, 3)
+    # line_table enumerates the rows by line_at, in the oracle's block order
+    lb, ld = line_table(q)
+    assert (lb == b).all() and (ld == d).all()
     rows = np.arange(n)
     # canonical: dir has pivot 1 with zeros before it, base is 0 at the pivot
     pivot = np.argmax(d != 0, axis=1)
@@ -145,10 +155,12 @@ def test_line_table_matches_closed_form_oracles(q):
     s = np.arange(q)
     pts = (b[:, None, :] + s[None, :, None] * d[:, None, :]) % q
     assert (table.point_idx == (pts[..., 0] * q + pts[..., 1]) * q + pts[..., 2]).all()
+    assert (line_points(q, b, d) == table.point_idx).all()
     # origin rows hold -1; every other dual satisfies b.z = 1, d.z = 0 on
     # all of its points, avoids the origin, and dualises back
     origin = (b == 0).all(axis=1)
     assert (table.origin_mask == origin).all()
+    assert (origin == (rows % (q * q) == 0)).all()
     assert (table.dual_idx[origin] == -1).all()
     assert int(origin.sum()) == q * q + q + 1
     off = rows[~origin]
@@ -167,7 +179,7 @@ def test_line_table_matches_closed_form_oracles(q):
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_parallel_class_partition(q):
     # the q^2 table rows with direction (1,0,0) are disjoint and cover F_q^3
-    table = line_table(q)
+    table = line_table_oracle(q)
     rows = np.flatnonzero((table.dir == (1, 0, 0)).all(axis=1))
     assert len(rows) == q * q
     assert sorted(table.point_idx[rows].ravel()) == list(range(q**3))
@@ -181,7 +193,7 @@ def test_point_index_roundtrip():
 
 
 def test_line_table_consistency():
-    table = line_table(3)
+    table = line_table_oracle(3)
     assert len(table) == 117
     assert int(table.origin_mask.sum()) == 13
     ctx = FieldCtx(3)
