@@ -16,8 +16,8 @@ line_index maps (base, dir) to rows and line_at maps rows back. Both
 offsets and tail*q^2 are multiples of q^2, so a row is a line through the
 origin exactly when it is 0 mod q^2. No table of lines is kept: the line
 through a point x with direction d has base x - x_p*d, so line_counts gets
-|X intersect l| for every row from one bincount over the q^2 + q + 1 lines
-through each point of X, in O(|X| q^2) time.
+|X intersect l| for every row by bincounting the rows of the q^2 + q + 1
+lines through each point of X, in O(|X| q^2) time.
 
 The dual of an off-origin line base + F_q*dir is the line
 {z : base.z = 1, dir.z = 0}; its direction is base x dir and its base
