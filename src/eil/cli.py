@@ -249,11 +249,11 @@ def run_sweep(qs: list[int], t: int, seed: int, trials: int, workers: int = 1) -
     )
 
 
-def cmd_construct(cfg: RunConfig, which: str) -> int:
+def cmd_construct(cfg: RunConfig) -> int:
     q, t = cfg.q_values[0], cfg.t
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     ext = cfg.fmt
-    if which == "incidence":
+    if cfg.subcommand == "incidence":
         c = build_incidence(q, t, cfg.seed)
         report = verify_construction(c)
         base = cfg.out_dir / f"incidence-q{q}-t{t}-seed{cfg.seed}"
@@ -421,7 +421,7 @@ def main(argv=None) -> int:
                 **trial_opts,
             )
             if args.command == "construct":
-                code = cmd_construct(cfg, args.kind)
+                code = cmd_construct(cfg)
             elif args.command == "montecarlo":
                 code = cmd_montecarlo(cfg)
             else:

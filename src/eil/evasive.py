@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -168,20 +167,6 @@ def top_coefficient(f: TriPoly, direction) -> int:
     return total % q
 
 
-@lru_cache(maxsize=None)
-def _eval_matrix(q: int, t: int) -> np.ndarray:
-    """(q^3, n_monomials) matrix of monomial values at every point."""
-    coords = np.array(list(product(range(q), repeat=3)), dtype=np.int64)
-    mons = monomials(t)
-    powers = [
-        np.stack([_pow_mod(coords[:, c], e, q) for e in range(t + 1)]) for c in range(3)
-    ]
-    v = np.empty((q**3, len(mons)), dtype=np.int64)
-    for m, (i, j, k) in enumerate(mons):
-        v[:, m] = powers[0][i] * powers[1][j] % q * powers[2][k] % q
-    return v
-
-
 def _pow_mod(col: np.ndarray, e: int, q: int) -> np.ndarray:
     out = np.ones_like(col)
     b = col % q
@@ -227,9 +212,24 @@ def restriction_tensor(q: int, t: int) -> np.ndarray:
 
 
 def zero_set(ctx: FieldCtx, f: TriPoly) -> PointSet:
-    """The points where f evaluates to zero."""
-    values = _eval_matrix(ctx.q, f.t) @ np.asarray(f.coeffs, dtype=np.int64) % ctx.q
-    return PointSet(ctx.q, values == 0)
+    """The points where f evaluates to zero.
+
+    The coefficients go into a (t+1)^3 cube c[i, j, k] indexed by exponents,
+    and with P[a, e] = a^e mod q the cube is contracted one axis at a time:
+    (x, j*k) -> (x, k, y) -> (x, y, z). The raveled values are indexed by
+    x*q^2 + y*q + z, the point index. O(q^3 t) work and no kept state.
+    """
+    q, t = ctx.q, f.t
+    cube = np.zeros((t + 1,) * 3, dtype=np.int64)
+    cube[tuple(zip(*monomials(t)))] = f.coeffs
+    field = np.arange(q, dtype=np.int64)
+    powers = np.stack([_pow_mod(field, e, q) for e in range(t + 1)], axis=1)
+    # each matmul sums t+1 <= q+1 products of residues below q <= 2^20, so
+    # every sum stays below 2^61 before it is reduced
+    v = powers @ cube.reshape(t + 1, -1) % q
+    v = v.reshape(q, t + 1, t + 1).transpose(0, 2, 1) @ powers.T % q
+    v = v.transpose(0, 2, 1) @ powers.T % q
+    return PointSet(q, v.ravel() == 0)
 
 
 def prune_bad_lines(

@@ -33,42 +33,34 @@ class FurediGraph:
         return self.graph.n
 
 
-def orbit_of(ctx: FieldCtx, subgroup, pair: tuple[int, int]) -> list[tuple[int, int]]:
-    q = ctx.q
-    a, b = pair
-    return [(h * a % q, h * b % q) for h in subgroup]
-
-
 def build_furedi(q: int, t: int) -> FurediGraph:
-    """Canonical representatives are the lexicographically smallest orbit members."""
+    """Canonical representatives are the lexicographically smallest orbit members.
+
+    A nonzero (a, b) is coded a*q + b, so the smallest code of an orbit
+    {(ha, hb) : h in H} is its lexicographically smallest member.
+    """
     ctx = FieldCtx(q)
     if t < 2:
         raise ParameterError(f"t must be >= 2, got {t}")
     subgroup = tuple(sorted(ctx.subgroup_of_order(t)))
-    seen = np.zeros((q, q), dtype=np.bool_)
-    seen[0, 0] = True
-    classes: list[tuple[int, int]] = []
-    for a in range(q):
-        for b in range(q):
-            if seen[a, b]:
-                continue
-            orbit = orbit_of(ctx, subgroup, (a, b))
-            assert len(set(orbit)) == t
-            for oa, ob in orbit:
-                seen[oa, ob] = True
-            classes.append(min(orbit))
-    assert len(classes) == (q * q - 1) // t
-    reps = np.array(classes, dtype=np.int64)
+    h = np.array(subgroup, dtype=np.int64)[:, None]
+    a, b = np.divmod(np.arange(1, q * q, dtype=np.int64), q)
+    codes = np.unique((h * a % q * q + h * b % q).min(axis=0))
+    # orbits have at most t points and cover the q^2 - 1 nonzero points, so
+    # this count also means every orbit has exactly t
+    assert len(codes) == (q * q - 1) // t
+    reps = np.stack(np.divmod(codes, q), axis=1)
+    classes = tuple(map(tuple, reps.tolist()))
     dots = reps @ reps.T % q
     adj = np.isin(dots, np.array(subgroup, dtype=np.int64))
     # each edge once; the diagonal (self-incident classes) is left out
     graph = BitGraph(len(classes), np.argwhere(np.triu(adj, 1)))
-    return FurediGraph(q, t, subgroup, tuple(classes), graph)
+    return FurediGraph(q, t, subgroup, classes, graph)
 
 
 def degree_profile(g: FurediGraph) -> list[int]:
     """Degrees of all class vertices, in vertex order."""
-    return [g.graph.degree(v) for v in range(g.n)]
+    return np.diff(g.graph.offsets).tolist()
 
 
 def verify_appendix(g: FurediGraph) -> StatsReport:

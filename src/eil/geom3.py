@@ -27,7 +27,6 @@ comes from Cramer's rule on a 2x2 system (see dual_index).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -135,14 +134,6 @@ def line_counts(q: int, points) -> np.ndarray:
     return counts
 
 
-@lru_cache(maxsize=None)
-def _inverses(q: int) -> np.ndarray:
-    """a^-1 mod q for a = 0..q-1, with 0 mapped to 0."""
-    inv = np.array([0] + [pow(a, q - 2, q) for a in range(1, q)], dtype=np.int64)
-    inv.flags.writeable = False
-    return inv
-
-
 def dual_index(q: int, rows) -> np.ndarray:
     """Row of the dual of each off-origin row (rows that are not 0 mod q^2).
 
@@ -160,7 +151,8 @@ def dual_index(q: int, rows) -> np.ndarray:
     k0 = w0 != 0
     k2 = ~k0 & (w1 == 0)
     k1 = ~k0 & ~k2
-    s = _inverses(q)[np.where(k0, w0, np.where(k1, w1, w2))]  # 1 / w_k
+    inverses = np.array([0] + [pow(a, q - 2, q) for a in range(1, q)], dtype=np.int64)
+    s = inverses[np.where(k0, w0, np.where(k1, w1, w2))]  # 1 / w_k
     tail = np.where(k0, w1 * s % q * q + w2 * s % q, np.where(k1, w2 * s % q, 0))
     inv_det = np.where(k1, q - s, s)
     v0 = np.where(k2, d1, d2) * inv_det % q

@@ -4,9 +4,9 @@ None of these is on a production path: field residues and inverses, points
 and lines one tuple at a time, the whole table of lines with the q points
 of every row and line counts gathered through it, pointwise polynomial
 evaluation, symbolic restriction of a polynomial to a line (one line at a
-time, or to every line through the restriction tensor), graph
-neighbourhoods as sets or n-bit masks, brute-force subset scans, and the
-line-by-line graph parser.
+time, or to every line through the restriction tensor), Furedi orbits one
+member at a time, graph neighbourhoods as sets or n-bit masks,
+brute-force subset scans, and the line-by-line graph parser.
 """
 
 from __future__ import annotations
@@ -231,6 +231,13 @@ def evaluate_uni(g: UniPoly, s: int) -> int:
     for c in reversed(g.coeffs):
         acc = (acc * s + c) % g.q
     return acc
+
+
+def orbit_of(ctx: FieldCtx, subgroup, pair: tuple[int, int]) -> list[tuple[int, int]]:
+    """The Furedi orbit {(ha, hb) : h in subgroup} of pair, one member per h."""
+    q = ctx.q
+    a, b = pair
+    return [(h * a % q, h * b % q) for h in subgroup]
 
 
 def adjacency_sets(graph) -> list[set[int]]:

@@ -281,7 +281,8 @@ def test_no_command_enumerates_every_line(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
 def test_construct_incidence_q37_memory(tmp_path):
-    # the line counts are O(q^4) bytes: no (n_lines, q) table is built
+    # the line counts are O(q^4) bytes and the zero set O(q^3): no table of
+    # lines or of monomial values is built, which the t = 7 case checks
     probe = (
         "import sys\n"
         "from eil.cli import main\n"
@@ -291,11 +292,12 @@ def test_construct_incidence_q37_memory(tmp_path):
         "sys.exit(code)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eil.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c", probe, "construct", "incidence", "--q", "37", "--t", "3",
-         "--out", str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    peak_mb = int(proc.stderr.split()[-1]) / 1024  # VmHWM is in kB
-    assert peak_mb < 300, peak_mb
+    for q, t, bound_mb in [(37, 3, 300), (31, 7, 70)]:
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, "construct", "incidence", "--q", str(q),
+             "--t", str(t), "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        peak_mb = int(proc.stderr.split()[-1]) / 1024  # VmHWM is in kB
+        assert peak_mb < bound_mb, (q, t, peak_mb)

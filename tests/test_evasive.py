@@ -146,11 +146,11 @@ def test_restrict_all_lines_matches_scalar_path():
         assert tuple(bulk[i]) == restrict_to_line(ctx, f, row_line(5, i)).coeffs
 
 
-@pytest.mark.parametrize("q", [3, 5])
-def test_zero_set_matches_pointwise_oracle(q):
+@pytest.mark.parametrize("q,t", [(3, 3), (5, 3), (5, 5), (7, 4), (7, 7)])
+def test_zero_set_matches_pointwise_oracle(q, t):
     ctx = FieldCtx(q)
     for trial in range(5):
-        f = sample_poly(ctx, 3, CoefficientStream(50 + trial))
+        f = sample_poly(ctx, t, CoefficientStream(50 + trial))
         assert set(zero_set(ctx, f).indices()) == zero_set_oracle(ctx, f)
 
 

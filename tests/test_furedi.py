@@ -11,13 +11,17 @@ from eil.furedi import (
     build_furedi,
     classes_to_text,
     degree_profile,
-    orbit_of,
     verify_appendix,
 )
 from eil.gf import FieldCtx
 from eil.report import validate_report
 from eil.subgraph import BitGraph, count_biclique_general, is_ksm_free
-from oracles import adjacency_sets, common_neighbors, count_biclique_general_scan
+from oracles import (
+    adjacency_sets,
+    common_neighbors,
+    count_biclique_general_scan,
+    orbit_of,
+)
 
 
 def test_vertex_counts_frozen():
@@ -35,17 +39,19 @@ def test_build_validation():
         build_furedi(8, 7)  # q not prime
 
 
-def test_orbits_partition_the_punctured_plane():
-    g = build_furedi(7, 3)
-    ctx = FieldCtx(7)
+@pytest.mark.parametrize("q,t", [(5, 2), (7, 3), (13, 4), (31, 3)])
+def test_orbits_partition_the_punctured_plane(q, t):
+    g = build_furedi(q, t)
+    ctx = FieldCtx(q)
+    assert list(g.classes) == sorted(g.classes)
     seen = set()
     for rep in g.classes:
         orbit = orbit_of(ctx, g.subgroup, rep)
-        assert len(set(orbit)) == 3
+        assert len(set(orbit)) == t
         assert min(orbit) == rep
         assert not (set(orbit) & seen)
         seen |= set(orbit)
-    assert len(seen) == 48
+    assert len(seen) == q * q - 1
     assert (0, 0) not in seen
 
 
