@@ -114,14 +114,28 @@ def test_verify_truncated_file_is_parse_error(tmp_path, capsys):
     assert main(["verify", str(missing), "--s", "2", "--m", "3"]) == 3
 
 
-def test_montecarlo_requires_100_trials(capsys):
-    assert main(["montecarlo", "--q", "7", "--t", "3", "--trials", "10"]) == 1
-    assert "trials must be >= 100" in capsys.readouterr().err
-
-
-def test_sweep_requires_two_qs(capsys):
-    assert main(["sweep", "--q", "7", "--t", "3", "--trials", "100"]) == 1
-    assert "at least 2 distinct q" in capsys.readouterr().err
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "incidence", "--q", "7", "--t", "2"], "t must be >= 3, got 2"),
+    (["construct", "incidence", "--q", "5", "--t", "7"], "t = 7 exceeds q = 5"),
+    (["montecarlo", "--q", "5", "--t", "7"], "t = 7 exceeds q = 5"),
+    (["sweep", "--q", "5,7", "--t", "6"], "t = 6 exceeds q = 5"),
+    (["construct", "incidence", "--q", "7", "--t", "3", "--seed", "-1"],
+     "seed must be nonnegative, got -1"),
+    (["montecarlo", "--q", "5", "--t", "3", "--workers", "0"], "workers must be >= 1, got 0"),
+    (["sweep", "--q", "7,x", "--t", "3"], "bad q list '7,x'"),
+    (["sweep", "--q", "7,7", "--t", "3"], "sweep needs at least 2 distinct q values"),
+    (["sweep", "--q", "7", "--t", "3", "--trials", "100"], "sweep needs at least 2 distinct q values"),
+    (["montecarlo", "--q", "7", "--t", "3", "--trials", "10"], "trials must be >= 100, got 10"),
+    (["construct", "furedi", "--q", "7", "--t", "4"], "t = 4 does not divide q - 1 = 6"),
+], ids=[
+    "t-below-3", "t-above-q-incidence", "t-above-q-montecarlo", "t-above-q-sweep",
+    "negative-seed", "zero-workers", "bad-q-list", "repeated-q", "single-q",
+    "trials-below-100", "furedi-t-not-dividing",
+])
+def test_bad_parameters_exit_1(argv, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("EIL_WORKERS", raising=False)
+    assert main(argv + ["--out", str(tmp_path / "d")]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_bad_flags_exit_1(tmp_path, capsys):
