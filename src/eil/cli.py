@@ -1,5 +1,10 @@
 """Command-line front end: construct, verify, montecarlo, sweep.
 
+construct, montecarlo and sweep share one path: _check rejects bad
+parameters, the command returns (report, {path: text}, stdout lines), and
+main creates --out, writes each file with _write and prints it, the lines
+and the checks. A rejected run creates nothing. verify prints its report.
+
 Exit codes: 0 success, 1 parameter/validation error, 2 an acceptance-style
 check failed, 3 I/O or parse error. Outputs are byte-identical across
 reruns of the same configuration regardless of worker count: every trial
@@ -15,7 +20,6 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,40 +39,10 @@ from .geom3 import line_points
 from .geom3 import line_table  # noqa: F401  (perfbench/spans.py traces this name)
 from .gf import FieldCtx
 from .incidence import build_incidence, count_ktt_via_lines, verify_construction
-from .report import StatsReport, write_report
+from .report import StatsReport
 from .subgraph import graph_to_text, is_ksm_free, read_graph
 
 WORKERS_ENV = "EIL_WORKERS"
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    q_values: list[int]
-    t: int
-    seed: int
-    out_dir: Path
-    fmt: str
-    trials: int = 0  # montecarlo and sweep only
-    workers: int = 1
-
-    def __post_init__(self) -> None:
-        for q in self.q_values:
-            FieldCtx(q)
-        if self.subcommand in ("incidence", "montecarlo", "sweep"):
-            if self.t < 3:
-                raise ParameterError(f"t must be >= 3, got {self.t}")
-            for q in self.q_values:
-                if self.t > q:
-                    raise ParameterError(f"t = {self.t} exceeds q = {q}")
-        if self.subcommand in ("montecarlo", "sweep") and self.trials < 100:
-            raise ParameterError(f"trials must be >= 100, got {self.trials}")
-        if self.subcommand == "sweep" and len(set(self.q_values)) < 2:
-            raise ParameterError("sweep needs at least 2 distinct q values")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be nonnegative, got {self.seed}")
-        if self.workers < 1:
-            raise ParameterError(f"workers must be >= 1, got {self.workers}")
 
 
 def _run_indexed(fn, argslist, workers: int) -> list:
@@ -249,15 +223,13 @@ def run_sweep(qs: list[int], t: int, seed: int, trials: int, workers: int = 1) -
     )
 
 
-def cmd_construct(cfg: RunConfig) -> int:
-    q, t = cfg.q_values[0], cfg.t
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    ext = cfg.fmt
-    if cfg.subcommand == "incidence":
-        c = build_incidence(q, t, cfg.seed)
+def cmd_construct(args) -> tuple[StatsReport, dict, list[str]]:
+    q, t, ext = args.q, args.t, args.format
+    if args.kind == "incidence":
+        c = build_incidence(q, t, args.seed)
         report = verify_construction(c)
-        base = cfg.out_dir / f"incidence-q{q}-t{t}-seed{cfg.seed}"
-        outputs = {
+        base = Path(args.out) / f"incidence-q{q}-t{t}-seed{args.seed}"
+        files = {
             f"{base}.graph.txt": graph_to_text(c.graph),
             f"{base}.x.txt": c.x_set.to_text(),
             f"{base}.y.txt": c.y_set.to_text(),
@@ -266,75 +238,66 @@ def cmd_construct(cfg: RunConfig) -> int:
     else:
         g = build_furedi(q, t)
         report = verify_appendix(g)
-        base = cfg.out_dir / f"furedi-q{q}-t{t}"
-        outputs = {
+        base = Path(args.out) / f"furedi-q{q}-t{t}"
+        files = {
             f"{base}.graph.txt": graph_to_text(g.graph),
             f"{base}.classes.txt": classes_to_text(g),
             f"{base}.report.{ext}": report.render(ext),
         }
-    for path, text in outputs.items():
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        print(f"wrote {path}")
-    _print_checks(report)
-    return 0 if report.all_passed() else 2
+    return report, files, []
 
 
-def cmd_verify(path: str, s: int, m: int, force: bool, out: str | None, fmt: str) -> int:
-    graph = read_graph(path)
-    result = is_ksm_free(graph, s, m, force=force)
+def cmd_montecarlo(args) -> tuple[StatsReport, dict, list[str]]:
+    report = run_montecarlo(args.q, args.t, args.seed, args.trials, args.workers)
+    path = Path(args.out) / (
+        f"montecarlo-q{args.q}-t{args.t}-seed{args.seed}-trials{args.trials}"
+        f".report.{args.format}"
+    )
+    lines = [f"{key} = {value}" for key, value in report.aggregates.items()]
+    return report, {path: report.render(args.format)}, lines
+
+
+def cmd_sweep(args) -> tuple[StatsReport, dict, list[str]]:
+    report = run_sweep(args.q, args.t, args.seed, args.trials, args.workers)
+    qtag = "-".join(map(str, report.params["q_values"]))
+    path = Path(args.out) / (
+        f"sweep-q{qtag}-t{args.t}-seed{args.seed}-trials{args.trials}.report.{args.format}"
+    )
+    lines = [
+        f"q={row['q']} mean_count={row['mean_count']:.3f} "
+        f"count/q^4={row['count_over_q4']:.5f} all_free={row['all_free']}"
+        for row in report.aggregates["per_q"]
+    ]
+    lines.append(f"log_log_slope = {report.aggregates['log_log_slope']}")
+    return report, {path: report.render(args.format)}, lines
+
+
+def cmd_verify(args) -> int:
+    """Prints the report JSON and writes --out if given; no other output."""
+    graph = read_graph(args.path)
+    result = is_ksm_free(graph, args.s, args.m, force=args.force)
     witness = list(map(list, result.witness)) if result.witness else None
     report = StatsReport(
         kind="verify",
-        params={"path": str(path), "s": s, "m": m},
+        params={"path": str(args.path), "s": args.s, "m": args.m},
         trials=[{"trial": 0, "n": graph.n, "edge_count": graph.edge_count(),
                  "free": result.free, "witness": witness}],
         aggregates={"free": result.free},
-        checks=[{"name": f"k_{s}_{m}_free", "passed": result.free, "witness": witness}],
+        checks=[{"name": f"k_{args.s}_{args.m}_free", "passed": result.free,
+                 "witness": witness}],
     )
     sys.stdout.write(report.to_json())
-    if out:
-        write_report(report, out, fmt)
+    if args.out:
+        _write(args.out, report.render(args.format))
     return 0 if result.free else 2
 
 
-def _print_checks(report: StatsReport) -> None:
-    for chk in report.checks:
-        print(f"[{'PASS' if chk['passed'] else 'FAIL'}] {chk['name']}")
+COMMANDS = {"construct": cmd_construct, "montecarlo": cmd_montecarlo, "sweep": cmd_sweep}
 
 
-def cmd_montecarlo(cfg: RunConfig) -> int:
-    q = cfg.q_values[0]
-    report = run_montecarlo(q, cfg.t, cfg.seed, cfg.trials, cfg.workers)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    path = cfg.out_dir / (
-        f"montecarlo-q{q}-t{cfg.t}-seed{cfg.seed}-trials{cfg.trials}.report.{cfg.fmt}"
-    )
-    write_report(report, path, cfg.fmt)
-    print(f"wrote {path}")
-    for key, value in report.aggregates.items():
-        print(f"{key} = {value}")
-    _print_checks(report)
-    return 0 if report.all_passed() else 2
-
-
-def cmd_sweep(cfg: RunConfig) -> int:
-    report = run_sweep(cfg.q_values, cfg.t, cfg.seed, cfg.trials, cfg.workers)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    qtag = "-".join(str(q) for q in sorted(set(cfg.q_values)))
-    path = cfg.out_dir / (
-        f"sweep-q{qtag}-t{cfg.t}-seed{cfg.seed}-trials{cfg.trials}.report.{cfg.fmt}"
-    )
-    write_report(report, path, cfg.fmt)
-    print(f"wrote {path}")
-    for row in report.aggregates["per_q"]:
-        print(
-            f"q={row['q']} mean_count={row['mean_count']:.3f} "
-            f"count/q^4={row['count_over_q4']:.5f} all_free={row['all_free']}"
-        )
-    print(f"log_log_slope = {report.aggregates['log_log_slope']}")
-    _print_checks(report)
-    return 0 if report.all_passed() else 2
+def _write(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -344,9 +307,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=True):
         p.add_argument("--t", type=int, required=True)
-        p.add_argument("--seed", type=int, default=1)
+        if seed:
+            p.add_argument("--seed", type=int, default=1)
         p.add_argument("--out", default=".")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -355,9 +319,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=None)
 
     p_construct = sub.add_parser("construct", help="build a graph and verify it")
-    p_construct.add_argument("kind", choices=("incidence", "furedi"))
-    p_construct.add_argument("--q", type=int, required=True)
-    common(p_construct)
+    kinds = p_construct.add_subparsers(dest="kind", required=True)
+    p_incidence = kinds.add_parser("incidence", help="incidence graph of two evasive sets")
+    p_incidence.add_argument("--q", type=int, required=True)
+    common(p_incidence)
+    p_furedi = kinds.add_parser("furedi", help="Furedi's orbit graph (no randomness)")
+    p_furedi.add_argument("--q", type=int, required=True)
+    common(p_furedi, seed=False)
 
     p_verify = sub.add_parser("verify", help="K_{s,m}-freeness of a graph file")
     p_verify.add_argument("path")
@@ -379,16 +347,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _workers_from(args) -> int:
-    if args.workers is not None:
-        return args.workers
-    env = os.environ.get(WORKERS_ENV)
-    if env is not None:
+def _check(args) -> None:
+    """Reject the parameters of construct, montecarlo or sweep before any work.
+
+    Parses the sweep's q list into args.q and reads args.workers from
+    EIL_WORKERS when not given (default 1). An option a command does not
+    take is absent from args and not checked.
+    """
+    if args.command == "sweep":
         try:
-            return int(env)
+            args.q = [int(v) for v in args.q.split(",") if v != ""]
+        except ValueError as exc:
+            raise ParameterError(f"bad q list {args.q!r}") from exc
+    if "workers" in args and args.workers is None:
+        env = os.environ.get(WORKERS_ENV, "1")
+        try:
+            args.workers = int(env)
         except ValueError as exc:
             raise ParameterError(f"{WORKERS_ENV} must be an integer, got {env!r}") from exc
-    return 1
+    qs = args.q if args.command == "sweep" else [args.q]
+    for q in qs:
+        FieldCtx(q)
+    if getattr(args, "kind", None) != "furedi":
+        if args.t < 3:
+            raise ParameterError(f"t must be >= 3, got {args.t}")
+        for q in qs:
+            if args.t > q:
+                raise ParameterError(f"t = {args.t} exceeds q = {q}")
+    if "trials" in args and args.trials < 100:
+        raise ParameterError(f"trials must be >= 100, got {args.trials}")
+    if args.command == "sweep" and len(set(qs)) < 2:
+        raise ParameterError("sweep needs at least 2 distinct q values")
+    if "seed" in args and args.seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {args.seed}")
+    if "workers" in args and args.workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {args.workers}")
 
 
 def main(argv=None) -> int:
@@ -400,32 +393,19 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         if args.command == "verify":
-            code = cmd_verify(args.path, args.s, args.m, args.force, args.out, args.format)
+            code = cmd_verify(args)
         else:
-            if args.command == "sweep":
-                try:
-                    q_values = [int(v) for v in str(args.q).split(",") if v != ""]
-                except ValueError as exc:
-                    raise ParameterError(f"bad q list {args.q!r}") from exc
-            else:
-                q_values = [args.q]
-            trial_opts = {} if args.command == "construct" else {
-                "trials": args.trials, "workers": _workers_from(args)}
-            cfg = RunConfig(
-                subcommand=args.command if args.command != "construct" else args.kind,
-                q_values=q_values,
-                t=args.t,
-                seed=args.seed,
-                out_dir=Path(args.out),
-                fmt=args.format,
-                **trial_opts,
-            )
-            if args.command == "construct":
-                code = cmd_construct(cfg)
-            elif args.command == "montecarlo":
-                code = cmd_montecarlo(cfg)
-            else:
-                code = cmd_sweep(cfg)
+            _check(args)
+            report, files, lines = COMMANDS[args.command](args)
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+            for path, text in files.items():
+                _write(path, text)
+                print(f"wrote {path}")
+            for line in lines:
+                print(line)
+            for chk in report.checks:
+                print(f"[{'PASS' if chk['passed'] else 'FAIL'}] {chk['name']}")
+            code = 0 if report.all_passed() else 2
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

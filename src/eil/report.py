@@ -107,7 +107,3 @@ def validate_report(doc: dict) -> None:
         if not isinstance(chk["passed"], bool):
             raise ValueError(f"check {i} 'passed' must be boolean")
 
-
-def write_report(report: StatsReport, path, fmt: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report.render(fmt))

@@ -134,16 +134,20 @@ def test_verify_truncated_file_is_parse_error(tmp_path, capsys):
 ])
 def test_bad_parameters_exit_1(argv, message, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("EIL_WORKERS", raising=False)
-    assert main(argv + ["--out", str(tmp_path / "d")]) == 1
+    out = tmp_path / "d"
+    assert main(argv + ["--out", str(out)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()  # nothing is created before the parameters pass
 
 
 def test_bad_flags_exit_1(tmp_path, capsys):
     assert main(["construct", "incidence", "--q", "7"]) == 1  # missing --t
     assert main(["frobnicate"]) == 1
-    # construct reads neither --trials nor --workers, and only verify has --force
+    # construct reads neither --trials nor --workers, only verify has --force,
+    # and a Furedi graph has no randomness to seed
     for argv in (
         ["construct", "incidence", "--q", "7", "--t", "3", "--force"],
+        ["construct", "furedi", "--q", "7", "--t", "3", "--seed", "5"],
         ["construct", "furedi", "--q", "7", "--t", "3", "--trials", "100"],
         ["construct", "incidence", "--q", "7", "--t", "3", "--workers", "2"],
         ["montecarlo", "--q", "5", "--t", "3", "--force"],
