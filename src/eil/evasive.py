@@ -223,7 +223,9 @@ def zero_set(ctx: FieldCtx, f: TriPoly) -> PointSet:
     cube = np.zeros((t + 1,) * 3, dtype=np.int64)
     cube[tuple(zip(*monomials(t)))] = f.coeffs
     field = np.arange(q, dtype=np.int64)
-    powers = np.stack([_pow_mod(field, e, q) for e in range(t + 1)], axis=1)
+    powers = np.ones((q, t + 1), dtype=np.int64)
+    for e in range(1, t + 1):
+        powers[:, e] = powers[:, e - 1] * field % q
     # each matmul sums t+1 <= q+1 products of residues below q <= 2^20, so
     # every sum stays below 2^61 before it is reduced
     v = powers @ cube.reshape(t + 1, -1) % q
