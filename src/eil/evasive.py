@@ -82,9 +82,6 @@ class PointSet:
     def count(self) -> int:
         return int(self.member.sum())
 
-    def __len__(self) -> int:
-        return self.count
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointSet):
             return NotImplemented

@@ -58,16 +58,11 @@ def build_furedi(q: int, t: int) -> FurediGraph:
     return FurediGraph(q, t, subgroup, classes, graph)
 
 
-def degree_profile(g: FurediGraph) -> list[int]:
-    """Degrees of all class vertices, in vertex order."""
-    return np.diff(g.graph.offsets).tolist()
-
-
 def verify_appendix(g: FurediGraph) -> StatsReport:
     """Vertex count, degree range, K_{2,t+1}- and K_{3,t}-freeness, K_{t,t} count."""
     q, t = g.q, g.t
     n_expected = (q * q - 1) // t
-    degrees = degree_profile(g)
+    degrees = np.diff(g.graph.offsets).tolist()
     degrees_ok = all(d in (q - 1, q) for d in degrees)
     free_k2 = is_ksm_free(g.graph, 2, t + 1)
     free_k3t = is_ksm_free(g.graph, min(3, t), max(3, t))
