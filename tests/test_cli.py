@@ -12,6 +12,7 @@ from eil.cli import main, run_montecarlo, run_sweep
 from eil.report import validate_report
 from eil.subgraph import BitGraph
 from oracles import write_graph
+from test_benchmark_call_sites import load_spans
 
 
 def read_bytes(path):
@@ -295,6 +296,38 @@ def test_no_command_enumerates_every_line(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(eil.evasive, "restriction_tensor", refuse)
     assert outputs(tmp_path / "guarded") == expected
     capsys.readouterr()
+
+
+def test_every_traced_cli_name_is_reached(tmp_path, monkeypatch, capsys):
+    # perfbench/spans.py times a layer by patching its name on eil.cli, so a
+    # command that stops calling through that name reads 0 for the layer;
+    # line_table is traced but no command enumerates every line
+    names = {attr for owner, attr, *_ in load_spans().call_sites(eil) if owner is eil.cli}
+    reached = set()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            reached.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(eil.cli, name, counting(name, getattr(eil.cli, name)))
+    out = tmp_path / "out"
+    for argv in (
+        ["construct", "incidence", "--q", "7", "--t", "3", "--out", str(out)],
+        ["construct", "furedi", "--q", "7", "--t", "3", "--out", str(out)],
+        ["verify", str(out / "furedi-q7-t3.graph.txt"), "--s", "2", "--m", "4"],
+        # one worker: the wrapped trial functions cannot be pickled
+        ["montecarlo", "--q", "5", "--t", "3", "--trials", "100", "--workers", "1",
+         "--out", str(out)],
+        ["sweep", "--q", "5,7", "--t", "3", "--trials", "100", "--workers", "1",
+         "--out", str(out)],
+    ):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    missing = names - reached - {"line_table"}
+    assert not missing, sorted(missing)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
