@@ -32,8 +32,10 @@ import numpy as np
 
 Point3 = tuple[int, int, int]
 
-# Largest number of row indices that line_counts holds at once.
-_BLOCK = 1 << 22
+# Largest number of row indices that line_counts holds at once. At 2^20
+# (8 MB of int64) the pivot-0 blocks stay below the peak that the rest of
+# a cold construct reaches; at 2^22 they were that peak from q = 37 on.
+_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)

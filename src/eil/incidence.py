@@ -38,6 +38,9 @@ SEED_Y_SALT = 0x9E3779B97F4A7C15
 
 # Rows that count_ktt_via_lines dualises at once.
 _DUAL_CHUNK = 1 << 16
+# Entries of the point-plane product that build_incidence holds at once:
+# 8 MB of int64, where the whole |X| x |Y| product is 107 MB at q = 61.
+_PRODUCT_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,20 @@ def _coords_of(indices: np.ndarray, q: int) -> np.ndarray:
     return np.stack([indices // (q * q), (indices // q) % q, indices % q], axis=1)
 
 
+def _row_slices(rows: int, cols: int):
+    """Consecutive row slices of a (rows, cols) matrix, about _PRODUCT_BLOCK entries each."""
+    step = max(1, _PRODUCT_BLOCK // max(1, cols))
+    for lo in range(0, rows, step):
+        yield slice(lo, lo + step)
+
+
+def _incidence_blocks(xc: np.ndarray, yc: np.ndarray, q: int):
+    """Row blocks of the boolean matrix x.y == 1 (mod q), x a row of xc and y of yc."""
+    for rows in _row_slices(len(xc), len(yc)):
+        dots = xc[rows] @ yc.T
+        yield np.remainder(dots, q, out=dots) == 1
+
+
 def build_incidence(
     q: int, t: int, seed_x: int, seed_y: int | None = None
 ) -> IncidenceConstruction:
@@ -81,11 +98,8 @@ def build_incidence(
         vanishing.append(tuple(gone.tolist()))
     x_set, y_set = sets
     assert x_set.count <= t * q * q and y_set.count <= t * q * q
-    xi = x_set.indices()
-    yi = y_set.indices()
-    dots = _coords_of(xi, q) @ _coords_of(yi, q).T
-    adj = np.remainder(dots, q, out=dots) == 1  # in place: |X| x |Y| int64
-    graph = BitGraph.from_biadjacency(adj)
+    xc, yc = _coords_of(x_set.indices(), q), _coords_of(y_set.indices(), q)
+    graph = BitGraph.from_biadjacency(_incidence_blocks(xc, yc, q), (len(xc), len(yc)))
     return IncidenceConstruction(
         q, t, seed_x, seed_y, x_set, y_set, vanishing[0], vanishing[1], graph
     )

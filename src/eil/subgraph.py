@@ -64,11 +64,16 @@ class BitGraph:
         np.cumsum(np.bincount(src, minlength=n), out=self.offsets[1:])
 
     @classmethod
-    def from_biadjacency(cls, adj: np.ndarray) -> "BitGraph":
-        """Bipartite graph from an (L, R) boolean matrix."""
-        left, right = adj.shape
-        u, v = np.nonzero(adj)
-        return cls(left + right, np.column_stack((u, v + left)), (left, right))
+    def from_biadjacency(cls, blocks, shape: tuple[int, int]) -> "BitGraph":
+        """Bipartite graph from the row blocks, top to bottom, of an (L, R) boolean matrix."""
+        left, right = shape
+        parts = [np.empty((0, 2), dtype=np.int64)]
+        row = 0
+        for block in blocks:
+            u, v = np.nonzero(block)
+            parts.append(np.column_stack((u + row, v + left)))
+            row += len(block)
+        return cls(left + right, np.concatenate(parts), (left, right))
 
     def degree(self, v: int) -> int:
         return int(self.offsets[v + 1] - self.offsets[v])
@@ -76,11 +81,16 @@ class BitGraph:
     def edge_count(self) -> int:
         return self.nbr.size // 2
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Every edge once as (u, v) with u < v, in increasing order."""
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(u, v): every edge once with u < v, in increasing order, as two arrays."""
         src = np.repeat(np.arange(self.n), np.diff(self.offsets))
         up = src < self.nbr
-        return list(zip(src[up].tolist(), self.nbr[up].tolist()))
+        return src[up], self.nbr[up]
+
+    def edges(self) -> list[tuple[int, int]]:
+        """Every edge once as (u, v) with u < v, in increasing order."""
+        u, v = self.edge_arrays()
+        return list(zip(u.tolist(), v.tolist()))
 
     def left_vertices(self) -> range:
         if self.sides is None:
@@ -263,13 +273,36 @@ def count_biclique_general(graph: BitGraph, a: int, b: int) -> int:
 
 
 def graph_to_text(graph: BitGraph) -> str:
+    """The graph file, its edge lines written as ASCII digits into one byte buffer."""
     if graph.sides is not None:
-        head = f"bipartite {graph.sides[0]} {graph.sides[1]}"
+        head = f"bipartite {graph.sides[0]} {graph.sides[1]}\n"
     else:
-        head = f"general {graph.n}"
-    lines = [head]
-    lines.extend(f"{u} {v}" for u, v in graph.edges())
-    return "\n".join(lines) + "\n"
+        head = f"general {graph.n}\n"
+    u, v = graph.edge_arrays()
+    # decimal digits of each number, counted by where it falls among 10, 100, ...
+    tens = 10 ** np.arange(1, 19, dtype=np.int64)
+    du = np.searchsorted(tens, u, side="right") + 1
+    dv = np.searchsorted(tens, v, side="right") + 1
+    ends = np.cumsum(du + dv + 2)  # one past each line's "\n"
+    buf = np.empty(int(ends[-1]) if ends.size else 0, dtype=np.uint8)
+    buf[ends - 1] = ord("\n")
+    buf[ends - dv - 2] = ord(" ")
+    _put_digits(buf, ends - dv - 3, u, du)
+    _put_digits(buf, ends - 2, v, dv)
+    return head + buf.tobytes().decode("ascii")
+
+
+def _put_digits(buf: np.ndarray, last: np.ndarray, x: np.ndarray, digits: np.ndarray) -> None:
+    """Write each x[i], of digits[i] decimal digits, into buf ending at position last[i].
+
+    One digit column at a time, least significant first, so every
+    temporary is one entry per number.
+    """
+    rest = x.copy()
+    for k in range(int(digits.max()) if digits.size else 0):
+        live = digits > k
+        buf[last[live] - k] = rest[live] % 10 + ord("0")
+        rest //= 10
 
 
 def graph_from_text(text: str) -> BitGraph:

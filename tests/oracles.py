@@ -6,7 +6,8 @@ of every row and line counts gathered through it, pointwise polynomial
 evaluation, symbolic restriction of a polynomial to a line (one line at a
 time, or to every line through the restriction tensor), Furedi orbits one
 member at a time, graph neighbourhoods as sets or n-bit masks,
-brute-force subset scans, and the line-by-line graph parser.
+brute-force subset scans, the line-by-line graph parser and the
+per-edge graph writer.
 """
 
 from __future__ import annotations
@@ -326,6 +327,17 @@ def count_biclique_general_scan(graph, a: int, b: int) -> int:
     total = sum(math.comb(mask.bit_count(), b)
                 for _, mask in _common_masks(rows, range(graph.n), a))
     return total // 2 if a == b else total
+
+
+def graph_text_oracle(graph) -> str:
+    """The graph file with one f-string per edge, as graph_to_text must write it."""
+    if graph.sides is not None:
+        head = f"bipartite {graph.sides[0]} {graph.sides[1]}"
+    else:
+        head = f"general {graph.n}"
+    lines = [head]
+    lines.extend(f"{u} {v}" for u, v in graph.edges())
+    return "\n".join(lines) + "\n"
 
 
 def write_graph(graph, path) -> None:

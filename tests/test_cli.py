@@ -333,7 +333,8 @@ def test_every_traced_cli_name_is_reached(tmp_path, monkeypatch, capsys):
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
 def test_construct_incidence_q37_memory(tmp_path):
     # the line counts are O(q^4) bytes and the zero set O(q^3): no table of
-    # lines or of monomial values is built, which the t = 7 case checks
+    # lines or of monomial values is built, which the t = 7 case checks; the
+    # |X| x |Y| point-plane product is built in row blocks, which q = 61 checks
     probe = (
         "import sys\n"
         "from eil.cli import main\n"
@@ -343,7 +344,7 @@ def test_construct_incidence_q37_memory(tmp_path):
         "sys.exit(code)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eil.__file__)))
-    for q, t, bound_mb in [(37, 3, 300), (31, 7, 70)]:
+    for q, t, bound_mb in [(37, 3, 300), (31, 7, 70), (61, 3, 160)]:
         proc = subprocess.run(
             [sys.executable, "-c", probe, "construct", "incidence", "--q", str(q),
              "--t", str(t), "--out", str(tmp_path)],
@@ -352,3 +353,13 @@ def test_construct_incidence_q37_memory(tmp_path):
         assert proc.returncode == 0, proc.stderr
         peak_mb = int(proc.stderr.split()[-1]) / 1024  # VmHWM is in kB
         assert peak_mb < bound_mb, (q, t, peak_mb)
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # only a run with more than one worker imports concurrent.futures
+    probe = "import sys, eil.cli; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eil.__file__)))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -8,10 +8,11 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eil
+import eil.incidence as incidence
 import eil.subgraph as sg
 from eil.cli import main
 from eil.errors import GraphFormatError, ParameterError
@@ -29,6 +30,7 @@ from oracles import (
     common_neighbors,
     count_biclique,
     count_biclique_general_scan,
+    graph_text_oracle,
     parse_graph_loop,
     subset_scan,
     write_graph,
@@ -355,6 +357,44 @@ def test_graph_text_roundtrip_general(tmp_path):
     assert graph_from_text(text) == g
 
 
+def boundary_graph(n, left, keep=None):
+    """Graph on the ids 9/10, 99/100, ... (and n - 1) below n, general if left is None.
+
+    keep selects edges by position among the allowed pairs; None keeps them all.
+    """
+    ids = sorted({x for p in (1, 10, 100, 1000, 10**4, 10**5, 10**6)
+                  for x in (p - 1, p) if x < n} | ({n - 1} if n else set()))
+    if left is None:
+        pairs = list(combinations(ids, 2))
+    else:
+        pairs = [(u, v) for u in ids for v in ids if u < left <= v]
+    edges = [e for i, e in enumerate(pairs) if keep is None or i in keep]
+    return BitGraph(n, edges, None if left is None else (left, n - left))
+
+
+@st.composite
+def boundary_graphs(draw):
+    n = draw(st.sampled_from([0, 1, 2, 11, 101, 1001, 10**4 + 1, 10**6]))
+    left = draw(st.one_of(st.none(), st.sampled_from([0, 1, 10, 100, 10**4, n // 2, n])
+                          .filter(lambda x: x <= n)))
+    keep = draw(st.sets(st.integers(0, 90)))
+    return boundary_graph(n, left, keep)
+
+
+# every pair of boundary ids at once, so each digit count meets each other one
+@example(boundary_graph(10**6, None))
+@example(boundary_graph(10**6, 100))
+@example(boundary_graph(1001, 10))
+@example(boundary_graph(1, None))
+@example(boundary_graph(0, 0))
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_graphs(), boundary_graphs()))
+def test_graph_text_matches_the_per_edge_writer(g):
+    text = graph_to_text(g)
+    assert text == graph_text_oracle(g)
+    assert graph_from_text(text) == g
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [
@@ -418,6 +458,20 @@ def test_edges_listing():
     g = complete_bipartite(2, 2)
     assert g.edges() == [(0, 2), (0, 3), (1, 2), (1, 3)]
     assert g.degree(0) == 2
+
+
+@pytest.mark.parametrize("block", [1, 3, incidence._PRODUCT_BLOCK])
+def test_streamed_biadjacency_matches_argwhere(block, monkeypatch):
+    built = build_incidence(7, 3, 42).graph
+    monkeypatch.setattr(incidence, "_PRODUCT_BLOCK", block)
+    rng = np.random.default_rng(block)
+    # 7 rows of 1 column: blocks of 3 rows leave a last block of 1
+    for left, right in [(7, 1), (7, 5), (10, 3), (0, 4), (4, 0), (0, 0), (1, 1)]:
+        adj = rng.random((left, right)) < 0.4
+        blocks = (adj[rows] for rows in incidence._row_slices(left, right))
+        expected = BitGraph(left + right, np.argwhere(adj) + [0, left], (left, right))
+        assert BitGraph.from_biadjacency(blocks, (left, right)) == expected
+    assert build_incidence(7, 3, 42).graph == built
 
 
 @settings(max_examples=200, deadline=None)
