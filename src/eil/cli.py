@@ -45,8 +45,9 @@ WORKERS_ENV = "EIL_WORKERS"
 
 
 def _run_indexed(fn, argslist, workers: int) -> list:
-    """Map fn over argslist, trial order preserved regardless of workers."""
-    if workers <= 1 or len(argslist) <= 1:
+    """Map fn over argslist in order, with at most one process per item and per CPU."""
+    workers = min(workers, len(argslist), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(a) for a in argslist]
     # imported here: the process pool costs every run about 15 ms and 1.5 MB
     from concurrent.futures import ProcessPoolExecutor

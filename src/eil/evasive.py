@@ -180,9 +180,10 @@ def restriction_tensor(q: int, t: int) -> np.ndarray:
     """(n_lines, t+1, n_monomials) linear maps: coeffs -> per-line restriction.
 
     Row l gives the matrix taking a TriPoly coefficient vector to the
-    coefficients of its symbolic restriction to the line of row l (see
-    geom3.line_index). No command builds it: it backs the symbolic oracle
-    in the tests, and the benchmark's traced run times it under this name.
+    coefficients of its symbolic restriction to the line of row l (rows as
+    laid out in the geom3 module docstring). No command builds it: it backs
+    the symbolic oracle in the tests, and the benchmark's traced run times
+    it under this name.
     """
     base, dirv = line_table(q)
     n = len(base)
@@ -242,7 +243,7 @@ def prune_bad_lines(
     has at most t roots, and a zero one vanishes at all q > t points of the
     line. For t = q no line carries more than q points, so nothing is pruned
     and X = X0, although f may still restrict to the zero polynomial on a
-    line. Returns the pruned set and the rows (geom3.line_index) of the
+    line. Returns the pruned set and the rows (the geom3 layout) of the
     cleared lines. The points of those few rows come from geom3.line_at;
     the pruned set carries X0's line counts minus those of the removed
     points, so its counts are never projected from scratch.
@@ -259,7 +260,7 @@ def prune_bad_lines(
 
 
 def line_intersection_counts(x: PointSet) -> np.ndarray:
-    """|X intersect l| for every line, indexed by row (geom3.line_index).
+    """|X intersect l| for every line, indexed by row (the geom3 layout).
 
     Projected once per set by geom3.line_counts and kept on the set
     (read-only, since a pruned set that lost no point shares X0's array).

@@ -12,12 +12,12 @@ non-pivot base coordinates in increasing position order, the row is
 
     offset[p] + tail*q^2 + v0*q + v1,   offset = (0, q^4, q^4 + q^3).
 
-line_index maps (base, dir) to rows and line_at maps rows back. Both
-offsets and tail*q^2 are multiples of q^2, so a row is a line through the
-origin exactly when it is 0 mod q^2. No table of lines is kept: the line
-through a point x with direction d has base x - x_p*d, so line_counts gets
-|X intersect l| for every row by bincounting the rows of the q^2 + q + 1
-lines through each point of X, in O(|X| q^2) time.
+line_at maps rows back to (base, dir). Both offsets and tail*q^2 are
+multiples of q^2, so a row is a line through the origin exactly when it
+is 0 mod q^2. No table of lines is kept: the line through a point x with
+direction d has base x - x_p*d, so line_counts gets |X intersect l| for
+every row by bincounting the rows of the q^2 + q + 1 lines through each
+point of X, in O(|X| q^2) time.
 
 The dual of an off-origin line base + F_q*dir is the line
 {z : base.z = 1, dir.z = 0}; its direction is base x dir and its base
@@ -48,24 +48,6 @@ def n_lines(q: int) -> int:
     return q * q * (q * q + q + 1)
 
 
-def line_index(q: int, base: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    """Row of each canonical line (base, direction), vectorised over rows.
-
-    With pivot p the first nonzero coordinate of direction, the row is
-    offset[p] + tail*q^2 + v0*q + v1: tail is the number whose base-q digits
-    are direction[p+1:], and v0, v1 are the two non-pivot base coordinates
-    in increasing position order.
-    """
-    b = np.asarray(base, dtype=np.int64)
-    d = np.asarray(direction, dtype=np.int64)
-    p = np.argmax(d != 0, axis=-1)
-    tail = np.where(p == 0, d[..., 1] * q + d[..., 2], np.where(p == 1, d[..., 2], 0))
-    v0 = np.where(p == 0, b[..., 1], b[..., 0])
-    v1 = np.where(p == 2, b[..., 1], b[..., 2])
-    offset = np.array([0, q**4, q**4 + q**3], dtype=np.int64)
-    return offset[p] + (tail * q + v0) * q + v1
-
-
 def _columns(q: int, rows) -> tuple[np.ndarray, ...]:
     """(b0, b1, b2, d0, d1, d2): the canonical base and dir of each row, by column."""
     r = np.asarray(rows, dtype=np.int64)
@@ -80,7 +62,7 @@ def _columns(q: int, rows) -> tuple[np.ndarray, ...]:
 
 
 def line_at(q: int, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical (base, dir) of each row, the inverse of line_index."""
+    """Canonical (base, dir) of each row in the layout above."""
     cols = _columns(q, rows)
     return np.stack(cols[:3], axis=-1), np.stack(cols[3:], axis=-1)
 
@@ -144,7 +126,7 @@ def dual_index(q: int, rows) -> np.ndarray:
     z_k = 0; for the other two coordinates i < j, Cramer's rule gives
     z_i = d_j / det and z_j = -d_i / det with det = b_i d_j - b_j d_i, which
     is w_k for k = 0, 2 and -w_k for k = 1. z_i and z_j are the v0, v1 of
-    the dual's row (see line_index).
+    the dual's row.
     """
     b0, b1, b2, d0, d1, d2 = _columns(q, rows)
     w0 = (b1 * d2 - b2 * d1) % q

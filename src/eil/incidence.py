@@ -51,8 +51,8 @@ class IncidenceConstruction:
     seed_y: int
     x_set: PointSet
     y_set: PointSet
-    vanishing_x: tuple[int, ...]  # rows (geom3.line_index) cleared by pruning
-    vanishing_y: tuple[int, ...]
+    vanishing_x: int  # lines cleared by pruning
+    vanishing_y: int
     graph: BitGraph
 
     @property
@@ -95,14 +95,12 @@ def build_incidence(
         f = sample_poly(ctx, t, CoefficientStream(seed))
         pruned, gone = prune_bad_lines(ctx, f, zero_set(ctx, f))
         sets.append(pruned)
-        vanishing.append(tuple(gone.tolist()))
+        vanishing.append(len(gone))
     x_set, y_set = sets
     assert x_set.count <= t * q * q and y_set.count <= t * q * q
     xc, yc = _coords_of(x_set.indices(), q), _coords_of(y_set.indices(), q)
     graph = BitGraph.from_biadjacency(_incidence_blocks(xc, yc, q), (len(xc), len(yc)))
-    return IncidenceConstruction(
-        q, t, seed_x, seed_y, x_set, y_set, vanishing[0], vanishing[1], graph
-    )
+    return IncidenceConstruction(q, t, seed_x, seed_y, x_set, y_set, *vanishing, graph)
 
 
 def count_ktt_via_lines(c: IncidenceConstruction) -> int:
@@ -132,8 +130,8 @@ def verify_construction(c: IncidenceConstruction) -> StatsReport:
         "n": n,
         "x_size": c.x_set.count,
         "y_size": c.y_set.count,
-        "vanishing_lines_x": len(c.vanishing_x),
-        "vanishing_lines_y": len(c.vanishing_y),
+        "vanishing_lines_x": c.vanishing_x,
+        "vanishing_lines_y": c.vanishing_y,
         "ktt_count": count,
         "k2_free": freeness.free,
         "freeness_witness": list(map(list, freeness.witness)) if freeness.witness else None,

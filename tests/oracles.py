@@ -1,13 +1,13 @@
 """Scalar reference implementations that the tests check the array code against.
 
 None of these is on a production path: field residues and inverses, points
-and lines one tuple at a time, the whole table of lines with the q points
-of every row and line counts gathered through it, pointwise polynomial
-evaluation, symbolic restriction of a polynomial to a line (one line at a
-time, or to every line through the restriction tensor), Furedi orbits one
-member at a time, graph neighbourhoods as sets or n-bit masks,
-brute-force subset scans, the line-by-line graph parser and the
-per-edge graph writer.
+and lines one tuple at a time, the row of a line, the whole table of lines
+with the q points of every row and line counts gathered through it,
+pointwise polynomial evaluation, symbolic restriction of a polynomial to a
+line (one line at a time, or to every line through the restriction
+tensor), Furedi orbits one member at a time, edge lists, graph
+neighbourhoods as sets or n-bit masks, brute-force subset scans, the
+line-by-line graph parser and the per-edge graph writer.
 """
 
 from __future__ import annotations
@@ -92,6 +92,24 @@ def points_on(ctx: FieldCtx, line: AffineLine) -> list[Point3]:
 def passes_origin(line: AffineLine) -> bool:
     """True iff (0,0,0) lies on the (canonical) line."""
     return line.base == ORIGIN
+
+
+def line_index(q: int, base, direction) -> np.ndarray:
+    """Row of each canonical line (base, direction), vectorised over rows.
+
+    With pivot p the first nonzero coordinate of direction, the row is
+    offset[p] + tail*q^2 + v0*q + v1: tail is the number whose base-q digits
+    are direction[p+1:], and v0, v1 are the two non-pivot base coordinates
+    in increasing position order. geom3.line_at is its inverse.
+    """
+    b = np.asarray(base, dtype=np.int64)
+    d = np.asarray(direction, dtype=np.int64)
+    p = np.argmax(d != 0, axis=-1)
+    tail = np.where(p == 0, d[..., 1] * q + d[..., 2], np.where(p == 1, d[..., 2], 0))
+    v0 = np.where(p == 0, b[..., 1], b[..., 0])
+    v1 = np.where(p == 2, b[..., 1], b[..., 2])
+    offset = np.array([0, q**4, q**4 + q**3], dtype=np.int64)
+    return offset[p] + (tail * q + v0) * q + v1
 
 
 def _pivot_block(q: int, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -241,10 +259,23 @@ def orbit_of(ctx: FieldCtx, subgroup, pair: tuple[int, int]) -> list[tuple[int, 
     return [(h * a % q, h * b % q) for h in subgroup]
 
 
+def edge_list(graph) -> list[tuple[int, int]]:
+    """Every edge once as (u, v) with u < v, in increasing order."""
+    u, v = graph.edge_arrays()
+    return list(zip(u.tolist(), v.tolist()))
+
+
+def sides_of(graph) -> list[range]:
+    """The two sides of a bipartite graph, else all of its vertices as one group."""
+    if graph.sides is None:
+        return [range(graph.n)]
+    return [range(graph.sides[0]), range(graph.sides[0], graph.n)]
+
+
 def adjacency_sets(graph) -> list[set[int]]:
-    """The neighbourhood of every vertex as a set, read from graph.edges()."""
+    """The neighbourhood of every vertex as a set, read from edge_list(graph)."""
     adj: list[set[int]] = [set() for _ in range(graph.n)]
-    for u, v in graph.edges():
+    for u, v in edge_list(graph):
         adj[u].add(v)
         adj[v].add(u)
     return adj
@@ -288,12 +319,8 @@ def subset_scan(graph, s: int, m: int):
     subset in combinations order with m common neighbours, and the m
     smallest of them.
     """
-    if graph.sides is not None:
-        groups = [graph.left_vertices(), graph.right_vertices()]
-    else:
-        groups = [range(graph.n)]
     rows = bitmask_rows(graph)
-    for group in groups:
+    for group in sides_of(graph):
         for subset, mask in _common_masks(rows, group, s):
             if mask.bit_count() >= m:
                 return False, (subset, _mask_to_vertices(mask)[:m])
@@ -336,7 +363,7 @@ def graph_text_oracle(graph) -> str:
     else:
         head = f"general {graph.n}"
     lines = [head]
-    lines.extend(f"{u} {v}" for u, v in graph.edges())
+    lines.extend(f"{u} {v}" for u, v in edge_list(graph))
     return "\n".join(lines) + "\n"
 
 

@@ -1,14 +1,18 @@
+import concurrent.futures
 import csv
+import importlib
+import inspect
 import io
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import eil
-from eil.cli import main, run_montecarlo, run_sweep
+from eil.cli import _run_indexed, main, run_montecarlo, run_sweep
 from eil.report import validate_report
 from eil.subgraph import BitGraph
 from oracles import write_graph
@@ -113,6 +117,13 @@ def test_verify_truncated_file_is_parse_error(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
     missing = tmp_path / "missing.graph.txt"
     assert main(["verify", str(missing), "--s", "2", "--m", "3"]) == 3
+
+
+def test_verify_file_that_is_not_utf8_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.graph.txt"
+    bad.write_bytes(b"general 3\n0 1\n\xff 2\n")
+    assert main(["verify", str(bad), "--s", "2", "--m", "2"]) == 3
+    assert capsys.readouterr().err.startswith("parse error: not UTF-8 text")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -227,6 +238,38 @@ def test_env_var_worker_default(tmp_path, monkeypatch):
                  "--trials", "100", "--out", str(tmp_path)]) == 1
 
 
+def test_worker_pool_is_capped_by_items_and_cpus(tmp_path, monkeypatch):
+    # a real pool forks all its workers up front, so only a fake one that
+    # records its size may be asked for a huge count
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    items = list(range(5))
+    assert _run_indexed(abs, items, 100_000) == items
+    assert _run_indexed(abs, items[:2], 100_000) == items[:2]
+    assert _run_indexed(abs, items, 2) == items
+    assert main(["montecarlo", "--q", "5", "--t", "3", "--seed", "9", "--trials", "100",
+                 "--workers", "100000", "--out", str(tmp_path)]) == 0
+    assert sizes == [3, 2, 2, 3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one process
+    assert _run_indexed(abs, items, 100_000) == items
+    assert len(sizes) == 4
+
+
 def test_csv_and_json_agree_field_by_field(tmp_path):
     report = run_montecarlo(5, 3, 4, 100)
     doc = report.to_json_dict()
@@ -328,6 +371,84 @@ def test_every_traced_cli_name_is_reached(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     missing = names - reached - {"line_table"}
     assert not missing, sorted(missing)
+
+
+# Functions of src/eil that no command reaches, each with why it stays there.
+UNREACHED = {
+    "geom3.line_table": "the benchmark traces it (ROADMAP item 1)",
+    "evasive.restriction_tensor": "the benchmark traces it (ROADMAP item 1)",
+    "evasive._pow_mod": "restriction_tensor's helper (ROADMAP item 1)",
+    "report.validate_report": "the benchmark's gate checks every report with it",
+    "subgraph.BitGraph.__eq__": "tests compare builds with ==",
+    "evasive.PointSet.__eq__": "tests compare builds with ==",
+    "subgraph.count_biclique_general": "only a Furedi graph that fails its K_{3,t} check",
+}
+
+
+def package_functions() -> dict:
+    """{module.qualname: code} of every function and method written in src/eil/*.py.
+
+    lru_cache functions are read through __wrapped__, and their caches are
+    cleared so that a call made before does not hide the body from a run.
+    The dunders that dataclass generates have no code in the module file
+    and are left out.
+    """
+    found = {}
+    for path in Path(eil.__file__).parent.glob("*.py"):
+        if path.stem == "__main__":
+            continue  # defines no function, and importing it runs the CLI
+        module = importlib.import_module(f"eil.{path.stem}")
+        members = list(vars(module).values())
+        members += [v for c in members if inspect.isclass(c) for v in vars(c).values()]
+        for obj in members:
+            if isinstance(obj, property):
+                obj = obj.fget
+            if isinstance(obj, (classmethod, staticmethod)):
+                obj = obj.__func__
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+                obj = obj.__wrapped__
+            if inspect.isfunction(obj) and obj.__code__.co_filename == module.__file__:
+                found[f"{path.stem}.{obj.__qualname__}"] = obj.__code__
+    return found
+
+
+def test_every_package_function_is_reached_by_a_command(tmp_path, capsys):
+    # code that no command calls belongs in tests/oracles.py or nowhere
+    out = tmp_path / "out"
+    furedi = str(out / "furedi-q13-t4.graph.txt")
+    runs = [
+        ["construct", "incidence", "--q", "7", "--t", "3", "--out", str(out)],
+        ["construct", "incidence", "--q", "7", "--t", "3", "--format", "csv", "--out", str(out)],
+        ["construct", "furedi", "--q", "13", "--t", "4", "--out", str(out)],
+        ["verify", furedi, "--s", "2", "--m", "5"],
+        ["verify", furedi, "--s", "3", "--m", "4"],
+        # q = t = 3: the reference line is often all zeros, so top_coefficient runs
+        ["montecarlo", "--q", "3", "--t", "3", "--seed", "7", "--trials", "300",
+         "--workers", "1", "--out", str(out)],
+        ["sweep", "--q", "5,7", "--t", "3", "--trials", "100", "--workers", "1",
+         "--out", str(out)],
+    ]
+    functions = package_functions()
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    outer = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        codes = [main(argv) for argv in runs]
+    finally:
+        sys.setprofile(outer)
+    capsys.readouterr()
+    assert codes == [0] * len(runs)
+    reached = {name for name, code in functions.items() if code in called}
+    assert not set(UNREACHED) - set(functions), "an allowlisted name no longer exists"
+    assert not set(UNREACHED) & reached, "an allowlisted name is now reached"
+    missing = sorted(set(functions) - reached - set(UNREACHED))
+    assert not missing, missing
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")

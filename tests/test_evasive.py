@@ -18,12 +18,13 @@ from eil.evasive import (
     top_coefficient,
     zero_set,
 )
-from eil.geom3 import AffineLine, line_at, line_index, n_lines
+from eil.geom3 import AffineLine, line_at, n_lines
 from eil.gf import FieldCtx
 from oracles import (
     UniPoly,
     evaluate,
     evaluate_uni,
+    line_index,
     line_table_oracle,
     point_index,
     points_on,

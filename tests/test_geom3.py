@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from eil.errors import ParameterError
-from eil.geom3 import AffineLine, dual_index, line_at, line_index, line_points, line_table
+from eil.geom3 import AffineLine, dual_index, line_at, line_points, line_table
 from eil.gf import FieldCtx
 from oracles import (
     canonical_line,
+    line_index,
     line_table_oracle,
     line_through,
     passes_origin,

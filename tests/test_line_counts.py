@@ -23,10 +23,10 @@ from eil.evasive import (
     sample_poly,
     zero_set,
 )
-from eil.geom3 import line_at, line_counts, line_index, n_lines
+from eil.geom3 import line_at, line_counts, n_lines
 from eil.gf import FieldCtx
 from eil.incidence import build_incidence, count_ktt_via_lines
-from oracles import gather_line_counts, ktt_count_by_table, line_table_oracle
+from oracles import gather_line_counts, ktt_count_by_table, line_index, line_table_oracle
 
 QS = [2, 3, 5, 7, 11, 13]
 

@@ -16,6 +16,7 @@ import eil.incidence as incidence
 import eil.subgraph as sg
 from eil.cli import main
 from eil.errors import GraphFormatError, ParameterError
+from eil.furedi import build_furedi
 from eil.incidence import build_incidence
 from eil.subgraph import (
     BitGraph,
@@ -30,8 +31,10 @@ from oracles import (
     common_neighbors,
     count_biclique,
     count_biclique_general_scan,
+    edge_list,
     graph_text_oracle,
     parse_graph_loop,
+    sides_of,
     subset_scan,
     write_graph,
 )
@@ -80,12 +83,8 @@ def pair_scan_oracle(graph, m):
     Returns (free, witness) with the witness of is_ksm_free: the first pair
     in combinations order with m common neighbors, and the m smallest of them.
     """
-    if graph.sides is not None:
-        groups = [graph.left_vertices(), graph.right_vertices()]
-    else:
-        groups = [range(graph.n)]
     adj = adjacency_sets(graph)
-    for group in groups:
+    for group in sides_of(graph):
         for u, v in combinations(group, 2):
             common = sorted(adj[u] & adj[v])
             if len(common) >= m:
@@ -110,22 +109,24 @@ def random_bipartite(left, right, p, seed):
     return BitGraph(left + right, edges, (left, right))
 
 
-MALFORMED = [
-    (3, [(0, 0)], None, "loop"),
-    (3, [(0, 1), (1, 0)], None, "duplicate"),
-    (3, [(0, 3)], None, "out of range"),
-    (4, [(0, 1)], (2, 2), "inside one side"),
-    (4, [(0, 2), (3, 2)], (2, 2), "inside one side"),
-]
+def random_biadjacency_graphs():
+    rng = np.random.default_rng(5)
+    for left, right in [(0, 0), (0, 6), (6, 0), (1, 1), (7, 5), (12, 9)]:
+        adj = rng.random((left, right)) < 0.4
+        yield BitGraph.from_biadjacency([adj[:3], adj[3:]], (left, right))
 
 
-def test_construction_validation():
-    for n, edges, sides, fragment in MALFORMED:
-        for given in (edges, np.array(edges, dtype=np.int64)):
-            with pytest.raises(ParameterError, match=fragment):
-                BitGraph(n, given, sides)
-    with pytest.raises(ParameterError, match="pairs"):
-        BitGraph(3, [(0, 1, 2)])
+def test_every_built_graph_passes_the_parser():
+    # the constructor trusts the builders, so each must make a graph that
+    # the one validator accepts unchanged
+    graphs = [
+        *(build_furedi(q, t).graph for q, t in [(5, 2), (7, 3), (13, 4), (31, 3)]),
+        *(build_incidence(q, t, seed).graph
+          for q, t, seed in [(7, 3, 42), (11, 4, 7), (13, 3, 1)]),
+        *random_biadjacency_graphs(),
+    ]
+    for g in graphs:
+        assert graph_from_text(graph_to_text(g)) == g
 
 
 def test_common_neighbors():
@@ -300,7 +301,7 @@ def mirror(g):
     """The same bipartite graph with left and right swapped."""
     left, right = g.sides
     relabel = [v + right for v in range(left)] + [v - left for v in range(left, g.n)]
-    edges = [(relabel[u], relabel[v]) for u, v in g.edges()]
+    edges = [(relabel[u], relabel[v]) for u, v in edge_list(g)]
     return BitGraph(g.n, edges, (right, left))
 
 
@@ -410,6 +411,13 @@ def test_graph_text_matches_the_per_edge_writer(g):
         ("bipartite 2 2\n0 1\n", "cross"),
         ("general 3\n0 x\n", "bad vertex"),
         ("general 99999999\n", "too large"),
+        # edge lists that are not simple graphs: the parser is their one check,
+        # BitGraph itself checks nothing
+        ("general 3\n0 0\n", "line 2: loop at 0"),
+        ("general 3\n0 1\n1 0\n", "line 3: edges must satisfy u < v"),
+        ("bipartite 2 2\n0 2\n3 2\n", "line 3: edges must satisfy u < v"),
+        ("bipartite 2 2\n0 2\n2 3\n", "line 3: edge does not cross the bipartition"),
+        ("general 3\n0 1 2\n", "line 2: expected 'u v'"),
     ],
 )
 def test_graph_parser_rejections(text, fragment):
@@ -456,8 +464,9 @@ def test_parser_matches_the_line_by_line_parser(text):
 
 def test_edges_listing():
     g = complete_bipartite(2, 2)
-    assert g.edges() == [(0, 2), (0, 3), (1, 2), (1, 3)]
-    assert g.degree(0) == 2
+    u, v = g.edge_arrays()
+    assert (u.tolist(), v.tolist()) == ([0, 0, 1, 1], [2, 3, 2, 3])
+    assert np.diff(g.offsets).tolist() == [2, 2, 2, 2]
 
 
 @pytest.mark.parametrize("block", [1, 3, incidence._PRODUCT_BLOCK])
@@ -486,9 +495,9 @@ def test_csr_form_matches_adjacency_sets(case, as_array):
         adj[u].add(v)
         adj[v].add(u)
     expected = sorted((min(e), max(e)) for e in edges)
-    assert g.edges() == expected
+    assert edge_list(g) == expected
     assert g.edge_count() == len(edges)
-    assert [g.degree(v) for v in range(n)] == [len(a) for a in adj]
+    assert np.diff(g.offsets).tolist() == [len(a) for a in adj]
     head = f"bipartite {sides[0]} {sides[1]}" if sides else f"general {n}"
     text = "".join(f"{line}\n" for line in [head, *(f"{u} {v}" for u, v in expected)])
     assert graph_to_text(g) == text
@@ -503,14 +512,13 @@ def test_key_blocks_are_bounded_and_hold_the_budgeted_keys(monkeypatch):
     for block in [1, 160, sg.CODEGREE_BLOCK]:
         monkeypatch.setattr(sg, "CODEGREE_BLOCK", block)
         for g, s in product(graphs, [1, 2, 3, 4]):
-            groups = [g.left_vertices(), g.right_vertices()] if g.sides else [range(g.n)]
             total = 0
-            for group in groups:
+            for group in sides_of(g):
                 for keys in sg._subset_keys(g.offsets, g.nbr, group, s):
                     firsts = np.unique(keys // g.n ** (s - 1))
                     assert firsts.size == 1 or keys.size <= block // 4
                     total += keys.size
-            assert total == sum(math.comb(g.degree(v), s) for v in range(g.n))
+            assert total == sum(math.comb(int(d), s) for d in np.diff(g.offsets))
 
 
 # --- the s = 2 check on graphs whose C(n, 2) pair scan is out of reach ---------
