@@ -139,10 +139,14 @@ def test_verify_file_that_is_not_utf8_is_parse_error(tmp_path, capsys):
     (["sweep", "--q", "7", "--t", "3", "--trials", "100"], "sweep needs at least 2 distinct q values"),
     (["montecarlo", "--q", "7", "--t", "3", "--trials", "10"], "trials must be >= 100, got 10"),
     (["construct", "furedi", "--q", "7", "--t", "4"], "t = 4 does not divide q - 1 = 6"),
+    (["construct", "furedi", "--q", "7", "--t", "1"], "t must be >= 2, got 1"),
+    (["construct", "incidence", "--q", "8", "--t", "3"], "q must be prime, got 8"),
+    (["montecarlo", "--q", "1048583", "--t", "3"], "q must be <= 2^20, got 1048583"),
 ], ids=[
     "t-below-3", "t-above-q-incidence", "t-above-q-montecarlo", "t-above-q-sweep",
     "negative-seed", "zero-workers", "bad-q-list", "repeated-q", "single-q",
-    "trials-below-100", "furedi-t-not-dividing",
+    "trials-below-100", "furedi-t-not-dividing", "furedi-t-below-2", "q-not-prime",
+    "q-above-limit",
 ])
 def test_bad_parameters_exit_1(argv, message, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("EIL_WORKERS", raising=False)

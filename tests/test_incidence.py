@@ -36,6 +36,10 @@ def test_build_validation():
         build_incidence(3, 4, 1)  # t > q
     with pytest.raises(ParameterError):
         build_incidence(6, 3, 1)  # q not prime
+    with pytest.raises(ParameterError):
+        build_incidence(7, 3, -1)  # negative seed
+    with pytest.raises(ParameterError):
+        build_incidence(8, 3, 1)  # q not prime
 
 
 def test_size_bounds_and_edges():
