@@ -26,7 +26,6 @@ import numpy as np
 from .errors import GraphFormatError, ParameterError
 from .evasive import (
     REFERENCE_LINE,
-    CoefficientStream,
     exact_probabilities,
     prune_bad_lines,
     sample_poly,
@@ -36,7 +35,7 @@ from .evasive import (
 from .furedi import build_furedi, classes_to_text, verify_appendix
 from .geom3 import line_points
 from .geom3 import line_table  # noqa: F401  (perfbench/spans.py traces this name)
-from .gf import FieldCtx
+from .gf import check_field
 from .incidence import build_incidence, count_ktt_via_lines, verify_construction
 from .report import StatsReport
 from .subgraph import graph_to_text, is_ksm_free, read_graph
@@ -59,10 +58,9 @@ def _run_indexed(fn, argslist, workers: int) -> list:
 
 def _montecarlo_trial(args: tuple[int, int, int, int]) -> dict:
     q, t, base_seed, index = args
-    ctx = FieldCtx(q)
-    f = sample_poly(ctx, t, CoefficientStream(base_seed + index))
-    x0 = zero_set(ctx, f)
-    pruned, vanishing = prune_bad_lines(ctx, f, x0)
+    f = sample_poly(q, t, base_seed + index)
+    x0 = zero_set(q, f)
+    pruned, vanishing = prune_bad_lines(q, f, x0)
     ref_points = line_points(q, REFERENCE_LINE.base, REFERENCE_LINE.dir)
     ref_count = int(x0.member[ref_points].sum())
     # f restricts to the zero polynomial on the line iff it is zero at all q
@@ -108,7 +106,7 @@ def run_montecarlo(q: int, t: int, seed: int, trials: int, workers: int = 1) -> 
     bad_rate = sum(r["ref_bad"] for r in records) / n
     stats = np.array([r["binom_stat"] for r in records], dtype=np.float64)
     binom_mean = float(stats.mean())
-    binom_std = float(stats.std(ddof=1)) if n > 1 else 0.0
+    binom_std = float(stats.std(ddof=1))
     z_exact = _z_against(exact_t_rate, exact.p_exact_t, n)
     z_vanish = _z_against(vanish_rate, exact.p_vanish, n)
     if binom_std > 0:
@@ -201,8 +199,7 @@ def run_sweep(qs: list[int], t: int, seed: int, trials: int, workers: int = 1) -
             "t": t,
             "trials": len(recs),
             "mean_count": mean_count,
-            "mean_count_se": float(counts.std(ddof=1) / math.sqrt(len(recs)))
-            if len(recs) > 1 else 0.0,
+            "mean_count_se": float(counts.std(ddof=1) / math.sqrt(len(recs))),
             "min_count": int(counts.min()),
             "max_count": int(counts.max()),
             "mean_n": sum(r["n"] for r in recs) / len(recs),
@@ -353,9 +350,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _check(args) -> None:
     """Reject the parameters of construct, montecarlo or sweep before any work.
 
-    Parses the sweep's q list into args.q and reads args.workers from
-    EIL_WORKERS when not given (default 1). An option a command does not
-    take is absent from args and not checked.
+    The one check of these parameters: the functions the commands call
+    trust them. Parses the sweep's q list into args.q and reads
+    args.workers from EIL_WORKERS when not given (default 1). An option a
+    command does not take is absent from args and not checked.
     """
     if args.command == "sweep":
         try:
@@ -370,8 +368,13 @@ def _check(args) -> None:
             raise ParameterError(f"{WORKERS_ENV} must be an integer, got {env!r}") from exc
     qs = args.q if args.command == "sweep" else [args.q]
     for q in qs:
-        FieldCtx(q)
-    if getattr(args, "kind", None) != "furedi":
+        check_field(q)
+    if getattr(args, "kind", None) == "furedi":
+        if args.t < 2:
+            raise ParameterError(f"t must be >= 2, got {args.t}")
+        if (args.q - 1) % args.t != 0:
+            raise ParameterError(f"t = {args.t} does not divide q - 1 = {args.q - 1}")
+    else:
         if args.t < 3:
             raise ParameterError(f"t must be >= 3, got {args.t}")
         for q in qs:

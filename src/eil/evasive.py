@@ -6,6 +6,10 @@ than t points of X0 (for t < q, exactly the lines on which the polynomial
 vanishes identically). The pruned set X meets every line in at most t
 points, and for each line the chance of hitting exactly t points stays
 bounded away from zero as q grows.
+
+The field is its prime q and a polynomial's randomness its seed, both plain
+ints. The commands and build_incidence check them on entry, so nothing here
+checks them again.
 """
 
 from __future__ import annotations
@@ -16,13 +20,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParameterError
 from .geom3 import AffineLine, line_at, line_counts, line_points, line_table
-from .gf import FieldCtx
 
 # Fixed reference line used by the Monte Carlo commands: canonical and not
 # through the origin, valid for every q.
 REFERENCE_LINE = AffineLine((1, 0, 0), (0, 1, 0))
+
+# Generator words that sample_poly draws at once. Philox yields the same
+# words whatever the batch sizes, so this fixes no coefficient.
+_BATCH = 256
 
 
 @lru_cache(maxsize=None)
@@ -56,24 +62,16 @@ class TriPoly:
     t: int
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != math.comb(self.t + 3, 3):
-            raise ParameterError(
-                f"degree-{self.t} polynomial needs {math.comb(self.t + 3, 3)} "
-                f"coefficients, got {len(self.coeffs)}"
-            )
-
 
 class PointSet:
     """Subset of F_q^3 as a membership bitmask over point indices.
 
+    member is a bool array of length q^3.
     line_counts, when given, must be the set's per-row line counts; they
     are otherwise computed on first use by line_intersection_counts.
     """
 
     def __init__(self, q: int, member: np.ndarray, line_counts: np.ndarray | None = None):
-        if member.shape != (q**3,) or member.dtype != np.bool_:
-            raise ParameterError("membership must be a bool array of length q^3")
         self.q = q
         self.member = member
         self._line_counts = line_counts
@@ -96,57 +94,21 @@ class PointSet:
         return "\n".join(lines) + "\n"
 
 
-class CoefficientStream:
-    """Seeded counter-based stream of exactly-uniform field elements.
+def sample_poly(q: int, t: int, seed: int) -> TriPoly:
+    """Uniform random TriPoly: coefficients drawn iid in monomial order.
 
-    Backed by Philox; 64-bit words are reduced by rejection sampling (words
-    at or above the largest multiple of q are discarded), so residues carry
-    no modulo bias. Words are consumed strictly in generation order and
-    unconsumed words are kept, so draw(q, a) followed by draw(q, b) yields
-    the same elements as one draw(q, a + b).
+    The 64-bit words of Philox(seed) are reduced by rejection sampling:
+    words at or above the largest multiple of q are discarded, so residues
+    carry no modulo bias.
     """
-
-    _BATCH = 256
-
-    def __init__(self, seed: int):
-        if not isinstance(seed, int) or seed < 0:
-            raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
-        self.seed = seed
-        self._bits = np.random.Philox(seed)
-        self._pending = np.empty(0, dtype=np.uint64)
-
-    def draw(self, ctx: FieldCtx, n: int) -> np.ndarray:
-        q = ctx.q
-        rem = (1 << 64) % q
-        out = np.empty(n, dtype=np.int64)
-        filled = 0
-        while filled < n:
-            if self._pending.size == 0:
-                self._pending = self._bits.random_raw(self._BATCH)
-            words = self._pending
-            if rem:
-                accept = words < np.uint64((1 << 64) - rem)
-            else:
-                accept = np.ones(words.size, dtype=np.bool_)
-            need = n - filled
-            cum = np.cumsum(accept)
-            if cum[-1] >= need:
-                cut = int(np.searchsorted(cum, need)) + 1
-            else:
-                cut = words.size
-            got = words[:cut][accept[:cut]]
-            out[filled : filled + got.size] = (got % np.uint64(q)).astype(np.int64)
-            filled += got.size
-            self._pending = words[cut:]
-        return out
-
-
-def sample_poly(ctx: FieldCtx, t: int, rng: CoefficientStream) -> TriPoly:
-    """Uniform random TriPoly: coefficients drawn iid in monomial order."""
-    if t < 3:
-        raise ParameterError(f"degree bound t must be >= 3, got {t}")
-    coeffs = rng.draw(ctx, math.comb(t + 3, 3))
-    return TriPoly(ctx.q, t, tuple(int(c) for c in coeffs))
+    n = math.comb(t + 3, 3)
+    rem = (1 << 64) % q
+    bits = np.random.Philox(seed)
+    kept = []
+    while sum(map(len, kept)) < n:
+        words = bits.random_raw(_BATCH)
+        kept.append(words[words < np.uint64((1 << 64) - rem)] if rem else words)
+    return TriPoly(q, t, tuple((np.concatenate(kept)[:n] % np.uint64(q)).tolist()))
 
 
 def top_coefficient(f: TriPoly, direction) -> int:
@@ -209,7 +171,7 @@ def restriction_tensor(q: int, t: int) -> np.ndarray:
     return tensor
 
 
-def zero_set(ctx: FieldCtx, f: TriPoly) -> PointSet:
+def zero_set(q: int, f: TriPoly) -> PointSet:
     """The points where f evaluates to zero.
 
     The coefficients go into a (t+1)^3 cube c[i, j, k] indexed by exponents,
@@ -217,7 +179,7 @@ def zero_set(ctx: FieldCtx, f: TriPoly) -> PointSet:
     (x, j*k) -> (x, k, y) -> (x, y, z). The raveled values are indexed by
     x*q^2 + y*q + z, the point index. O(q^3 t) work and no kept state.
     """
-    q, t = ctx.q, f.t
+    t = f.t
     cube = np.zeros((t + 1,) * 3, dtype=np.int64)
     cube[tuple(zip(*monomials(t)))] = f.coeffs
     field = np.arange(q, dtype=np.int64)
@@ -232,9 +194,7 @@ def zero_set(ctx: FieldCtx, f: TriPoly) -> PointSet:
     return PointSet(q, v.ravel() == 0)
 
 
-def prune_bad_lines(
-    ctx: FieldCtx, f: TriPoly, x0: PointSet
-) -> tuple[PointSet, np.ndarray]:
+def prune_bad_lines(q: int, f: TriPoly, x0: PointSet) -> tuple[PointSet, np.ndarray]:
     """Remove every point of x0 that lies on a line carrying more than t of them.
 
     This count rule is the evasive invariant itself: the returned set meets
@@ -248,7 +208,6 @@ def prune_bad_lines(
     the pruned set carries X0's line counts minus those of the removed
     points, so its counts are never projected from scratch.
     """
-    q = ctx.q
     counts = line_intersection_counts(x0)
     vanishing = np.flatnonzero(counts > f.t)
     member = x0.member.copy()
@@ -285,11 +244,6 @@ def exact_probabilities(q: int, t: int) -> ExactProbabilities:
 
     All three are exact rationals rounded once to double precision.
     """
-    FieldCtx(q)
-    if t > q:
-        raise ParameterError(f"t = {t} exceeds q = {q}; a line has only q points")
-    if t < 0:
-        raise ParameterError(f"t must be nonnegative, got {t}")
     return ExactProbabilities(
         p_vanish=1 / q ** (t + 1),
         p_exact_t=(q - 1) * math.comb(q, t) / q ** (t + 1),

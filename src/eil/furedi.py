@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
-from .gf import FieldCtx
+from .gf import subgroup_of_order
 from .report import StatsReport
 from .subgraph import BitGraph, count_biclique_general, is_ksm_free
 
@@ -37,12 +36,10 @@ def build_furedi(q: int, t: int) -> FurediGraph:
     """Canonical representatives are the lexicographically smallest orbit members.
 
     A nonzero (a, b) is coded a*q + b, so the smallest code of an orbit
-    {(ha, hb) : h in H} is its lexicographically smallest member.
+    {(ha, hb) : h in H} is its lexicographically smallest member. Needs a
+    prime q, t >= 2 and t | q - 1, as the CLI checks.
     """
-    ctx = FieldCtx(q)
-    if t < 2:
-        raise ParameterError(f"t must be >= 2, got {t}")
-    subgroup = tuple(sorted(ctx.subgroup_of_order(t)))
+    subgroup = tuple(sorted(subgroup_of_order(q, t)))
     h = np.array(subgroup, dtype=np.int64)[:, None]
     a, b = np.divmod(np.arange(1, q * q, dtype=np.int64), q)
     codes = np.unique((h * a % q * q + h * b % q).min(axis=0))

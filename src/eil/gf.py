@@ -1,13 +1,12 @@
 """The prime field F_q on canonical residues.
 
-Elements are plain ints in [0, q); the bulk paths do their arithmetic with
-`% q` on numpy arrays. A FieldCtx carries the modulus, checked once to be
-a prime no larger than Q_LIMIT.
+The field is its modulus q, a plain int; elements are plain ints in [0, q),
+and the bulk paths do their arithmetic with `% q` on numpy arrays.
+check_field rejects a q that is not a prime no larger than Q_LIMIT; the
+entry points call it once and everything after them trusts q.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import ParameterError
 
@@ -28,30 +27,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldCtx:
-    """The prime field F_q."""
+def check_field(q: int) -> None:
+    """Reject a q that is not an int, exceeds 2^20 or is not prime."""
+    if not isinstance(q, int):
+        raise ParameterError(f"q must be an integer, got {q!r}")
+    if q > Q_LIMIT:
+        raise ParameterError(f"q must be <= 2^20, got {q}")
+    if not is_prime(q):
+        raise ParameterError(f"q must be prime, got {q}")
 
-    q: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.q, int):
-            raise ParameterError(f"q must be an integer, got {self.q!r}")
-        if self.q > Q_LIMIT:
-            raise ParameterError(f"q must be <= 2^20, got {self.q}")
-        if not is_prime(self.q):
-            raise ParameterError(f"q must be prime, got {self.q}")
+def subgroup_of_order(q: int, t: int) -> set[int]:
+    """The multiplicative subgroup H = {x : x^t = 1} of order exactly t.
 
-    def subgroup_of_order(self, t: int) -> set[int]:
-        """The multiplicative subgroup H = {x : x^t = 1} of order exactly t.
-
-        Requires t >= 2 and t | q-1 (the multiplicative group is cyclic of
-        order q-1, so those t give |H| = t exactly).
-        """
-        if t < 2:
-            raise ParameterError(f"subgroup order must be >= 2, got {t}")
-        if (self.q - 1) % t != 0:
-            raise ParameterError(f"t = {t} does not divide q - 1 = {self.q - 1}")
-        h = {x for x in range(1, self.q) if pow(x, t, self.q) == 1}
-        assert len(h) == t
-        return h
+    Requires t >= 2 and t | q-1 (the multiplicative group is cyclic of
+    order q-1, so those t give |H| = t exactly).
+    """
+    h = {x for x in range(1, q) if pow(x, t, q) == 1}
+    assert len(h) == t
+    return h

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import ParameterError
 from .evasive import (
-    CoefficientStream,
     PointSet,
     line_intersection_counts,
     prune_bad_lines,
@@ -28,7 +27,7 @@ from .evasive import (
 )
 from .geom3 import dual_index
 from .geom3 import line_table  # noqa: F401  (perfbench/spans.py traces this name)
-from .gf import FieldCtx
+from .gf import check_field
 from .report import StatsReport
 from .subgraph import BitGraph, is_ksm_free
 
@@ -81,19 +80,24 @@ def _incidence_blocks(xc: np.ndarray, yc: np.ndarray, q: int):
 def build_incidence(
     q: int, t: int, seed_x: int, seed_y: int | None = None
 ) -> IncidenceConstruction:
-    """Deterministic construction from two independent coefficient streams."""
+    """Deterministic construction from two independent seeded polynomials; checks every argument."""
     if seed_y is None:
         seed_y = seed_x ^ SEED_Y_SALT
-    if seed_x == seed_y:
-        raise ParameterError("seed_x and seed_y must differ (independent samples)")
-    ctx = FieldCtx(q)
+    check_field(q)
+    if t < 3:
+        raise ParameterError(f"degree bound t must be >= 3, got {t}")
     if t > q:
         raise ParameterError(f"t = {t} exceeds q = {q}; a line has only q points")
+    for seed in (seed_x, seed_y):
+        if not isinstance(seed, int) or seed < 0:
+            raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
+    if seed_x == seed_y:
+        raise ParameterError("seed_x and seed_y must differ (independent samples)")
     sets = []
     vanishing = []
     for seed in (seed_x, seed_y):
-        f = sample_poly(ctx, t, CoefficientStream(seed))
-        pruned, gone = prune_bad_lines(ctx, f, zero_set(ctx, f))
+        f = sample_poly(q, t, seed)
+        pruned, gone = prune_bad_lines(q, f, zero_set(q, f))
         sets.append(pruned)
         vanishing.append(len(gone))
     x_set, y_set = sets

@@ -209,12 +209,8 @@ def count_biclique_general(graph: BitGraph, a: int, b: int) -> int:
     neighbourhoods never contain their own set (no loops), so disjointness
     is automatic. The a-sets and their co-degrees come from the keys of
     _subset_keys, under the same budget as is_ksm_free. For a = b every
-    pair is seen from both sides, hence the halving.
+    pair is seen from both sides, hence the halving. Needs 1 <= a <= b.
     """
-    if a > b:
-        raise ParameterError(f"need a <= b, got ({a}, {b})")
-    if a < 1:
-        raise ParameterError(f"need a >= 1, got {a}")
     _check_key_budget(graph, a, force=False)
     total = 0
     for keys in _subset_keys(graph.offsets, graph.nbr, range(graph.n), a):

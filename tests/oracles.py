@@ -23,68 +23,64 @@ import numpy as np
 from eil.errors import GraphFormatError, ParameterError
 from eil.evasive import PointSet, TriPoly, monomials, restriction_tensor
 from eil.geom3 import AffineLine, Point3, dual_index
-from eil.gf import FieldCtx
 from eil.subgraph import BitGraph, graph_to_text
 
 ORIGIN: Point3 = (0, 0, 0)
 
 
-def point_index(ctx: FieldCtx, p: Point3) -> int:
+def point_index(q: int, p: Point3) -> int:
     """Index of a point in the fixed 0..q^3-1 layout (x1*q^2 + x2*q + x3)."""
-    q = ctx.q
     return (p[0] * q + p[1]) * q + p[2]
 
 
-def check_residue(ctx: FieldCtx, a: int) -> int:
+def check_residue(q: int, a: int) -> int:
     """Reject values that are not canonical residues of the field."""
-    if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < ctx.q:
-        raise ParameterError(f"{a!r} is not a canonical residue mod {ctx.q}")
+    if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < q:
+        raise ParameterError(f"{a!r} is not a canonical residue mod {q}")
     return a
 
 
-def inverse(ctx: FieldCtx, a: int) -> int:
+def inverse(q: int, a: int) -> int:
     """Multiplicative inverse via Fermat; a = 0 is rejected."""
-    if check_residue(ctx, a) == 0:
+    if check_residue(q, a) == 0:
         raise ParameterError("0 has no multiplicative inverse")
-    return pow(a, ctx.q - 2, ctx.q)
+    return pow(a, q - 2, q)
 
 
-def check_point(ctx: FieldCtx, p: Point3) -> Point3:
+def check_point(q: int, p: Point3) -> Point3:
     if len(p) != 3:
         raise ParameterError(f"a point needs 3 coordinates, got {p!r}")
     for c in p:
-        check_residue(ctx, c)
+        check_residue(q, c)
     return tuple(p)
 
 
-def canonical_line(ctx: FieldCtx, base: Point3, direction: Point3) -> AffineLine:
+def canonical_line(q: int, base: Point3, direction: Point3) -> AffineLine:
     """Canonicalize (base, direction); direction must be nonzero."""
-    q = ctx.q
-    base = check_point(ctx, base)
-    direction = check_point(ctx, direction)
+    base = check_point(q, base)
+    direction = check_point(q, direction)
     if direction == ORIGIN:
         raise ParameterError("line direction must be nonzero")
     pivot = next(i for i in range(3) if direction[i] != 0)
-    inv = inverse(ctx, direction[pivot])
+    inv = inverse(q, direction[pivot])
     d = tuple(c * inv % q for c in direction)
     s = base[pivot]
     b = tuple((base[i] - s * d[i]) % q for i in range(3))
     return AffineLine(b, d)
 
 
-def line_through(ctx: FieldCtx, p: Point3, r: Point3) -> AffineLine:
+def line_through(q: int, p: Point3, r: Point3) -> AffineLine:
     """The unique line containing two distinct points."""
-    p = check_point(ctx, p)
-    r = check_point(ctx, r)
+    p = check_point(q, p)
+    r = check_point(q, r)
     if p == r:
         raise ParameterError("two distinct points are needed to span a line")
-    direction = tuple((r[i] - p[i]) % ctx.q for i in range(3))
-    return canonical_line(ctx, p, direction)
+    direction = tuple((r[i] - p[i]) % q for i in range(3))
+    return canonical_line(q, p, direction)
 
 
-def points_on(ctx: FieldCtx, line: AffineLine) -> list[Point3]:
+def points_on(q: int, line: AffineLine) -> list[Point3]:
     """The q points base + s*dir, in increasing s order."""
-    q = ctx.q
     b, d = line.base, line.dir
     return [tuple((b[i] + s * d[i]) % q for i in range(3)) for s in range(q)]
 
@@ -197,13 +193,13 @@ class UniPoly:
         return not any(self.coeffs)
 
 
-def restrict_to_line(ctx: FieldCtx, f: TriPoly, line: AffineLine) -> UniPoly:
+def restrict_to_line(q: int, f: TriPoly, line: AffineLine) -> UniPoly:
     """Symbolic substitution of base + s*dir into f, collected in s.
 
     Returns the full coefficient list of length t+1 (high coefficients may
     be zero); g(s) = f(base + s*dir) for every s.
     """
-    q, t = ctx.q, f.t
+    t = f.t
     # expansions[c][e] = coefficient list of (base[c] + s*dir[c])^e
     expansions = []
     for b, d in zip(line.base, line.dir):
@@ -232,12 +228,12 @@ def restrict_to_line(ctx: FieldCtx, f: TriPoly, line: AffineLine) -> UniPoly:
     return UniPoly(q, tuple(g))
 
 
-def restrict_all_lines(ctx: FieldCtx, f: TriPoly) -> np.ndarray:
+def restrict_all_lines(q: int, f: TriPoly) -> np.ndarray:
     """(n_lines, t+1) coefficients of f restricted to every canonical line.
 
     The symbolic oracle for prune_bad_lines, through restriction_tensor.
     """
-    q, t = ctx.q, f.t
+    t = f.t
     tensor = restriction_tensor(q, t)
     a = np.asarray(f.coeffs, dtype=np.int64)
     flat = tensor.reshape(-1, a.size) @ a % q
@@ -252,9 +248,8 @@ def evaluate_uni(g: UniPoly, s: int) -> int:
     return acc
 
 
-def orbit_of(ctx: FieldCtx, subgroup, pair: tuple[int, int]) -> list[tuple[int, int]]:
+def orbit_of(q: int, subgroup, pair: tuple[int, int]) -> list[tuple[int, int]]:
     """The Furedi orbit {(ha, hb) : h in subgroup} of pair, one member per h."""
-    q = ctx.q
     a, b = pair
     return [(h * a % q, h * b % q) for h in subgroup]
 

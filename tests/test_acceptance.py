@@ -11,14 +11,12 @@ import numpy as np
 
 from eil.cli import log_log_slope, main, run_montecarlo, run_sweep
 from eil.evasive import (
-    CoefficientStream,
     TriPoly,
     line_intersection_counts,
     restriction_tensor,
     sample_poly,
 )
 from eil.geom3 import AffineLine, n_lines
-from eil.gf import FieldCtx
 from eil.incidence import build_incidence, count_ktt_via_lines
 from eil.subgraph import count_biclique_general, is_ksm_free
 from oracles import (
@@ -55,10 +53,9 @@ def test_criterion_01_exact_restriction_uniformity():
     )
     counts = np.bincount(codes, minlength=16)
     # spot-check the tensor row against the scalar restriction path
-    ctx = FieldCtx(2)
     for idx in (1, 77, 4242, 999_999):
         f = TriPoly(2, 3, tuple(int(b) for b in vectors[idx]))
-        assert restrict_to_line(ctx, f, line).coeffs == tuple(
+        assert restrict_to_line(2, f, line).coeffs == tuple(
             int(v) for v in (matrix @ vectors[idx].astype(np.int64)) % 2
         )
     ok = counts.shape == (16,) and bool((counts == 1 << 16).all())
@@ -69,12 +66,12 @@ def test_criterion_02_vanishing_probability():
     # q=5, t=3, N=5000 sampled polynomials, pooled over all 775 lines: the
     # empirical rate of f|_l == 0 matches 1/625 within 3 standard errors of
     # the pooled estimator (per-polynomial totals are the iid unit).
-    ctx = FieldCtx(5)
+    q = 5
     seed, trials = 424242, 5000
     per_poly = np.empty(trials, dtype=np.float64)
     for i in range(trials):
-        f = sample_poly(ctx, 3, CoefficientStream(seed + i))
-        per_poly[i] = int((~restrict_all_lines(ctx, f).any(axis=1)).sum())
+        f = sample_poly(q, 3, seed + i)
+        per_poly[i] = int((~restrict_all_lines(q, f).any(axis=1)).sum())
     lines = n_lines(5)
     rate = per_poly.sum() / (trials * lines)
     target = 1 / 625

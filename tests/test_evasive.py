@@ -4,10 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from eil.errors import ParameterError
 from eil.evasive import (
     REFERENCE_LINE,
-    CoefficientStream,
     PointSet,
     TriPoly,
     exact_probabilities,
@@ -19,7 +17,6 @@ from eil.evasive import (
     zero_set,
 )
 from eil.geom3 import AffineLine, line_at, n_lines
-from eil.gf import FieldCtx
 from oracles import (
     UniPoly,
     evaluate,
@@ -33,20 +30,20 @@ from oracles import (
 )
 
 
-def zero_set_oracle(ctx, f):
+def zero_set_oracle(q, f):
     """Pointwise evaluation over every point of F_q^3."""
     out = set()
-    for x1 in range(ctx.q):
-        for x2 in range(ctx.q):
-            for x3 in range(ctx.q):
+    for x1 in range(q):
+        for x2 in range(q):
+            for x3 in range(q):
                 if evaluate(f, (x1, x2, x3)) == 0:
-                    out.add(point_index(ctx, (x1, x2, x3)))
+                    out.add(point_index(q, (x1, x2, x3)))
     return out
 
 
-def vanishes_pointwise(ctx, f, line):
+def vanishes_pointwise(q, f, line):
     """Oracle for full vanishing: zero at all q points (valid for t < q)."""
-    return all(evaluate(f, p) == 0 for p in points_on(ctx, line))
+    return all(evaluate(f, p) == 0 for p in points_on(q, line))
 
 
 def row_line(q, i):
@@ -55,11 +52,11 @@ def row_line(q, i):
     return AffineLine(tuple(map(int, base)), tuple(map(int, direction)))
 
 
-def poly_from_map(ctx, t, coeff_map):
+def poly_from_map(q, t, coeff_map):
     coeffs = [0] * len(monomials(t))
     for exp, value in coeff_map.items():
         coeffs[monomials(t).index(exp)] = value
-    return TriPoly(ctx.q, t, tuple(coeffs))
+    return TriPoly(q, t, tuple(coeffs))
 
 
 def test_monomial_counts_and_order():
@@ -74,109 +71,96 @@ def test_monomial_counts_and_order():
 
 
 def test_sample_poly_determinism_and_bounds():
-    ctx = FieldCtx(7)
-    f1 = sample_poly(ctx, 3, CoefficientStream(99))
-    f2 = sample_poly(ctx, 3, CoefficientStream(99))
+    q = 7
+    f1 = sample_poly(q, 3, 99)
+    f2 = sample_poly(q, 3, 99)
     assert f1 == f2
     assert len(f1.coeffs) == 20
     assert all(0 <= c < 7 for c in f1.coeffs)
-    assert len(sample_poly(ctx, 4, CoefficientStream(1)).coeffs) == 35
-    with pytest.raises(ParameterError):
-        sample_poly(ctx, 2, CoefficientStream(1))
-
-
-def test_stream_is_concatenation_invariant():
-    ctx = FieldCtx(11)
-    s1 = CoefficientStream(5)
-    parts = list(s1.draw(ctx, 7)) + list(s1.draw(ctx, 13))
-    s2 = CoefficientStream(5)
-    assert parts == list(s2.draw(ctx, 20))
-    with pytest.raises(ParameterError):
-        CoefficientStream(-1)
+    assert len(sample_poly(q, 4, 1).coeffs) == 35
 
 
 def test_stream_is_uniform_enough():
-    # 20k draws at q=5: each residue within 5 sigma of 4000
-    ctx = FieldCtx(5)
-    draws = CoefficientStream(12345).draw(ctx, 20000)
+    # t = 47 draws C(50, 3) = 19600 coefficients at q=5: each residue
+    # within 5 sigma of 3920
+    draws = sample_poly(5, 47, 12345).coeffs
+    assert len(draws) == 19600
     counts = np.bincount(draws, minlength=5)
-    sigma = math.sqrt(20000 * 0.2 * 0.8)
-    assert all(abs(c - 4000) <= 5 * sigma for c in counts)
+    sigma = math.sqrt(19600 * 0.2 * 0.8)
+    assert all(abs(c - 3920) <= 5 * sigma for c in counts)
 
 
 def test_evaluate_examples():
-    ctx = FieldCtx(7)
-    f = poly_from_map(ctx, 3, {(1, 1, 0): 1, (0, 0, 1): 1})  # x1 x2 + x3
+    q = 7
+    f = poly_from_map(q, 3, {(1, 1, 0): 1, (0, 0, 1): 1})  # x1 x2 + x3
     assert evaluate(f, (2, 3, 1)) == 0  # 6 + 1 = 7
-    zero = poly_from_map(ctx, 3, {})
+    zero = poly_from_map(q, 3, {})
     assert evaluate(zero, (4, 5, 6)) == 0
-    const = poly_from_map(ctx, 3, {(0, 0, 0): 5})
+    const = poly_from_map(q, 3, {(0, 0, 0): 5})
     assert evaluate(const, (1, 2, 3)) == 5
 
 
 def test_restriction_example_and_shape():
-    ctx = FieldCtx(7)
-    f = poly_from_map(ctx, 3, {(1, 1, 0): 1, (0, 0, 1): 1})
-    g = restrict_to_line(ctx, f, AffineLine((0, 1, 0), (1, 0, 0)))
+    q = 7
+    f = poly_from_map(q, 3, {(1, 1, 0): 1, (0, 0, 1): 1})
+    g = restrict_to_line(q, f, AffineLine((0, 1, 0), (1, 0, 0)))
     assert g.coeffs == (0, 1, 0, 0)  # g(s) = s
-    const = poly_from_map(ctx, 3, {(0, 0, 0): 4})
+    const = poly_from_map(q, 3, {(0, 0, 0): 4})
     anyline = AffineLine((1, 0, 0), (0, 1, 0))
-    assert restrict_to_line(ctx, const, anyline).coeffs == (4, 0, 0, 0)
+    assert restrict_to_line(q, const, anyline).coeffs == (4, 0, 0, 0)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_restriction_matches_pointwise_evaluation(q):
-    ctx = FieldCtx(q)
     rng = random.Random(q)
     for trial in range(10):
-        f = sample_poly(ctx, 3, CoefficientStream(1000 * q + trial))
+        f = sample_poly(q, 3, 1000 * q + trial)
         for i in rng.sample(range(n_lines(q)), min(25, n_lines(q))):
             line = row_line(q, i)
-            g = restrict_to_line(ctx, f, line)
+            g = restrict_to_line(q, f, line)
             assert len(g.coeffs) == 4
-            for s, p in enumerate(points_on(ctx, line)):
+            for s, p in enumerate(points_on(q, line)):
                 assert evaluate_uni(g, s) == evaluate(f, p)
 
 
 def test_restrict_all_lines_matches_scalar_path():
-    ctx = FieldCtx(5)
-    f = sample_poly(ctx, 4, CoefficientStream(31))
-    bulk = restrict_all_lines(ctx, f)
+    q = 5
+    f = sample_poly(q, 4, 31)
+    bulk = restrict_all_lines(q, f)
     assert bulk.shape == (775, 5)
     for i in random.Random(0).sample(range(775), 60):
-        assert tuple(bulk[i]) == restrict_to_line(ctx, f, row_line(5, i)).coeffs
+        assert tuple(bulk[i]) == restrict_to_line(q, f, row_line(5, i)).coeffs
 
 
 @pytest.mark.parametrize("q,t", [(3, 3), (5, 3), (5, 5), (7, 4), (7, 7)])
 def test_zero_set_matches_pointwise_oracle(q, t):
-    ctx = FieldCtx(q)
     for trial in range(5):
-        f = sample_poly(ctx, t, CoefficientStream(50 + trial))
-        assert set(zero_set(ctx, f).indices()) == zero_set_oracle(ctx, f)
+        f = sample_poly(q, t, 50 + trial)
+        assert set(zero_set(q, f).indices()) == zero_set_oracle(q, f)
 
 
 def test_zero_set_special_polynomials():
-    ctx = FieldCtx(5)
-    plane = poly_from_map(ctx, 3, {(1, 0, 0): 1})  # x1
-    assert zero_set(ctx, plane).count == 25
-    assert zero_set(ctx, poly_from_map(ctx, 3, {(0, 0, 0): 1})).count == 0
-    assert zero_set(ctx, poly_from_map(ctx, 3, {})).count == 125
+    q = 5
+    plane = poly_from_map(q, 3, {(1, 0, 0): 1})  # x1
+    assert zero_set(q, plane).count == 25
+    assert zero_set(q, poly_from_map(q, 3, {(0, 0, 0): 1})).count == 0
+    assert zero_set(q, poly_from_map(q, 3, {})).count == 125
 
 
 def test_prune_removes_plane_entirely():
-    ctx = FieldCtx(5)
-    plane = poly_from_map(ctx, 3, {(1, 0, 0): 1})
-    x0 = zero_set(ctx, plane)
-    pruned, vanishing = prune_bad_lines(ctx, plane, x0)
+    q = 5
+    plane = poly_from_map(q, 3, {(1, 0, 0): 1})
+    x0 = zero_set(q, plane)
+    pruned, vanishing = prune_bad_lines(q, plane, x0)
     assert pruned.count == 0
     # exactly the lines inside the plane x1 = 0 vanish: q(q + 1) of them
     assert len(vanishing) == 30
     assert all(
-        all(p[0] == 0 for p in points_on(ctx, row_line(5, i))) for i in vanishing
+        all(p[0] == 0 for p in points_on(q, row_line(5, i))) for i in vanishing
     )
-    f = poly_from_map(ctx, 3, {(0, 0, 0): 1})
-    x0 = zero_set(ctx, f)
-    pruned, vanishing = prune_bad_lines(ctx, f, x0)
+    f = poly_from_map(q, 3, {(0, 0, 0): 1})
+    x0 = zero_set(q, f)
+    pruned, vanishing = prune_bad_lines(q, f, x0)
     assert vanishing.size == 0 and pruned == x0
 
 
@@ -184,11 +168,10 @@ def test_prune_removes_plane_entirely():
 def test_prune_count_rule_matches_symbolic_rule(q, t):
     # for t < q the rows with more than t points of X0 are exactly the rows
     # on which the degree-<=t restriction is the zero polynomial
-    ctx = FieldCtx(q)
     for trial in range(20):
-        f = sample_poly(ctx, t, CoefficientStream(40_000 + 100 * q + 10 * t + trial))
-        _, vanishing = prune_bad_lines(ctx, f, zero_set(ctx, f))
-        symbolic = np.flatnonzero(~restrict_all_lines(ctx, f).any(axis=1))
+        f = sample_poly(q, t, 40_000 + 100 * q + 10 * t + trial)
+        _, vanishing = prune_bad_lines(q, f, zero_set(q, f))
+        symbolic = np.flatnonzero(~restrict_all_lines(q, f).any(axis=1))
         assert np.array_equal(vanishing, symbolic)
 
 
@@ -196,29 +179,27 @@ def test_prune_t_equals_q_keeps_the_zero_set():
     # decision for t = q: no line carries more than q points, so nothing is
     # pruned, even where f restricts to the zero polynomial on a line
     q = t = 5
-    ctx = FieldCtx(q)
     for trial in range(20):
-        f = sample_poly(ctx, t, CoefficientStream(50_000 + trial))
-        x0 = zero_set(ctx, f)
-        pruned, vanishing = prune_bad_lines(ctx, f, x0)
+        f = sample_poly(q, t, 50_000 + trial)
+        x0 = zero_set(q, f)
+        pruned, vanishing = prune_bad_lines(q, f, x0)
         assert vanishing.size == 0 and pruned == x0
     # the plane x1 = 0 holds q(q + 1) lines on which x1 is symbolically zero
-    plane = poly_from_map(ctx, t, {(1, 0, 0): 1})
-    x0 = zero_set(ctx, plane)
-    pruned, vanishing = prune_bad_lines(ctx, plane, x0)
+    plane = poly_from_map(q, t, {(1, 0, 0): 1})
+    x0 = zero_set(q, plane)
+    pruned, vanishing = prune_bad_lines(q, plane, x0)
     assert vanishing.size == 0 and pruned == x0 and x0.count == 25
-    assert int((~restrict_all_lines(ctx, plane).any(axis=1)).sum()) == 30
+    assert int((~restrict_all_lines(q, plane).any(axis=1)).sum()) == 30
 
 
 @pytest.mark.parametrize("q,t", [(3, 3), (5, 4), (7, 3), (7, 7)])
 def test_top_coefficient_is_the_leading_restriction_coefficient(q, t):
-    ctx = FieldCtx(q)
     rng = random.Random(q * t)
     for trial in range(10):
-        f = sample_poly(ctx, t, CoefficientStream(70_000 + trial))
+        f = sample_poly(q, t, 70_000 + trial)
         for i in rng.sample(range(n_lines(q)), 25):
             line = row_line(q, i)
-            assert top_coefficient(f, line.dir) == restrict_to_line(ctx, f, line).coeffs[t]
+            assert top_coefficient(f, line.dir) == restrict_to_line(q, f, line).coeffs[t]
 
 
 @pytest.mark.parametrize("q,t", [(3, 3), (5, 3), (5, 5), (7, 3), (7, 7)])
@@ -232,7 +213,6 @@ def test_montecarlo_ref_vanished_matches_symbolic_restriction(q, t, monkeypatch)
     from eil import cli
 
     assert REFERENCE_LINE == AffineLine((1, 0, 0), (0, 1, 0))
-    ctx = FieldCtx(q)
     mons = monomials(t)
 
     def shifted(f, shift):
@@ -243,59 +223,57 @@ def test_montecarlo_ref_vanished_matches_symbolic_restriction(q, t, monkeypatch)
             coeffs[m] = (coeffs[m] + c) % q
         return TriPoly(q, t, tuple(coeffs))
 
-    seeded = [sample_poly(ctx, t, CoefficientStream(60_000 + i)) for i in range(300)]
+    seeded = [sample_poly(q, t, 60_000 + i) for i in range(300)]
     # f(1, s, 0) collects the monomials x^i y^j into s^j, so subtracting
     # its coefficients from those of y^j cancels the restriction
     cancelled = [
-        shifted(f, [-c for c in restrict_to_line(ctx, f, REFERENCE_LINE).coeffs])
+        shifted(f, [-c for c in restrict_to_line(q, f, REFERENCE_LINE).coeffs])
         for f in seeded
     ]
     polys = seeded + cancelled
     if t == q:
         planted = [0, q - 1] + [0] * (q - 2) + [1]  # y^q - y
-        polys.append(shifted(poly_from_map(ctx, t, {}), planted))
+        polys.append(shifted(poly_from_map(q, t, {}), planted))
         polys += [shifted(f, [c * (1 + i % (q - 1)) for c in planted])
                   for i, f in enumerate(cancelled)]
-    monkeypatch.setattr(cli, "sample_poly", lambda ctx, t, rng: polys[rng.seed])
+    monkeypatch.setattr(cli, "sample_poly", lambda q, t, seed: polys[seed])
     trials = [cli._montecarlo_trial((q, t, 0, i)) for i in range(len(polys))]
     for f, trial in zip(polys, trials):
-        assert trial["ref_vanished"] == restrict_to_line(ctx, f, REFERENCE_LINE).is_zero()
+        assert trial["ref_vanished"] == restrict_to_line(q, f, REFERENCE_LINE).is_zero()
     assert sum(r["ref_vanished"] for r in trials) >= 300
     full_not_zero = sum(r["ref_count_x0"] == q and not r["ref_vanished"] for r in trials)
     assert full_not_zero >= (301 if t == q else 0)
 
 
 def test_vanishing_detection_matches_pointwise_oracle_when_t_below_q():
-    ctx = FieldCtx(5)
+    q = 5
     lines = [row_line(5, i) for i in range(n_lines(5))]
     for trial in range(40):
-        f = sample_poly(ctx, 3, CoefficientStream(200 + trial))
-        bulk = restrict_all_lines(ctx, f)
+        f = sample_poly(q, 3, 200 + trial)
+        bulk = restrict_all_lines(q, f)
         symbolic = set(np.flatnonzero(~bulk.any(axis=1)))
-        pointwise = {i for i, line in enumerate(lines) if vanishes_pointwise(ctx, f, line)}
+        pointwise = {i for i, line in enumerate(lines) if vanishes_pointwise(q, f, line)}
         assert symbolic == pointwise
 
 
 @pytest.mark.parametrize("q", [5, 7, 11])
 def test_zero_set_line_intersections_bounded_unless_vanishing(q):
-    ctx = FieldCtx(q)
     table = line_table_oracle(q)
     rng = random.Random(q)
     for trial in range(67):
-        f = sample_poly(ctx, 3, CoefficientStream(10_000 * q + trial))
-        x0 = zero_set(ctx, f)
+        f = sample_poly(q, 3, 10_000 * q + trial)
+        x0 = zero_set(q, f)
         for i in rng.sample(range(len(table)), 30):
             on_line = int(x0.member[table.point_idx[i]].sum())
             if on_line > 3:
-                assert restrict_to_line(ctx, f, row_line(q, i)).is_zero()
+                assert restrict_to_line(q, f, row_line(q, i)).is_zero()
 
 
 @pytest.mark.parametrize("q,t", [(7, 3), (5, 4)])
 def test_pruned_set_meets_every_line_at_most_t(q, t):
-    ctx = FieldCtx(q)
     for trial in range(100):
-        f = sample_poly(ctx, t, CoefficientStream(777 + trial))
-        pruned, _ = prune_bad_lines(ctx, f, zero_set(ctx, f))
+        f = sample_poly(q, t, 777 + trial)
+        pruned, _ = prune_bad_lines(q, f, zero_set(q, f))
         counts = line_intersection_counts(pruned)
         assert counts.max() <= t
         assert pruned.count <= t * q * q
@@ -303,7 +281,6 @@ def test_pruned_set_meets_every_line_at_most_t(q, t):
 
 def test_line_histogram_empty_and_single_point():
     # lines bucketed by how many points of X they carry, split by the origin
-    ctx = FieldCtx(5)
     origin = line_table_oracle(5).origin_mask
 
     def histogram(member):
@@ -314,7 +291,7 @@ def test_line_histogram_empty_and_single_point():
     total, through_origin = histogram(empty)
     assert total[0] == total.sum() == 775
     single = empty.copy()
-    single[point_index(ctx, (1, 2, 3))] = True
+    single[point_index(5, (1, 2, 3))] = True
     total, through_origin = histogram(single)
     assert total[1] == 31  # q^2 + q + 1 lines through any point
     assert total[0] == 775 - 31
@@ -326,8 +303,6 @@ def test_exact_probabilities_closed_form_values():
     p = exact_probabilities(7, 3)
     assert p.p_exact_t == pytest.approx(30 / 343, abs=0, rel=0)
     assert p.e_binom == pytest.approx(35 / 343, abs=0, rel=0)
-    with pytest.raises(ParameterError):
-        exact_probabilities(5, 6)
 
 
 def test_unipoly_zero_and_eval():
@@ -339,9 +314,9 @@ def test_unipoly_zero_and_eval():
 
 
 def test_pointset_serialization_roundtrip():
-    ctx = FieldCtx(5)
-    f = sample_poly(ctx, 3, CoefficientStream(8))
-    x0 = zero_set(ctx, f)
+    q = 5
+    f = sample_poly(q, 3, 8)
+    x0 = zero_set(q, f)
     # the file is written, never read back: decode it here by its layout,
     # a header and then the point indices in increasing order
     head, *rows = x0.to_text().splitlines()

@@ -5,14 +5,12 @@ import numpy as np
 import pytest
 
 from eil import furedi
-from eil.errors import ParameterError
 from eil.furedi import (
     FurediGraph,
     build_furedi,
     classes_to_text,
     verify_appendix,
 )
-from eil.gf import FieldCtx
 from eil.report import validate_report
 from eil.subgraph import BitGraph, count_biclique_general, is_ksm_free
 from oracles import (
@@ -30,23 +28,13 @@ def test_vertex_counts_frozen():
     assert build_furedi(13, 4).n == 42
 
 
-def test_build_validation():
-    with pytest.raises(ParameterError):
-        build_furedi(7, 4)  # 4 does not divide 6
-    with pytest.raises(ParameterError):
-        build_furedi(7, 1)
-    with pytest.raises(ParameterError):
-        build_furedi(8, 7)  # q not prime
-
-
 @pytest.mark.parametrize("q,t", [(5, 2), (7, 3), (13, 4), (31, 3)])
 def test_orbits_partition_the_punctured_plane(q, t):
     g = build_furedi(q, t)
-    ctx = FieldCtx(q)
     assert list(g.classes) == sorted(g.classes)
     seen = set()
     for rep in g.classes:
-        orbit = orbit_of(ctx, g.subgroup, rep)
+        orbit = orbit_of(q, g.subgroup, rep)
         assert len(set(orbit)) == t
         assert min(orbit) == rep
         assert not (set(orbit) & seen)
@@ -65,7 +53,6 @@ def test_degree_profile(q, t):
 def test_edge_relation_is_rescaling_invariant():
     q, t = 13, 3
     g = build_furedi(q, t)
-    ctx = FieldCtx(q)
     subgroup = list(g.subgroup)
     rng = random.Random(99)
     baseline = set(edge_list(g.graph))

