@@ -21,6 +21,9 @@ import sys
 import time
 from pathlib import Path
 
+# before numpy loads: OpenBLAS starts its thread pool then, and no eil code calls BLAS
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from .errors import GraphFormatError, ParameterError

@@ -39,6 +39,7 @@ SEED_Y_SALT = 0x9E3779B97F4A7C15
 _DUAL_CHUNK = 1 << 16
 # Entries of the point-plane product that build_incidence holds at once:
 # 8 MB of int64, where the whole |X| x |Y| product is 107 MB at q = 61.
+# Also the rows of Y's line counts that count_ktt_via_lines scans at once.
 _PRODUCT_BLOCK = 1 << 20
 
 
@@ -110,15 +111,20 @@ def build_incidence(
 def count_ktt_via_lines(c: IncidenceConstruction) -> int:
     """Exact K_{t,t} count: lines l with |Y on l| = t and |X on dual(l)| = t.
 
-    Only the off-origin rows (not 0 mod q^2) that are t-rich in Y are
-    dualised, each in closed form.
+    Y's line counts are scanned in slices of _PRODUCT_BLOCK rows, so no
+    temporary spans all of them. Only the off-origin rows (not 0 mod q^2)
+    that are t-rich in Y are dualised, each in closed form.
     """
-    rows = np.flatnonzero(line_intersection_counts(c.y_set) == c.t)
-    rows = rows[rows % (c.q * c.q) != 0]
+    cy = line_intersection_counts(c.y_set)
     cx = line_intersection_counts(c.x_set)
-    # in chunks: dual_index holds a dozen int64 temporaries per row
-    return sum(int((cx[dual_index(c.q, rows[lo : lo + _DUAL_CHUNK])] == c.t).sum())
-               for lo in range(0, len(rows), _DUAL_CHUNK))
+    total = 0
+    for lo in range(0, cy.size, _PRODUCT_BLOCK):
+        rows = lo + np.flatnonzero(cy[lo : lo + _PRODUCT_BLOCK] == c.t)
+        rows = rows[rows % (c.q * c.q) != 0]
+        # in chunks: dual_index holds a dozen int64 temporaries per row
+        for at in range(0, len(rows), _DUAL_CHUNK):
+            total += int((cx[dual_index(c.q, rows[at : at + _DUAL_CHUNK])] == c.t).sum())
+    return total
 
 
 def verify_construction(c: IncidenceConstruction) -> StatsReport:

@@ -89,9 +89,11 @@ class FreenessResult:
 def is_ksm_free(graph: BitGraph, s: int, m: int, force: bool = False) -> FreenessResult:
     """No s vertices (per side, if bipartite) have m or more common neighbors.
 
-    Checks s-subsets of each side for bipartite graphs (both orientations)
-    and all s-subsets otherwise. On failure the witness is (S, the m
-    smallest common neighbors of S), S being the first failing subset in
+    One scan of all s-subsets covers both orientations of a bipartite
+    graph: a set with a common neighbour lies inside one side, and the left
+    vertices come first, so the left side's subsets are met before the
+    right side's. On failure the witness is (S, the m smallest common
+    neighbors of S), S being the first failing subset in
     itertools.combinations order. The co-degrees are counted from the
     s-subsets of every neighbourhood (see _first_rich_subset), and a graph
     whose scan needs more than KEY_BUDGET keys is refused unless forced.
@@ -99,16 +101,12 @@ def is_ksm_free(graph: BitGraph, s: int, m: int, force: bool = False) -> Freenes
     if not 1 <= s <= m:
         raise ParameterError(f"need 1 <= s <= m, got ({s}, {m})")
     _check_key_budget(graph, s, force)
-    left = graph.sides[0] if graph.sides else None
-    groups = [range(graph.n)] if left is None else [range(left), range(left, graph.n)]
     offsets, nbr = graph.offsets, graph.nbr
-    rev = _reverse_positions(nbr)
-    for group in groups:
-        subset = _first_rich_subset(offsets, nbr, group, s, m, rev)
-        if subset is not None:
-            common = reduce(np.intersect1d, (nbr[offsets[v]:offsets[v + 1]] for v in subset))
-            return FreenessResult(False, (subset, tuple(common[:m].tolist())))
-    return FreenessResult(True)
+    subset = _first_rich_subset(offsets, nbr, s, m)
+    if subset is None:
+        return FreenessResult(True)
+    common = reduce(np.intersect1d, (nbr[offsets[v]:offsets[v + 1]] for v in subset))
+    return FreenessResult(False, (subset, tuple(common[:m].tolist())))
 
 
 def _check_key_budget(graph: BitGraph, s: int, force: bool) -> None:
@@ -133,10 +131,7 @@ def _reverse_positions(nbr: np.ndarray) -> np.ndarray:
     return np.sort(nbr * nbr.size + np.arange(nbr.size)) % max(nbr.size, 1)
 
 
-def _subset_keys(
-    offsets: np.ndarray, nbr: np.ndarray, group: range, s: int,
-    rev: Optional[np.ndarray] = None,
-):
+def _subset_keys(offsets: np.ndarray, nbr: np.ndarray, group: range, s: int):
     """Yield, block by block, the sorted keys of the s-subsets of every neighbourhood.
 
     A set v1 < ... < vs inside N(w) whose first vertex v1 is in the group
@@ -148,13 +143,11 @@ def _subset_keys(
     increasing order, in blocks whose arrays hold at most about
     CODEGREE_BLOCK entries (a step keeps about four arrays as long as its
     tuples; a single first vertex with more is a block of its own), so the
-    keys of one set never straddle two blocks. A scan over several groups
-    passes rev from _reverse_positions, so that it is sorted only once.
+    keys of one set never straddle two blocks.
     """
     n = len(offsets) - 1
     deg = np.diff(offsets)
-    if rev is None:
-        rev = _reverse_positions(nbr)
+    rev = _reverse_positions(nbr)
     g0, g1 = offsets[group.start], offsets[group.stop]
     # entries an edge (v1, w) adds at step j: C(neighbours of w after v1, j)
     later = offsets[nbr[g0:g1] + 1] - rev[g0:g1] - 1
@@ -186,16 +179,16 @@ def _subset_keys(
 
 
 def _first_rich_subset(
-    offsets: np.ndarray, nbr: np.ndarray, group: range, s: int, m: int, rev: np.ndarray
+    offsets: np.ndarray, nbr: np.ndarray, s: int, m: int
 ) -> Optional[tuple[int, ...]]:
-    """First s-subset of the group, in combinations order, with co-degree >= m.
+    """First s-subset, in combinations order, with co-degree >= m.
 
     Blocks come in increasing first vertex and their keys are sorted, so
     the first key repeated m times is the set that combinations() meets
     first.
     """
     n = len(offsets) - 1
-    for keys in _subset_keys(offsets, nbr, group, s, rev):
+    for keys in _subset_keys(offsets, nbr, range(n), s):
         rich = np.flatnonzero(keys[m - 1:] == keys[:max(keys.size - m + 1, 0)])
         if rich.size:
             return tuple(int(v) for v in np.unravel_index(keys[rich[0]], (n,) * s))

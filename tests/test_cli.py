@@ -459,7 +459,8 @@ def test_every_package_function_is_reached_by_a_command(tmp_path, capsys):
 def test_construct_incidence_q37_memory(tmp_path):
     # the line counts are O(q^4) bytes and the zero set O(q^3): no table of
     # lines or of monomial values is built, which the t = 7 case checks; the
-    # |X| x |Y| point-plane product is built in row blocks, which q = 61 checks
+    # |X| x |Y| point-plane product is built in row blocks and the K_tt count
+    # scans the line counts in slices, which q = 61 checks
     probe = (
         "import sys\n"
         "from eil.cli import main\n"
@@ -469,7 +470,7 @@ def test_construct_incidence_q37_memory(tmp_path):
         "sys.exit(code)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eil.__file__)))
-    for q, t, bound_mb in [(37, 3, 300), (31, 7, 70), (61, 3, 160)]:
+    for q, t, bound_mb in [(37, 3, 300), (31, 7, 70), (61, 3, 110)]:
         proc = subprocess.run(
             [sys.executable, "-c", probe, "construct", "incidence", "--q", str(q),
              "--t", str(t), "--out", str(tmp_path)],
@@ -488,3 +489,41 @@ def test_cli_import_leaves_out_the_process_pool():
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_package_import_leaves_out_numpy():
+    # `python -m eil` imports the package before eil.cli can limit numpy's BLAS threads
+    probe = "import sys, eil; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eil.__file__)))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status") or (os.cpu_count() or 1) < 2,
+                    reason="reads Threads from /proc; one CPU starts no BLAS pool")
+@pytest.mark.parametrize("blas_threads,threads", [(None, 1), ("2", 2)])
+def test_cli_process_has_one_blas_thread_unless_the_caller_sets_more(
+        tmp_path, blas_threads, threads):
+    # a `python -m eil` process, which reports its thread count as it exits
+    probe = (
+        "import atexit, runpy, sys\n"
+        "def threads():\n"
+        "    status = open('/proc/self/status').read().split()\n"
+        "    print(status[status.index('Threads:') + 1], file=sys.stderr)\n"
+        "atexit.register(threads)\n"
+        "runpy.run_module('eil', run_name='__main__')\n"
+    )
+    # this process has imported eil.cli, which sets the variable for its children
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(eil.__file__))
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, "construct", "furedi", "--q", "7", "--t", "3",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stderr.split()[-1]) == threads

@@ -120,3 +120,13 @@ def test_ktt_count_in_chunks_of_duals(monkeypatch):
     whole = count_ktt_via_lines(c)
     monkeypatch.setattr(incidence, "_DUAL_CHUNK", 100)
     assert count_ktt_via_lines(c) == whole == ktt_count_by_table(c.x_set, c.y_set, 3) > 0
+
+
+@pytest.mark.parametrize("q", [7, 11])
+def test_ktt_count_in_slices_of_line_counts(q, monkeypatch):
+    # 7-row slices of Y's line counts, against a single slice of them all
+    built = [build_incidence(q, 3, 40 + seed) for seed in range(5)]
+    whole = [count_ktt_via_lines(c) for c in built]
+    monkeypatch.setattr(incidence, "_PRODUCT_BLOCK", 7)
+    assert [count_ktt_via_lines(c) for c in built] == whole
+    assert sum(whole) > 0
