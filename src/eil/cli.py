@@ -43,8 +43,6 @@ from .incidence import build_incidence, count_ktt_via_lines, verify_construction
 from .report import StatsReport
 from .subgraph import graph_to_text, is_ksm_free, read_graph
 
-WORKERS_ENV = "EIL_WORKERS"
-
 
 def _run_indexed(fn, argslist, workers: int) -> list:
     """Map fn over argslist in order, with at most one process per item and per CPU."""
@@ -319,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def trial_options(p, trials_default):
         p.add_argument("--trials", type=int, default=trials_default)
-        p.add_argument("--workers", type=int, default=None)
+        p.add_argument("--workers", type=int, default=1)
 
     p_construct = sub.add_parser("construct", help="build a graph and verify it")
     kinds = p_construct.add_subparsers(dest="kind", required=True)
@@ -354,21 +352,14 @@ def _check(args) -> None:
     """Reject the parameters of construct, montecarlo or sweep before any work.
 
     The one check of these parameters: the functions the commands call
-    trust them. Parses the sweep's q list into args.q and reads
-    args.workers from EIL_WORKERS when not given (default 1). An option a
-    command does not take is absent from args and not checked.
+    trust them. Parses the sweep's q list into args.q. An option a command
+    does not take is absent from args and not checked.
     """
     if args.command == "sweep":
         try:
             args.q = [int(v) for v in args.q.split(",") if v != ""]
         except ValueError as exc:
             raise ParameterError(f"bad q list {args.q!r}") from exc
-    if "workers" in args and args.workers is None:
-        env = os.environ.get(WORKERS_ENV, "1")
-        try:
-            args.workers = int(env)
-        except ValueError as exc:
-            raise ParameterError(f"{WORKERS_ENV} must be an integer, got {env!r}") from exc
     qs = args.q if args.command == "sweep" else [args.q]
     for q in qs:
         check_field(q)

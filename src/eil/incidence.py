@@ -31,15 +31,15 @@ from .gf import check_field
 from .report import StatsReport
 from .subgraph import BitGraph, is_ksm_free
 
-# Salt for deriving the second seed when only one is given; any fixed
-# nonzero constant keeps the two coefficient streams distinct.
+# Y's seed is X's seed XOR this salt; being nonzero, it makes the two
+# seeds, and so the two coefficient streams, differ.
 SEED_Y_SALT = 0x9E3779B97F4A7C15
 
-# Rows that count_ktt_via_lines dualises at once.
+# Rows of Y's line counts that count_ktt_via_lines scans, and at most
+# dualises, at once: dual_index holds a dozen int64 temporaries per row.
 _DUAL_CHUNK = 1 << 16
 # Entries of the point-plane product that build_incidence holds at once:
 # 8 MB of int64, where the whole |X| x |Y| product is 107 MB at q = 61.
-# Also the rows of Y's line counts that count_ktt_via_lines scans at once.
 _PRODUCT_BLOCK = 1 << 20
 
 
@@ -78,22 +78,16 @@ def _incidence_blocks(xc: np.ndarray, yc: np.ndarray, q: int):
         yield np.remainder(dots, q, out=dots) == 1
 
 
-def build_incidence(
-    q: int, t: int, seed_x: int, seed_y: int | None = None
-) -> IncidenceConstruction:
-    """Deterministic construction from two independent seeded polynomials; checks every argument."""
-    if seed_y is None:
-        seed_y = seed_x ^ SEED_Y_SALT
+def build_incidence(q: int, t: int, seed_x: int) -> IncidenceConstruction:
+    """The incidence graph of X from seed_x and Y from seed_x ^ SEED_Y_SALT; checks all args."""
     check_field(q)
     if t < 3:
         raise ParameterError(f"degree bound t must be >= 3, got {t}")
     if t > q:
         raise ParameterError(f"t = {t} exceeds q = {q}; a line has only q points")
-    for seed in (seed_x, seed_y):
-        if not isinstance(seed, int) or seed < 0:
-            raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
-    if seed_x == seed_y:
-        raise ParameterError("seed_x and seed_y must differ (independent samples)")
+    if not isinstance(seed_x, int) or seed_x < 0:
+        raise ParameterError(f"seed must be a nonnegative integer, got {seed_x!r}")
+    seed_y = seed_x ^ SEED_Y_SALT
     sets = []
     vanishing = []
     for seed in (seed_x, seed_y):
@@ -111,19 +105,17 @@ def build_incidence(
 def count_ktt_via_lines(c: IncidenceConstruction) -> int:
     """Exact K_{t,t} count: lines l with |Y on l| = t and |X on dual(l)| = t.
 
-    Y's line counts are scanned in slices of _PRODUCT_BLOCK rows, so no
-    temporary spans all of them. Only the off-origin rows (not 0 mod q^2)
-    that are t-rich in Y are dualised, each in closed form.
+    Y's line counts are scanned in slices of _DUAL_CHUNK rows, so no
+    temporary spans all of them. A slice's off-origin rows (not 0 mod q^2)
+    that are t-rich in Y are dualised together, each in closed form.
     """
     cy = line_intersection_counts(c.y_set)
     cx = line_intersection_counts(c.x_set)
     total = 0
-    for lo in range(0, cy.size, _PRODUCT_BLOCK):
-        rows = lo + np.flatnonzero(cy[lo : lo + _PRODUCT_BLOCK] == c.t)
+    for lo in range(0, cy.size, _DUAL_CHUNK):
+        rows = lo + np.flatnonzero(cy[lo : lo + _DUAL_CHUNK] == c.t)
         rows = rows[rows % (c.q * c.q) != 0]
-        # in chunks: dual_index holds a dozen int64 temporaries per row
-        for at in range(0, len(rows), _DUAL_CHUNK):
-            total += int((cx[dual_index(c.q, rows[at : at + _DUAL_CHUNK])] == c.t).sum())
+        total += int((cx[dual_index(c.q, rows)] == c.t).sum())
     return total
 
 

@@ -114,7 +114,8 @@ def _check_key_budget(graph: BitGraph, s: int, force: bool) -> None:
     one whose keys, s base-n digits, need n^s >= 2^63: its C(n, s) subsets
     were never within reach of a plain enumeration either.
     """
-    if graph.n ** s >= 2**63:
+    # n^s >= 2^s, so s >= 63 is refused without building the s*log2(n)-bit n^s
+    if graph.n >= 2 and (s >= 63 or graph.n ** s >= 2**63):
         raise ParameterError(f"n = {graph.n} is too large for a scan of {s}-subsets")
     # one key per s-subset of each neighbourhood
     hist = np.bincount(np.diff(graph.offsets))
@@ -131,36 +132,33 @@ def _reverse_positions(nbr: np.ndarray) -> np.ndarray:
     return np.sort(nbr * nbr.size + np.arange(nbr.size)) % max(nbr.size, 1)
 
 
-def _subset_keys(offsets: np.ndarray, nbr: np.ndarray, group: range, s: int):
+def _subset_keys(offsets: np.ndarray, nbr: np.ndarray, s: int):
     """Yield, block by block, the sorted keys of the s-subsets of every neighbourhood.
 
-    A set v1 < ... < vs inside N(w) whose first vertex v1 is in the group
-    gives the key v1*n^(s-1) + ... + vs once per such w, so a key occurs as
-    often as its set has common neighbours. A key grows from an edge
-    (v1, w) by s - 1 two-hop steps, each appending a neighbour of w later
-    than the last vertex. In a bipartite graph two hops stay on one side,
-    so every vertex is in the group. First vertices are taken in
-    increasing order, in blocks whose arrays hold at most about
-    CODEGREE_BLOCK entries (a step keeps about four arrays as long as its
-    tuples; a single first vertex with more is a block of its own), so the
-    keys of one set never straddle two blocks.
+    A set v1 < ... < vs inside N(w) gives the key v1*n^(s-1) + ... + vs
+    once per such w, so a key occurs as often as its set has common
+    neighbours. A key grows from an edge (v1, w) by s - 1 two-hop steps,
+    each appending a neighbour of w later than the last vertex. First
+    vertices are taken in increasing order, in blocks whose arrays hold at
+    most about CODEGREE_BLOCK entries (a step keeps about four arrays as
+    long as its tuples; a single first vertex with more is a block of its
+    own), so the keys of one set never straddle two blocks.
     """
     n = len(offsets) - 1
     deg = np.diff(offsets)
     rev = _reverse_positions(nbr)
-    g0, g1 = offsets[group.start], offsets[group.stop]
     # entries an edge (v1, w) adds at step j: C(neighbours of w after v1, j)
-    later = offsets[nbr[g0:g1] + 1] - rev[g0:g1] - 1
+    later = offsets[nbr + 1] - rev - 1
     weight = term = np.ones_like(later)
     for j in range(s - 1):
         term = term * (later - j) // (j + 1)
         weight = weight + term
     cum = np.concatenate(([0], np.cumsum(weight)))
-    ends = cum[offsets[group.start + 1:group.stop + 1] - g0]
-    at = group.start
-    while at < group.stop:
-        limit = cum[offsets[at] - g0] + CODEGREE_BLOCK // 4
-        stop = max(group.start + int(np.searchsorted(ends, limit, side="right")), at + 1)
+    ends = cum[offsets[1:]]
+    at = 0
+    while at < n:
+        limit = cum[offsets[at]] + CODEGREE_BLOCK // 4
+        stop = max(int(np.searchsorted(ends, limit, side="right")), at + 1)
         e0, e1 = offsets[at], offsets[stop]
         keys = np.repeat(np.arange(at, stop), deg[at:stop])
         # w: the far end of the last step; pos: the last vertex's place in nbr
@@ -188,7 +186,7 @@ def _first_rich_subset(
     first.
     """
     n = len(offsets) - 1
-    for keys in _subset_keys(offsets, nbr, range(n), s):
+    for keys in _subset_keys(offsets, nbr, s):
         rich = np.flatnonzero(keys[m - 1:] == keys[:max(keys.size - m + 1, 0)])
         if rich.size:
             return tuple(int(v) for v in np.unravel_index(keys[rich[0]], (n,) * s))
@@ -206,7 +204,7 @@ def count_biclique_general(graph: BitGraph, a: int, b: int) -> int:
     """
     _check_key_budget(graph, a, force=False)
     total = 0
-    for keys in _subset_keys(graph.offsets, graph.nbr, range(graph.n), a):
+    for keys in _subset_keys(graph.offsets, graph.nbr, a):
         hist = np.bincount(np.unique(keys, return_counts=True)[1])
         total += sum(int(hist[c]) * math.comb(int(c), b) for c in np.flatnonzero(hist))
     if a == b:

@@ -148,8 +148,7 @@ def test_verify_file_that_is_not_utf8_is_parse_error(tmp_path, capsys):
     "trials-below-100", "furedi-t-not-dividing", "furedi-t-below-2", "q-not-prime",
     "q-above-limit",
 ])
-def test_bad_parameters_exit_1(argv, message, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("EIL_WORKERS", raising=False)
+def test_bad_parameters_exit_1(argv, message, tmp_path, capsys):
     out = tmp_path / "d"
     assert main(argv + ["--out", str(out)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
@@ -233,13 +232,14 @@ def test_montecarlo_cli_writes_report(tmp_path):
     assert [r["trial"] for r in rows[:3]] == ["0", "1", "2"]
 
 
-def test_env_var_worker_default(tmp_path, monkeypatch):
-    monkeypatch.setenv("EIL_WORKERS", "2")
-    assert main(["montecarlo", "--q", "5", "--t", "3", "--seed", "9",
-                 "--trials", "100", "--out", str(tmp_path)]) == 0
+def test_workers_come_from_the_flag_alone(tmp_path, monkeypatch):
+    # --workers defaults to 1; no environment variable stands in for it
+    argv = ["montecarlo", "--q", "5", "--t", "3", "--seed", "9", "--trials", "100"]
+    name = "montecarlo-q5-t3-seed9-trials100.report.json"
+    assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
     monkeypatch.setenv("EIL_WORKERS", "zebra")
-    assert main(["montecarlo", "--q", "5", "--t", "3", "--seed", "9",
-                 "--trials", "100", "--out", str(tmp_path)]) == 1
+    assert main(argv + ["--out", str(tmp_path / "env")]) == 0
+    assert (tmp_path / "env" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 def test_worker_pool_is_capped_by_items_and_cpus(tmp_path, monkeypatch):

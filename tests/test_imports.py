@@ -1,10 +1,13 @@
-"""No module of src/eil imports a name that it never uses.
+"""No module of src/eil imports a name that it never uses or reads a hidden setting.
 
 No linter runs on this repository, so a name left imported after the code
 that used it is gone would go unnoticed. __init__.py is left out: its
 imports are the package's exports. An import whose line carries
 `# noqa: F401` is kept on purpose (the benchmark traces `line_table` on the
 modules that import it).
+
+A setting read from the environment is one that no flag shows, so the
+modules may touch the environment only on the lines of ENV_ALLOWED.
 """
 
 import ast
@@ -13,6 +16,13 @@ from pathlib import Path
 import eil
 
 SRC = Path(eil.__file__).parent
+# os names that read or write the process environment
+ENV_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+# (module, stripped source line) of each environment access that is meant
+ENV_ALLOWED = {
+    # one BLAS thread, set before numpy loads, unless the caller chose otherwise
+    ("cli.py", 'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")'),
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -49,3 +59,45 @@ def test_no_module_imports_a_name_it_never_uses():
     assert paths
     unused = {p.name: unused_imports(p.read_text(encoding="utf-8")) for p in paths}
     assert not {name: names for name, names in unused.items() if names}
+
+
+def environment_access(source: str) -> list[str]:
+    """The stripped source line of each use of an os environment name, in order."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            names = {a.name for a in node.names}
+        elif isinstance(node, ast.Attribute):
+            names = {node.attr}
+        elif isinstance(node, ast.Name):
+            names = {node.id}
+        else:
+            continue
+        if names & ENV_NAMES:
+            found.add(node.lineno)
+    return [lines[i - 1].strip() for i in sorted(found)]
+
+
+def test_environment_access_is_found():
+    source = (
+        "import os\n"
+        "from os import getenv as ge\n"
+        "os.environ.setdefault('A', '1')\n"
+        "n = int(os.environ.get('N', '1'))\n"
+        "print(os.getcwd(), ge('B'))\n"
+    )
+    assert environment_access(source) == [
+        "from os import getenv as ge",
+        "os.environ.setdefault('A', '1')",
+        "n = int(os.environ.get('N', '1'))",
+    ]
+
+
+def test_no_module_reads_a_hidden_environment_setting():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = {(p.name, line) for p in paths
+             for line in environment_access(p.read_text(encoding="utf-8"))}
+    assert found == ENV_ALLOWED

@@ -28,8 +28,6 @@ def test_build_is_deterministic():
 
 def test_build_validation():
     with pytest.raises(ParameterError):
-        build_incidence(7, 3, 5, 5)  # equal seeds
-    with pytest.raises(ParameterError):
         build_incidence(7, 2, 1)  # t < 3
     with pytest.raises(ParameterError):
         build_incidence(3, 4, 1)  # t > q

@@ -275,6 +275,20 @@ def test_scan_refuses_keys_that_overflow_int64(tmp_path, capsys):
     assert "too large" in capsys.readouterr().err
 
 
+def test_verify_refuses_a_huge_s_at_once(tmp_path):
+    # n^s for s = 10^9 has about 2.5 * 10^9 digits; the refusal must not build it.
+    # In a child process, so that a regression is killed by the timeout.
+    graph = tmp_path / "one-edge.graph.txt"
+    graph.write_text("general 320\n0 1\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eil.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "eil", "verify", str(graph), "--s", "1000000000",
+         "--m", "1000000000"], capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 1
+    assert "error: n = 320 is too large for a scan of 1000000000-subsets" in proc.stderr
+
+
 def test_count_biclique_fixtures():
     assert count_biclique(complete_bipartite(2, 3), 2, 3) == 1
     empty = BitGraph(5, [], (2, 3))
@@ -506,18 +520,17 @@ def test_csr_form_matches_adjacency_sets(case, as_array):
 
 def test_key_blocks_are_bounded_and_hold_the_budgeted_keys(monkeypatch):
     # A block holds at most CODEGREE_BLOCK // 4 tuples over all its steps
-    # unless it has a single first vertex; together the blocks of all groups
+    # unless it has a single first vertex; together the blocks of one scan
     # hold exactly the sum over w of C(deg w, s) keys that the budget counts.
     graphs = [build_incidence(7, 3, 42).graph, random_general(30, 0.3, 5), cycle(9)]
     for block in [1, 160, sg.CODEGREE_BLOCK]:
         monkeypatch.setattr(sg, "CODEGREE_BLOCK", block)
         for g, s in product(graphs, [1, 2, 3, 4]):
             total = 0
-            for group in sides_of(g):
-                for keys in sg._subset_keys(g.offsets, g.nbr, group, s):
-                    firsts = np.unique(keys // g.n ** (s - 1))
-                    assert firsts.size == 1 or keys.size <= block // 4
-                    total += keys.size
+            for keys in sg._subset_keys(g.offsets, g.nbr, s):
+                firsts = np.unique(keys // g.n ** (s - 1))
+                assert firsts.size == 1 or keys.size <= block // 4
+                total += keys.size
             assert total == sum(math.comb(int(d), s) for d in np.diff(g.offsets))
 
 
