@@ -215,7 +215,8 @@ def prune_bad_lines(q: int, f: TriPoly, x0: PointSet) -> tuple[PointSet, np.ndar
         return PointSet(q, member, counts), vanishing
     member[line_points(q, *line_at(q, vanishing))] = False
     removed = np.flatnonzero(x0.member & ~member)
-    return PointSet(q, member, counts - line_counts(q, removed)), vanishing
+    left = line_counts(q, removed)  # of a subset of x0, so no count wraps below 0
+    return PointSet(q, member, np.subtract(counts, left, out=left)), vanishing
 
 
 def line_intersection_counts(x: PointSet) -> np.ndarray:

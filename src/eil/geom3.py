@@ -32,10 +32,10 @@ import numpy as np
 
 Point3 = tuple[int, int, int]
 
-# Largest number of row indices that line_counts holds at once. At 2^20
-# (8 MB of int64) the pivot-0 blocks stay below the peak that the rest of
-# a cold construct reaches; at 2^22 they were that peak from q = 37 on.
-_BLOCK = 1 << 20
+# Most int64 entries a streamed loop holds per block (see blocks). At 2^20
+# (8 MB) the pivot-0 blocks of line_counts stay below the peak that the rest
+# of a cold construct reaches; at 2^22 they were that peak from q = 37 on.
+BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,12 @@ class AffineLine:
 
 def n_lines(q: int) -> int:
     return q * q * (q * q + q + 1)
+
+
+def blocks(n: int, per_item: int):
+    """Consecutive slices of range(n), max(1, BLOCK // per_item) items each."""
+    step = max(1, BLOCK // max(1, per_item))
+    return (slice(lo, min(n, lo + step)) for lo in range(0, n, step))
 
 
 def _columns(q: int, rows) -> tuple[np.ndarray, ...]:
@@ -95,9 +101,9 @@ def line_counts(q: int, points) -> np.ndarray:
         pivot 2, d = (0, 0, 1):    q^4 + q^3 + x0*q + x1
 
     so the counts are bincounts of |X| (q^2 + q + 1) rows. Pivot 0 runs in
-    blocks of d1, each block over its own q^3 rows, so at most _BLOCK
-    indices are held at once. Counts are stored in the smallest unsigned
-    type that holds q.
+    blocks of d1; one d1 value holds q |X| row indices and the bincount of
+    its own q^3 rows, so a block stays within BLOCK however small X is.
+    Counts are stored in the smallest unsigned type that holds q.
     """
     x = np.asarray(points, dtype=np.int64)
     x0, x1, x2 = x // (q * q), x // q % q, x % q
@@ -106,11 +112,10 @@ def line_counts(q: int, points) -> np.ndarray:
     counts = np.empty(n_lines(q), dtype=np.min_scalar_type(q))
     # the part of a pivot-0 row that does not depend on d1, one row per d2
     low = field * q2 + (x2 - field * x0) % q
-    step = max(1, _BLOCK // max(1, low.size))
-    for lo in range(0, q, step):
-        d1 = field[lo : lo + step]
-        rows = ((d1 - lo) * q3 + (x1 - d1 * x0) % q * q)[:, None, :] + low
-        counts[lo * q3 : (lo + len(d1)) * q3] = np.bincount(
+    for part in blocks(q, low.size + q3):
+        d1 = field[part]
+        rows = ((d1 - part.start) * q3 + (x1 - d1 * x0) % q * q)[:, None, :] + low
+        counts[part.start * q3 : part.stop * q3] = np.bincount(
             rows.ravel(), minlength=len(d1) * q3)
     counts[q4 : q4 + q3] = np.bincount(
         (field * q2 + x0 * q + (x2 - field * x1) % q).ravel(), minlength=q3)
@@ -118,7 +123,7 @@ def line_counts(q: int, points) -> np.ndarray:
     return counts
 
 
-def dual_index(q: int, rows) -> np.ndarray:
+def dual_index(q: int, rows, inverses: np.ndarray) -> np.ndarray:
     """Row of the dual of each off-origin row (rows that are not 0 mod q^2).
 
     The dual of base + F_q*dir is {z : b.z = 1, d.z = 0}. Its direction is
@@ -126,7 +131,7 @@ def dual_index(q: int, rows) -> np.ndarray:
     z_k = 0; for the other two coordinates i < j, Cramer's rule gives
     z_i = d_j / det and z_j = -d_i / det with det = b_i d_j - b_j d_i, which
     is w_k for k = 0, 2 and -w_k for k = 1. z_i and z_j are the v0, v1 of
-    the dual's row.
+    the dual's row. inverses is the table of gf.inverses(q).
     """
     b0, b1, b2, d0, d1, d2 = _columns(q, rows)
     w0 = (b1 * d2 - b2 * d1) % q
@@ -135,7 +140,6 @@ def dual_index(q: int, rows) -> np.ndarray:
     k0 = w0 != 0
     k2 = ~k0 & (w1 == 0)
     k1 = ~k0 & ~k2
-    inverses = np.array([0] + [pow(a, q - 2, q) for a in range(1, q)], dtype=np.int64)
     s = inverses[np.where(k0, w0, np.where(k1, w1, w2))]  # 1 / w_k
     tail = np.where(k0, w1 * s % q * q + w2 * s % q, np.where(k1, w2 * s % q, 0))
     inv_det = np.where(k1, q - s, s)

@@ -25,22 +25,15 @@ from .evasive import (
     sample_poly,
     zero_set,
 )
-from .geom3 import dual_index
+from .geom3 import blocks, dual_index
 from .geom3 import line_table  # noqa: F401  (perfbench/spans.py traces this name)
-from .gf import check_field
+from .gf import check_field, inverses
 from .report import StatsReport
 from .subgraph import BitGraph, is_ksm_free
 
 # Y's seed is X's seed XOR this salt; being nonzero, it makes the two
 # seeds, and so the two coefficient streams, differ.
 SEED_Y_SALT = 0x9E3779B97F4A7C15
-
-# Rows of Y's line counts that count_ktt_via_lines scans, and at most
-# dualises, at once: dual_index holds a dozen int64 temporaries per row.
-_DUAL_CHUNK = 1 << 16
-# Entries of the point-plane product that build_incidence holds at once:
-# 8 MB of int64, where the whole |X| x |Y| product is 107 MB at q = 61.
-_PRODUCT_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -64,16 +57,9 @@ def _coords_of(indices: np.ndarray, q: int) -> np.ndarray:
     return np.stack([indices // (q * q), (indices // q) % q, indices % q], axis=1)
 
 
-def _row_slices(rows: int, cols: int):
-    """Consecutive row slices of a (rows, cols) matrix, about _PRODUCT_BLOCK entries each."""
-    step = max(1, _PRODUCT_BLOCK // max(1, cols))
-    for lo in range(0, rows, step):
-        yield slice(lo, lo + step)
-
-
 def _incidence_blocks(xc: np.ndarray, yc: np.ndarray, q: int):
     """Row blocks of the boolean matrix x.y == 1 (mod q), x a row of xc and y of yc."""
-    for rows in _row_slices(len(xc), len(yc)):
+    for rows in blocks(len(xc), len(yc)):
         dots = xc[rows] @ yc.T
         yield np.remainder(dots, q, out=dots) == 1
 
@@ -105,17 +91,18 @@ def build_incidence(q: int, t: int, seed_x: int) -> IncidenceConstruction:
 def count_ktt_via_lines(c: IncidenceConstruction) -> int:
     """Exact K_{t,t} count: lines l with |Y on l| = t and |X on dual(l)| = t.
 
-    Y's line counts are scanned in slices of _DUAL_CHUNK rows, so no
-    temporary spans all of them. A slice's off-origin rows (not 0 mod q^2)
-    that are t-rich in Y are dualised together, each in closed form.
+    Y's line counts are scanned in blocks of rows (dual_index holds about a
+    dozen int64 temporaries per row). A block's off-origin rows (not 0 mod
+    q^2) that are t-rich in Y are dualised together, each in closed form.
     """
     cy = line_intersection_counts(c.y_set)
     cx = line_intersection_counts(c.x_set)
+    table = inverses(c.q)
     total = 0
-    for lo in range(0, cy.size, _DUAL_CHUNK):
-        rows = lo + np.flatnonzero(cy[lo : lo + _DUAL_CHUNK] == c.t)
+    for part in blocks(cy.size, 16):
+        rows = part.start + np.flatnonzero(cy[part] == c.t)
         rows = rows[rows % (c.q * c.q) != 0]
-        total += int((cx[dual_index(c.q, rows)] == c.t).sum())
+        total += int((cx[dual_index(c.q, rows, table)] == c.t).sum())
     return total
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eil import geom3, incidence
+from eil import geom3
 from eil.evasive import (
     PointSet,
     TriPoly,
@@ -22,7 +22,7 @@ from eil.evasive import (
     sample_poly,
     zero_set,
 )
-from eil.geom3 import line_at, line_counts, n_lines
+from eil.geom3 import line_at, line_counts, line_points, n_lines
 from eil.incidence import build_incidence, count_ktt_via_lines
 from oracles import gather_line_counts, ktt_count_by_table, line_index, line_table_oracle
 
@@ -83,10 +83,30 @@ def test_planted_prune_removes_points_and_keeps_counts_exact(q):
 @pytest.mark.parametrize("block", [1, 7, 100])
 @pytest.mark.parametrize("q", [7, 11])
 def test_blocked_projection_matches_the_gather(q, block, monkeypatch):
-    # one pivot-0 block per d1 value, or several, or part of one
-    monkeypatch.setattr(geom3, "_BLOCK", block)
+    # pivot-0 blocks of `block` d1 values: one, several (7 of 11), or all of them
     x0 = zero_set(q, sample_poly(q, 3, block))
+    monkeypatch.setattr(geom3, "BLOCK", block * (q * x0.count + q**3))
     assert np.array_equal(line_counts(q, x0.indices()), gather_line_counts(x0))
+
+
+def test_line_counts_of_one_line_stay_within_a_block(monkeypatch):
+    # the few points that pruning removes: every bincount holds at most BLOCK
+    # entries of input and output together, not a minlength of q * q^3
+    q, row = 37, 12345
+    points = line_points(q, *line_at(q, row))
+    held = []
+    bincount = np.bincount
+
+    def spy(x, weights=None, minlength=0):
+        held.append(np.size(x) + minlength)
+        return bincount(x, weights, minlength)
+
+    monkeypatch.setattr(np, "bincount", spy)
+    counts = line_counts(q, points)
+    monkeypatch.undo()
+    assert len(held) > 2 and max(held) <= geom3.BLOCK
+    assert np.flatnonzero(counts == q).tolist() == [row]
+    assert int(counts.sum()) == q * (q * q + q + 1)
 
 
 @pytest.mark.parametrize("q", QS)
@@ -118,7 +138,8 @@ def test_ktt_count_matches_the_table_count(q, t):
 def test_ktt_count_in_chunks_of_duals(monkeypatch):
     c = build_incidence(11, 3, 7)
     whole = count_ktt_via_lines(c)
-    monkeypatch.setattr(incidence, "_DUAL_CHUNK", 100)
+    # 100-row slices: a row costs dual_index 16 entries
+    monkeypatch.setattr(geom3, "BLOCK", 100 * 16)
     assert count_ktt_via_lines(c) == whole == ktt_count_by_table(c.x_set, c.y_set, 3) > 0
 
 
@@ -127,7 +148,7 @@ def test_ktt_count_in_slices_of_line_counts(q, monkeypatch):
     # 7-row slices of Y's line counts, against a single slice of them all
     built = [build_incidence(q, 3, 40 + seed) for seed in range(5)]
     whole = [count_ktt_via_lines(c) for c in built]
-    monkeypatch.setattr(incidence, "_DUAL_CHUNK", 7)
+    monkeypatch.setattr(geom3, "BLOCK", 7 * 16)
     assert [count_ktt_via_lines(c) for c in built] == whole
     assert whole == [ktt_count_by_table(c.x_set, c.y_set, 3) for c in built]
     assert sum(whole) > 0

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eil
-import eil.incidence as incidence
+import eil.geom3 as geom3
 import eil.subgraph as sg
 from eil.cli import main
 from eil.errors import GraphFormatError, ParameterError
@@ -483,15 +483,15 @@ def test_edges_listing():
     assert np.diff(g.offsets).tolist() == [2, 2, 2, 2]
 
 
-@pytest.mark.parametrize("block", [1, 3, incidence._PRODUCT_BLOCK])
+@pytest.mark.parametrize("block", [1, 3, geom3.BLOCK])
 def test_streamed_biadjacency_matches_argwhere(block, monkeypatch):
     built = build_incidence(7, 3, 42).graph
-    monkeypatch.setattr(incidence, "_PRODUCT_BLOCK", block)
+    monkeypatch.setattr(geom3, "BLOCK", block)
     rng = np.random.default_rng(block)
     # 7 rows of 1 column: blocks of 3 rows leave a last block of 1
     for left, right in [(7, 1), (7, 5), (10, 3), (0, 4), (4, 0), (0, 0), (1, 1)]:
         adj = rng.random((left, right)) < 0.4
-        blocks = (adj[rows] for rows in incidence._row_slices(left, right))
+        blocks = (adj[rows] for rows in geom3.blocks(left, right))
         expected = BitGraph(left + right, np.argwhere(adj) + [0, left], (left, right))
         assert BitGraph.from_biadjacency(blocks, (left, right)) == expected
     assert build_incidence(7, 3, 42).graph == built
