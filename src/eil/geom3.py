@@ -32,9 +32,10 @@ import numpy as np
 
 Point3 = tuple[int, int, int]
 
-# Most int64 entries a streamed loop holds per block (see blocks). At 2^20
-# (8 MB) the pivot-0 blocks of line_counts stay below the peak that the rest
-# of a cold construct reaches; at 2^22 they were that peak from q = 37 on.
+# Most int64 entries a streamed loop holds per block (see blocks), unless one
+# item alone holds more. At 2^20 (8 MB) the pivot-0 blocks of line_counts stay
+# below the peak that the rest of a cold construct reaches; at 2^22 they were
+# that peak from q = 37 on.
 BLOCK = 1 << 20
 
 
@@ -102,7 +103,8 @@ def line_counts(q: int, points) -> np.ndarray:
 
     so the counts are bincounts of |X| (q^2 + q + 1) rows. Pivot 0 runs in
     blocks of d1; one d1 value holds q |X| row indices and the bincount of
-    its own q^3 rows, so a block stays within BLOCK however small X is.
+    its own q^3 rows, so a block holds at most max(BLOCK, q |X| + q^3)
+    entries however small X is (q^3 alone exceeds BLOCK from q = 103 on).
     Counts are stored in the smallest unsigned type that holds q.
     """
     x = np.asarray(points, dtype=np.int64)
@@ -123,7 +125,7 @@ def line_counts(q: int, points) -> np.ndarray:
     return counts
 
 
-def dual_index(q: int, rows, inverses: np.ndarray) -> np.ndarray:
+def dual_index(q: int, rows) -> np.ndarray:
     """Row of the dual of each off-origin row (rows that are not 0 mod q^2).
 
     The dual of base + F_q*dir is {z : b.z = 1, d.z = 0}. Its direction is
@@ -131,7 +133,7 @@ def dual_index(q: int, rows, inverses: np.ndarray) -> np.ndarray:
     z_k = 0; for the other two coordinates i < j, Cramer's rule gives
     z_i = d_j / det and z_j = -d_i / det with det = b_i d_j - b_j d_i, which
     is w_k for k = 0, 2 and -w_k for k = 1. z_i and z_j are the v0, v1 of
-    the dual's row. inverses is the table of gf.inverses(q).
+    the dual's row.
     """
     b0, b1, b2, d0, d1, d2 = _columns(q, rows)
     w0 = (b1 * d2 - b2 * d1) % q
@@ -140,6 +142,7 @@ def dual_index(q: int, rows, inverses: np.ndarray) -> np.ndarray:
     k0 = w0 != 0
     k2 = ~k0 & (w1 == 0)
     k1 = ~k0 & ~k2
+    inverses = np.array([0] + [pow(a, q - 2, q) for a in range(1, q)], dtype=np.int64)
     s = inverses[np.where(k0, w0, np.where(k1, w1, w2))]  # 1 / w_k
     tail = np.where(k0, w1 * s % q * q + w2 * s % q, np.where(k1, w2 * s % q, 0))
     inv_det = np.where(k1, q - s, s)

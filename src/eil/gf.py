@@ -8,8 +8,6 @@ entry points call it once and everything after them trusts q.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import ParameterError
 
 # Desk-scale experiments aim at q up to 37-61; the cap keeps q^2 products far
@@ -37,11 +35,6 @@ def check_field(q: int) -> None:
         raise ParameterError(f"q must be <= 2^20, got {q}")
     if not is_prime(q):
         raise ParameterError(f"q must be prime, got {q}")
-
-
-def inverses(q: int) -> np.ndarray:
-    """The int64 table of a^-1 mod q for a in [0, q), with 0 at index 0."""
-    return np.array([0] + [pow(a, q - 2, q) for a in range(1, q)], dtype=np.int64)
 
 
 def subgroup_of_order(q: int, t: int) -> set[int]:

@@ -27,7 +27,7 @@ from .evasive import (
 )
 from .geom3 import blocks, dual_index
 from .geom3 import line_table  # noqa: F401  (perfbench/spans.py traces this name)
-from .gf import check_field, inverses
+from .gf import check_field
 from .report import StatsReport
 from .subgraph import BitGraph, is_ksm_free
 
@@ -97,12 +97,11 @@ def count_ktt_via_lines(c: IncidenceConstruction) -> int:
     """
     cy = line_intersection_counts(c.y_set)
     cx = line_intersection_counts(c.x_set)
-    table = inverses(c.q)
     total = 0
     for part in blocks(cy.size, 16):
         rows = part.start + np.flatnonzero(cy[part] == c.t)
         rows = rows[rows % (c.q * c.q) != 0]
-        total += int((cx[dual_index(c.q, rows, table)] == c.t).sum())
+        total += int((cx[dual_index(c.q, rows)] == c.t).sum())
     return total
 
 

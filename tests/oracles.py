@@ -23,7 +23,6 @@ import numpy as np
 from eil.errors import GraphFormatError, ParameterError
 from eil.evasive import PointSet, TriPoly, monomials, restriction_tensor
 from eil.geom3 import AffineLine, Point3, dual_index
-from eil.gf import inverses
 from eil.subgraph import BitGraph, graph_to_text
 
 ORIGIN: Point3 = (0, 0, 0)
@@ -154,7 +153,7 @@ def line_table_oracle(q: int) -> LineTable:
     pts = (base[:, None, :] + s[None, :, None] * direction[:, None, :]) % q
     origin = (base == 0).all(axis=1)
     dual = np.full(len(base), -1, dtype=np.int64)
-    dual[~origin] = dual_index(q, np.flatnonzero(~origin), inverses(q))
+    dual[~origin] = dual_index(q, np.flatnonzero(~origin))
     return LineTable(base, direction, (pts[..., 0] * q + pts[..., 1]) * q + pts[..., 2],
                      origin, dual)
 

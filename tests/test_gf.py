@@ -3,7 +3,7 @@ import pytest
 
 from eil.errors import ParameterError
 from eil.evasive import _pow_mod
-from eil.gf import check_field, inverses, is_prime, subgroup_of_order
+from eil.gf import check_field, is_prime, subgroup_of_order
 from oracles import check_residue, inverse
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
@@ -33,15 +33,13 @@ def test_is_prime_small():
 
 @pytest.mark.parametrize("q", SMALL_PRIMES)
 def test_field_axioms_exhaustive(q):
-    # the line oracles canonicalize directions with this inverse, and
-    # dual_index with the table; the bulk paths do the ring operations with
-    # % q, so the inverse axiom is the one to check
-    table = inverses(q)
-    assert table.dtype == np.int64 and table.shape == (q,) and table[0] == 0
+    # the line oracles canonicalize directions with this inverse; the bulk
+    # paths do the ring operations with % q, so the inverse axiom is the one
+    # to check
     for a in range(q):
         assert check_residue(q, a) == a
         if a != 0:
-            assert a * inverse(q, a) % q == 1 and table[a] == inverse(q, a)
+            assert a * inverse(q, a) % q == 1
 
 
 @pytest.mark.parametrize("q", SMALL_PRIMES)
