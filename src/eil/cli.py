@@ -62,12 +62,12 @@ def _montecarlo_trial(args: tuple[int, int, int, int]) -> dict:
     f = sample_poly(q, t, base_seed + index)
     x0 = zero_set(q, f)
     pruned, vanishing = prune_bad_lines(q, f, x0)
-    ref_points = line_points(q, REFERENCE_LINE.base, REFERENCE_LINE.dir)
+    ref_points = line_points(q, *REFERENCE_LINE)
     ref_count = int(x0.member[ref_points].sum())
     # f restricts to the zero polynomial on the line iff it is zero at all q
     # points and its s^t coefficient is 0: for t < q a zero function of
     # degree <= t is the zero polynomial, for t = q it is c * (s^q - s)
-    ref_vanished = ref_count == q and top_coefficient(f, REFERENCE_LINE.dir) == 0
+    ref_vanished = ref_count == q and top_coefficient(f, REFERENCE_LINE[1]) == 0
     removed = x0.member & ~pruned.member
     return {
         "trial": index,

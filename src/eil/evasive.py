@@ -7,6 +7,10 @@ vanishes identically). The pruned set X meets every line in at most t
 points, and for each line the chance of hitting exactly t points stays
 bounded away from zero as q grows.
 
+Every PointSet carries its line counts |X intersect l| from construction;
+the pruned set takes X0's minus those of the removed points. zero_set and
+restriction_tensor share one table of a^e mod q (power_table).
+
 The field is its prime q and a polynomial's randomness its seed, both plain
 ints. The commands and build_incidence check them on entry, so nothing here
 checks them again.
@@ -20,11 +24,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geom3 import AffineLine, line_at, line_counts, line_points, line_table
+from .geom3 import line_at, line_counts, line_points, line_table
 
-# Fixed reference line used by the Monte Carlo commands: canonical and not
-# through the origin, valid for every q.
-REFERENCE_LINE = AffineLine((1, 0, 0), (0, 1, 0))
+# Fixed reference line (base, dir) used by the Monte Carlo commands:
+# canonical and not through the origin, valid for every q.
+REFERENCE_LINE = ((1, 0, 0), (0, 1, 0))
 
 # Generator words that sample_poly draws at once. Philox yields the same
 # words whatever the batch sizes, so this fixes no coefficient.
@@ -51,6 +55,15 @@ def monomials(t: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(mons)
 
 
+def power_table(q: int, t: int) -> np.ndarray:
+    """(q, t+1) table P[a, e] = a^e mod q, with 0^0 = 1."""
+    field = np.arange(q, dtype=np.int64)
+    powers = np.ones((q, t + 1), dtype=np.int64)
+    for e in range(1, t + 1):
+        powers[:, e] = powers[:, e - 1] * field % q
+    return powers
+
+
 @dataclass(frozen=True)
 class TriPoly:
     """Trivariate polynomial of total degree <= t over F_q.
@@ -64,26 +77,23 @@ class TriPoly:
 
 
 class PointSet:
-    """Subset of F_q^3 as a membership bitmask over point indices.
+    """Subset of F_q^3 as a membership bitmask over point indices, with its line counts.
 
-    member is a bool array of length q^3.
-    line_counts, when given, must be the set's per-row line counts; they
-    are otherwise computed on first use by line_intersection_counts.
+    member is a bool array of length q^3. line_counts[row] = |X intersect l|
+    for every line, rows in the geom3 layout: projected by geom3.line_counts
+    when the set is built, unless counts are passed in, and read-only either
+    way (a pruned set that lost no point shares X0's array).
     """
 
-    def __init__(self, q: int, member: np.ndarray, line_counts: np.ndarray | None = None):
+    def __init__(self, q: int, member: np.ndarray, counts: np.ndarray | None = None):
         self.q = q
         self.member = member
-        self._line_counts = line_counts
+        self.line_counts = line_counts(q, self.indices()) if counts is None else counts
+        self.line_counts.flags.writeable = False
 
     @property
     def count(self) -> int:
         return int(self.member.sum())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PointSet):
-            return NotImplemented
-        return self.q == other.q and bool((self.member == other.member).all())
 
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self.member)
@@ -126,17 +136,6 @@ def top_coefficient(f: TriPoly, direction) -> int:
     return total % q
 
 
-def _pow_mod(col: np.ndarray, e: int, q: int) -> np.ndarray:
-    out = np.ones_like(col)
-    b = col % q
-    while e:
-        if e & 1:
-            out = out * b % q
-        b = b * b % q
-        e >>= 1
-    return out
-
-
 @lru_cache(maxsize=None)
 def restriction_tensor(q: int, t: int) -> np.ndarray:
     """(n_lines, t+1, n_monomials) linear maps: coeffs -> per-line restriction.
@@ -151,10 +150,10 @@ def restriction_tensor(q: int, t: int) -> np.ndarray:
     n = len(base)
     mons = monomials(t)
     # expans[c][e] has shape (e+1, n): binomial expansion of (b_c + s d_c)^e
+    powers = power_table(q, t)
     expans = []
     for c in range(3):
-        powb = np.stack([_pow_mod(base[:, c], e, q) for e in range(t + 1)])
-        powd = np.stack([_pow_mod(dirv[:, c], e, q) for e in range(t + 1)])
+        powb, powd = powers[base[:, c]].T, powers[dirv[:, c]].T
         per_e = []
         for e in range(t + 1):
             rows = [math.comb(e, m) % q * powb[e - m] % q * powd[m] % q for m in range(e + 1)]
@@ -175,17 +174,15 @@ def zero_set(q: int, f: TriPoly) -> PointSet:
     """The points where f evaluates to zero.
 
     The coefficients go into a (t+1)^3 cube c[i, j, k] indexed by exponents,
-    and with P[a, e] = a^e mod q the cube is contracted one axis at a time:
+    and with P = power_table(q, t) the cube is contracted one axis at a time:
     (x, j*k) -> (x, k, y) -> (x, y, z). The raveled values are indexed by
-    x*q^2 + y*q + z, the point index. O(q^3 t) work and no kept state.
+    x*q^2 + y*q + z, the point index. O(q^3 t) work, then O(q^4) to
+    project the set's line counts.
     """
     t = f.t
     cube = np.zeros((t + 1,) * 3, dtype=np.int64)
     cube[tuple(zip(*monomials(t)))] = f.coeffs
-    field = np.arange(q, dtype=np.int64)
-    powers = np.ones((q, t + 1), dtype=np.int64)
-    for e in range(1, t + 1):
-        powers[:, e] = powers[:, e - 1] * field % q
+    powers = power_table(q, t)
     # each matmul sums t+1 <= q+1 products of residues below q <= 2^20, so
     # every sum stays below 2^61 before it is reduced
     v = powers @ cube.reshape(t + 1, -1) % q
@@ -208,7 +205,7 @@ def prune_bad_lines(q: int, f: TriPoly, x0: PointSet) -> tuple[PointSet, np.ndar
     the pruned set carries X0's line counts minus those of the removed
     points, so its counts are never projected from scratch.
     """
-    counts = line_intersection_counts(x0)
+    counts = x0.line_counts
     vanishing = np.flatnonzero(counts > f.t)
     member = x0.member.copy()
     if vanishing.size == 0:
@@ -217,18 +214,6 @@ def prune_bad_lines(q: int, f: TriPoly, x0: PointSet) -> tuple[PointSet, np.ndar
     removed = np.flatnonzero(x0.member & ~member)
     left = line_counts(q, removed)  # of a subset of x0, so no count wraps below 0
     return PointSet(q, member, np.subtract(counts, left, out=left)), vanishing
-
-
-def line_intersection_counts(x: PointSet) -> np.ndarray:
-    """|X intersect l| for every line, indexed by row (the geom3 layout).
-
-    Projected once per set by geom3.line_counts and kept on the set
-    (read-only, since a pruned set that lost no point shares X0's array).
-    """
-    if x._line_counts is None:
-        x._line_counts = line_counts(x.q, x.indices())
-    x._line_counts.flags.writeable = False
-    return x._line_counts
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Points and canonical affine lines of F_q^3, with every line count in closed form.
 
-A line is stored as (base, dir) in a canonical form that makes equal point
+The point (x0, x1, x2) has index x0*q^2 + x1*q + x2; point_coords is the
+one decoder of indices into coordinates. A line is a (base, dir) pair of
+points, or two arrays of them, in a canonical form that makes equal point
 sets compare equal: dir is scaled so its first nonzero coordinate (the
 pivot) is 1, and base is slid along the line so its pivot coordinate is 0.
 In canonical form a line passes through the origin exactly when base is
@@ -17,7 +19,8 @@ multiples of q^2, so a row is a line through the origin exactly when it
 is 0 mod q^2. No table of lines is kept: the line through a point x with
 direction d has base x - x_p*d, so line_counts gets |X intersect l| for
 every row by bincounting the rows of the q^2 + q + 1 lines through each
-point of X, in O(|X| q^2) time.
+point of X, in O(|X| q^2) time. evasive.PointSet projects its counts
+once, when it is built.
 
 The dual of an off-origin line base + F_q*dir is the line
 {z : base.z = 1, dir.z = 0}; its direction is base x dir and its base
@@ -26,23 +29,13 @@ comes from Cramer's rule on a 2x2 system (see dual_index).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-Point3 = tuple[int, int, int]
 
 # Most int64 entries a streamed loop holds per block (see blocks), unless one
 # item alone holds more. At 2^20 (8 MB) the pivot-0 blocks of line_counts stay
 # below the peak that the rest of a cold construct reaches; at 2^22 they were
 # that peak from q = 37 on.
 BLOCK = 1 << 20
-
-
-@dataclass(frozen=True)
-class AffineLine:
-    base: Point3
-    dir: Point3
 
 
 def n_lines(q: int) -> int:
@@ -83,6 +76,12 @@ def line_table(q: int) -> tuple[np.ndarray, np.ndarray]:
     return line_at(q, np.arange(n_lines(q), dtype=np.int64))
 
 
+def point_coords(q: int, points) -> np.ndarray:
+    """(n, 3) coordinates of each point index."""
+    x = np.asarray(points, dtype=np.int64)
+    return np.stack([x // (q * q), x // q % q, x % q], axis=1)
+
+
 def line_points(q: int, base, direction) -> np.ndarray:
     """(..., q) point indices of base + s*dir for s = 0..q-1."""
     b = np.asarray(base, dtype=np.int64)[..., None, :]
@@ -107,8 +106,7 @@ def line_counts(q: int, points) -> np.ndarray:
     entries however small X is (q^3 alone exceeds BLOCK from q = 103 on).
     Counts are stored in the smallest unsigned type that holds q.
     """
-    x = np.asarray(points, dtype=np.int64)
-    x0, x1, x2 = x // (q * q), x // q % q, x % q
+    x0, x1, x2 = point_coords(q, points).T
     field = np.arange(q, dtype=np.int64)[:, None]
     q2, q3, q4 = q * q, q**3, q**4
     counts = np.empty(n_lines(q), dtype=np.min_scalar_type(q))

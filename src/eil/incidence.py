@@ -7,7 +7,9 @@ neighborhood into a line or the empty set, and lines carry at most t
 points of either set. Copies of K_{t,t} are counted exactly by scanning
 lines: a line l off the origin yields a copy precisely when l carries t
 points of Y and its dual carries t points of X, and every copy arises
-that way exactly once.
+that way exactly once. The count reads the line counts that each set
+carries (PointSet.line_counts), and the point-plane product reads the
+coordinates that geom3.point_coords decodes from the point indices.
 """
 
 from __future__ import annotations
@@ -18,14 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .evasive import (
-    PointSet,
-    line_intersection_counts,
-    prune_bad_lines,
-    sample_poly,
-    zero_set,
-)
-from .geom3 import blocks, dual_index
+from .evasive import PointSet, prune_bad_lines, sample_poly, zero_set
+from .geom3 import blocks, dual_index, point_coords
 from .geom3 import line_table  # noqa: F401  (perfbench/spans.py traces this name)
 from .gf import check_field
 from .report import StatsReport
@@ -51,10 +47,6 @@ class IncidenceConstruction:
     @property
     def n(self) -> int:
         return self.graph.n
-
-
-def _coords_of(indices: np.ndarray, q: int) -> np.ndarray:
-    return np.stack([indices // (q * q), (indices // q) % q, indices % q], axis=1)
 
 
 def _incidence_blocks(xc: np.ndarray, yc: np.ndarray, q: int):
@@ -83,7 +75,7 @@ def build_incidence(q: int, t: int, seed_x: int) -> IncidenceConstruction:
         vanishing.append(len(gone))
     x_set, y_set = sets
     assert x_set.count <= t * q * q and y_set.count <= t * q * q
-    xc, yc = _coords_of(x_set.indices(), q), _coords_of(y_set.indices(), q)
+    xc, yc = point_coords(q, x_set.indices()), point_coords(q, y_set.indices())
     graph = BitGraph.from_biadjacency(_incidence_blocks(xc, yc, q), (len(xc), len(yc)))
     return IncidenceConstruction(q, t, seed_x, seed_y, x_set, y_set, *vanishing, graph)
 
@@ -93,15 +85,16 @@ def count_ktt_via_lines(c: IncidenceConstruction) -> int:
 
     Y's line counts are scanned in blocks of rows (dual_index holds about a
     dozen int64 temporaries per row). A block's off-origin rows (not 0 mod
-    q^2) that are t-rich in Y are dualised together, each in closed form.
+    q^2) that are t-rich in Y are dualised together, each in closed form; a
+    block without one makes no dual_index call.
     """
-    cy = line_intersection_counts(c.y_set)
-    cx = line_intersection_counts(c.x_set)
+    cy, cx = c.y_set.line_counts, c.x_set.line_counts
     total = 0
     for part in blocks(cy.size, 16):
         rows = part.start + np.flatnonzero(cy[part] == c.t)
         rows = rows[rows % (c.q * c.q) != 0]
-        total += int((cx[dual_index(c.q, rows)] == c.t).sum())
+        if rows.size:
+            total += int((cx[dual_index(c.q, rows)] == c.t).sum())
     return total
 
 

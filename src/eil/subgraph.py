@@ -72,13 +72,6 @@ class BitGraph:
         up = src < self.nbr
         return src[up], self.nbr[up]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BitGraph):
-            return NotImplemented
-        return (self.n == other.n and self.sides == other.sides
-                and np.array_equal(self.offsets, other.offsets)
-                and np.array_equal(self.nbr, other.nbr))
-
 
 @dataclass(frozen=True)
 class FreenessResult:

@@ -1,19 +1,20 @@
 """Scalar reference implementations that the tests check the array code against.
 
 None of these is on a production path: field residues and inverses, points
-and lines one tuple at a time, the row of a line, the whole table of lines
-with the q points of every row and line counts gathered through it,
-pointwise polynomial evaluation, symbolic restriction of a polynomial to a
-line (one line at a time, or to every line through the restriction
-tensor), Furedi orbits one member at a time, edge lists, graph
-neighbourhoods as sets or n-bit masks, brute-force subset scans, the
-line-by-line graph parser and the per-edge graph writer.
+and lines one tuple at a time, the row of a line, equality of built sets
+and graphs, the whole table of lines with the q points of every row and
+line counts gathered through it, pointwise polynomial evaluation,
+symbolic restriction of a polynomial to a line (one line at a time, or to
+every line through the restriction tensor), Furedi orbits one member at a
+time, edge lists, graph neighbourhoods as sets or n-bit masks,
+brute-force subset scans, the line-by-line graph parser and the per-edge
+graph writer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Optional
@@ -22,10 +23,33 @@ import numpy as np
 
 from eil.errors import GraphFormatError, ParameterError
 from eil.evasive import PointSet, TriPoly, monomials, restriction_tensor
-from eil.geom3 import AffineLine, Point3, dual_index
+from eil.geom3 import dual_index
 from eil.subgraph import BitGraph, graph_to_text
 
+Point3 = tuple[int, int, int]
 ORIGIN: Point3 = (0, 0, 0)
+
+
+@dataclass(frozen=True)
+class AffineLine:
+    base: Point3
+    dir: Point3
+
+
+def same(a, b) -> bool:
+    """Equal content: point sets by q and membership, graphs by their CSR,
+    dataclasses and tuples field by field, anything else by ==."""
+    if isinstance(a, PointSet):
+        return isinstance(b, PointSet) and a.q == b.q and np.array_equal(a.member, b.member)
+    if isinstance(a, BitGraph):
+        return (isinstance(b, BitGraph) and a.n == b.n and a.sides == b.sides
+                and np.array_equal(a.offsets, b.offsets) and np.array_equal(a.nbr, b.nbr))
+    if is_dataclass(a):
+        return type(a) is type(b) and all(
+            same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(same, a, b))
+    return a == b
 
 
 def point_index(q: int, p: Point3) -> int:

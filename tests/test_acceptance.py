@@ -10,16 +10,12 @@ import math
 import numpy as np
 
 from eil.cli import log_log_slope, main, run_montecarlo, run_sweep
-from eil.evasive import (
-    TriPoly,
-    line_intersection_counts,
-    restriction_tensor,
-    sample_poly,
-)
-from eil.geom3 import AffineLine, n_lines
+from eil.evasive import TriPoly, restriction_tensor, sample_poly
+from eil.geom3 import n_lines
 from eil.incidence import build_incidence, count_ktt_via_lines
 from eil.subgraph import count_biclique_general, is_ksm_free
 from oracles import (
+    AffineLine,
     count_biclique,
     line_index,
     line_table_oracle,
@@ -111,7 +107,7 @@ def test_criterion_04_deterministic_evasiveness(acceptance_constructions):
     assert len(acceptance_constructions) == 200
     for c in acceptance_constructions:
         for point_set in (c.x_set, c.y_set):
-            if int(line_intersection_counts(point_set).max()) > c.t:
+            if int(point_set.line_counts.max()) > c.t:
                 failures += 1
             if point_set.count > c.t * c.q * c.q:
                 failures += 1
@@ -187,7 +183,7 @@ def test_criterion_07_quadratic_growth_proxy():
             c = build_incidence(q, t, seed + i)
             mismatches += count_ktt_via_lines(c) != counts[i]
             for point_set in (c.x_set, c.y_set):
-                rich += int((line_intersection_counts(point_set)[off_origin] == t).sum())
+                rich += int((point_set.line_counts[off_origin] == t).sum())
         pi_hat[q] = rich / (2 * trials * n_off)
         if abs(per_q[q] - n_off * pi_hat[q] ** 2) > 3 * rows[q]["mean_count_se"]:
             unfactorised.append(q)

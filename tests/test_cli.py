@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import csv
 import importlib
@@ -378,15 +379,38 @@ def test_every_traced_cli_name_is_reached(tmp_path, monkeypatch, capsys):
 
 
 # Functions of src/eil that no command reaches, each with why it stays there.
+# A reason that names the benchmark holds only for a name that
+# perfbench/spans.py::call_sites patches or perfbench/run.py imports.
 UNREACHED = {
-    "geom3.line_table": "the benchmark traces it (ROADMAP item 1)",
-    "evasive.restriction_tensor": "the benchmark traces it (ROADMAP item 1)",
-    "evasive._pow_mod": "restriction_tensor's helper (ROADMAP item 1)",
+    "geom3.line_table": "the benchmark traces it (ROADMAP item 2)",
+    "evasive.restriction_tensor": "the benchmark traces it (ROADMAP item 2)",
     "report.validate_report": "the benchmark's gate checks every report with it",
-    "subgraph.BitGraph.__eq__": "tests compare builds with ==",
-    "evasive.PointSet.__eq__": "tests compare builds with ==",
     "subgraph.count_biclique_general": "only a Furedi graph that fails its K_{3,t} check",
 }
+RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+
+
+def benchmark_names() -> set:
+    """module.qualname of each eil function that the benchmark patches or imports.
+
+    The benchmark files are loaded and parsed, not changed.
+    """
+    names = set()
+    for owner, attr, *_ in load_spans().call_sites(eil):
+        fn = getattr(owner, attr)
+        names.add(f"{fn.__module__.removeprefix('eil.')}.{fn.__qualname__}")
+    for node in ast.walk(ast.parse(RUN.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("eil."):
+            names |= {f"{node.module.removeprefix('eil.')}.{a.name}" for a in node.names}
+    return names
+
+
+def test_allowlist_reasons_that_name_the_benchmark_hold():
+    names = benchmark_names()
+    assert {"geom3.line_table", "subgraph.BitGraph.from_biadjacency",
+            "report.validate_report"} <= names
+    claimed = {name for name, reason in UNREACHED.items() if "benchmark" in reason}
+    assert claimed and not claimed - names, sorted(claimed - names)
 
 
 def package_functions() -> dict:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from eil.errors import ParameterError
-from eil.geom3 import AffineLine, dual_index, line_at, line_points, line_table
+from eil.geom3 import dual_index, line_at, line_points, line_table
 from oracles import (
+    AffineLine,
     canonical_line,
     line_index,
     line_table_oracle,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eil.errors import ParameterError
-from eil.evasive import _pow_mod
+from eil.evasive import power_table
 from eil.gf import check_field, is_prime, subgroup_of_order
 from oracles import check_residue, inverse
 
@@ -44,11 +44,13 @@ def test_field_axioms_exhaustive(q):
 
 @pytest.mark.parametrize("q", SMALL_PRIMES)
 def test_pow_matches_repeated_multiplication(q):
-    # the bulk paths raise whole coordinate columns to powers with _pow_mod
+    # zero_set and restriction_tensor read every a^e mod q from this table
+    table = power_table(q, 20)
+    assert table.shape == (q, 21) and table[0, 0] == 1  # 0^0 = 1
     col = np.arange(q, dtype=np.int64)
     acc = np.ones(q, dtype=np.int64)
     for e in range(21):
-        assert (_pow_mod(col, e, q) == acc).all()
+        assert (table[:, e] == acc).all()
         acc = acc * col % q
 
 

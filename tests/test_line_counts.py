@@ -16,7 +16,6 @@ from eil import geom3
 from eil.evasive import (
     PointSet,
     TriPoly,
-    line_intersection_counts,
     monomials,
     prune_bad_lines,
     sample_poly,
@@ -45,7 +44,7 @@ def point_sets(draw):
 @settings(max_examples=80, deadline=None)
 @given(point_sets())
 def test_projected_counts_match_the_gather(x):
-    counts = line_intersection_counts(x)
+    counts = x.line_counts
     assert counts.shape == (n_lines(x.q),)
     assert np.array_equal(counts, gather_line_counts(x))
 
@@ -58,8 +57,8 @@ def test_zero_set_and_pruned_counts_match_the_gather(q, t, seed):
     f = sample_poly(q, t, seed)
     x0 = zero_set(q, f)
     pruned, vanishing = prune_bad_lines(q, f, x0)
-    assert np.array_equal(line_intersection_counts(x0), gather_line_counts(x0))
-    assert np.array_equal(line_intersection_counts(pruned), gather_line_counts(pruned))
+    assert np.array_equal(x0.line_counts, gather_line_counts(x0))
+    assert np.array_equal(pruned.line_counts, gather_line_counts(pruned))
     assert np.array_equal(vanishing, np.flatnonzero(gather_line_counts(x0) > t))
 
 
@@ -76,8 +75,25 @@ def test_planted_prune_removes_points_and_keeps_counts_exact(q):
     pruned, vanishing = prune_bad_lines(q, f, x0)
     assert len(vanishing) == q * (q + 1)
     assert x0.count == 2 * q * q - 1 and pruned.count == q * q - 1
-    assert np.array_equal(line_intersection_counts(pruned), gather_line_counts(pruned))
+    assert np.array_equal(pruned.line_counts, gather_line_counts(pruned))
     assert gather_line_counts(pruned).max() <= 3
+
+
+def test_built_sets_carry_read_only_counts_from_construction():
+    # X0, a pruned set that lost points (seed 0 clears a line) and one that
+    # lost none (seed 1), which shares X0's array: a write into any of them
+    # would change the others' counts
+    q, t = 7, 3
+    for seed, lost in ((0, True), (1, False)):
+        f = sample_poly(q, t, seed)
+        x0 = zero_set(q, f)
+        pruned, vanishing = prune_bad_lines(q, f, x0)
+        assert (pruned.count < x0.count) == (vanishing.size > 0) == lost
+        assert (pruned.line_counts is x0.line_counts) == (not lost)
+        for x in (x0, pruned):
+            assert np.array_equal(x.line_counts, gather_line_counts(x))
+            with pytest.raises(ValueError):
+                x.line_counts[0] = 0
 
 
 @pytest.mark.parametrize("block", [1, 7, 100])
