@@ -4,18 +4,19 @@ Two independently sampled evasive sets X, Y in F_q^3 are joined by the
 bilinear relation x1*y1 + x2*y2 + x3*y3 = 1 (y acting as the plane H_y).
 The graph is K_{2,t+1}-free outright: two left vertices pin their common
 neighborhood into a line or the empty set, and lines carry at most t
-points of either set. Copies of K_{t,t} are counted exactly by scanning
-lines: a line l off the origin yields a copy precisely when l carries t
-points of Y and its dual carries t points of X, and every copy arises
-that way exactly once. The count reads the line counts that each set
-carries (PointSet.line_counts), and the point-plane product reads the
-coordinates that geom3.point_coords decodes from the point indices.
+points of either set (IncidenceConstruction.evasive). Copies of K_{t,t}
+are counted exactly by scanning lines: a line l off the origin yields a
+copy precisely when l carries t points of Y and its dual carries t points
+of X, and every copy arises that way exactly once. Both read the sets'
+line counts (PointSet.line_counts), so neither needs the graph, which is
+built on first use of IncidenceConstruction.graph.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,11 +43,26 @@ class IncidenceConstruction:
     y_set: PointSet
     vanishing_x: int  # lines cleared by pruning
     vanishing_y: int
-    graph: BitGraph
 
     @property
     def n(self) -> int:
-        return self.graph.n
+        return self.x_set.count + self.y_set.count
+
+    @property
+    def evasive(self) -> bool:
+        """No line meets X or Y in more than t points; then the graph is K_{2,t+1}-free.
+
+        Two points of X share neighbours only on the line where their planes
+        meet, which holds at most t points of Y; likewise for Y. Sufficient,
+        not necessary: t + 1 points of Y on a line need two of X on its dual.
+        """
+        return max(int(s.line_counts.max()) for s in (self.x_set, self.y_set)) <= self.t
+
+    @cached_property
+    def graph(self) -> BitGraph:
+        """The incidence graph, X as the left side; built on first use."""
+        xc, yc = (point_coords(self.q, s.indices()) for s in (self.x_set, self.y_set))
+        return BitGraph.from_biadjacency(_incidence_blocks(xc, yc, self.q), (len(xc), len(yc)))
 
 
 def _incidence_blocks(xc: np.ndarray, yc: np.ndarray, q: int):
@@ -57,7 +73,7 @@ def _incidence_blocks(xc: np.ndarray, yc: np.ndarray, q: int):
 
 
 def build_incidence(q: int, t: int, seed_x: int) -> IncidenceConstruction:
-    """The incidence graph of X from seed_x and Y from seed_x ^ SEED_Y_SALT; checks all args."""
+    """The pruned sets X from seed_x and Y from seed_x ^ SEED_Y_SALT; checks all args."""
     check_field(q)
     if t < 3:
         raise ParameterError(f"degree bound t must be >= 3, got {t}")
@@ -73,11 +89,8 @@ def build_incidence(q: int, t: int, seed_x: int) -> IncidenceConstruction:
         pruned, gone = prune_bad_lines(q, f, zero_set(q, f))
         sets.append(pruned)
         vanishing.append(len(gone))
-    x_set, y_set = sets
-    assert x_set.count <= t * q * q and y_set.count <= t * q * q
-    xc, yc = point_coords(q, x_set.indices()), point_coords(q, y_set.indices())
-    graph = BitGraph.from_biadjacency(_incidence_blocks(xc, yc, q), (len(xc), len(yc)))
-    return IncidenceConstruction(q, t, seed_x, seed_y, x_set, y_set, *vanishing, graph)
+    assert all(s.count <= t * q * q for s in sets)
+    return IncidenceConstruction(q, t, seed_x, seed_y, *sets, *vanishing)
 
 
 def count_ktt_via_lines(c: IncidenceConstruction) -> int:

@@ -1,6 +1,7 @@
 import ast
 import concurrent.futures
 import csv
+import functools
 import importlib
 import inspect
 import io
@@ -346,6 +347,26 @@ def test_no_command_enumerates_every_line(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_sweep_builds_no_graph(tmp_path, monkeypatch, capsys):
+    # a sweep trial reads K_{2,t+1}-freeness from the line counts of its two
+    # sets (IncidenceConstruction.evasive): no graph, no subset scan
+    argv = ["sweep", "--q", "5,7", "--t", "3", "--trials", "100"]
+
+    def outputs(out):
+        assert main(argv + ["--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    expected = outputs(tmp_path / "plain")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep built or scanned a graph")
+
+    monkeypatch.setattr(BitGraph, "from_biadjacency", refuse)
+    monkeypatch.setattr(eil.cli, "is_ksm_free", refuse)
+    assert outputs(tmp_path / "guarded") == expected
+    capsys.readouterr()
+
+
 def test_every_traced_cli_name_is_reached(tmp_path, monkeypatch, capsys):
     # perfbench/spans.py times a layer by patching its name on eil.cli, so a
     # command that stops calling through that name reads 0 for the layer;
@@ -417,7 +438,8 @@ def package_functions() -> dict:
     """{module.qualname: code} of every function and method written in src/eil/*.py.
 
     lru_cache functions are read through __wrapped__, and their caches are
-    cleared so that a call made before does not hide the body from a run.
+    cleared so that a call made before does not hide the body from a run;
+    a cached_property is read through its func.
     The dunders that dataclass generates have no code in the module file
     and are left out.
     """
@@ -431,6 +453,8 @@ def package_functions() -> dict:
         for obj in members:
             if isinstance(obj, property):
                 obj = obj.fget
+            if isinstance(obj, functools.cached_property):
+                obj = obj.func
             if isinstance(obj, (classmethod, staticmethod)):
                 obj = obj.__func__
             if hasattr(obj, "cache_clear"):

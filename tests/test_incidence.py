@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from eil.errors import ParameterError
+from eil.evasive import PointSet
+from eil.geom3 import dual_index, line_at, line_points
 from eil.incidence import (
+    IncidenceConstruction,
     build_incidence,
     count_ktt_via_lines,
     verify_construction,
@@ -82,17 +85,61 @@ def test_count_matches_bruteforce_oracle_t4():
 
 
 def test_count_zero_for_empty_x():
-    from eil.evasive import PointSet
-    from eil.incidence import IncidenceConstruction
-
     c = build_incidence(5, 3, 7)
     gutted = IncidenceConstruction(
         q=5, t=3, seed_x=7, seed_y=c.seed_y,
         x_set=PointSet(5, np.zeros(125, dtype=np.bool_)), y_set=c.y_set,
         vanishing_x=0, vanishing_y=c.vanishing_y,
-        graph=BitGraph(c.y_set.count, [], (0, c.y_set.count)),
     )
     assert count_ktt_via_lines(gutted) == 0
+
+
+def _points_of_row(q, row):
+    base, direction = line_at(q, [row])
+    return line_points(q, base[0], direction[0])
+
+
+def _by_hand(q, t, x_points, y_points):
+    """A construction whose X and Y are the given point indices."""
+    sets = []
+    for points in (x_points, y_points):
+        member = np.zeros(q**3, dtype=np.bool_)
+        member[points] = True
+        sets.append(PointSet(q, member))
+    return IncidenceConstruction(q, t, 0, 0, *sets, 0, 0)
+
+
+# Two off-origin rows of F_7^3 (not 0 mod q^2).
+ROW, OTHER_ROW = 7**4 + 3 * 7 * 7 + 2 * 7 + 5, 2 * 7**3 + 4 * 7 + 1
+
+
+def test_a_t_plus_1_rich_line_with_two_dual_points_fails_both_checks():
+    # Y holds t + 1 points of l and X two points of its dual l*: every point
+    # of l* is joined to every point of l, a K_{2,t+1}
+    q, t = 7, 3
+    line = _points_of_row(q, ROW)
+    dual = _points_of_row(q, int(dual_index(q, [ROW])[0]))
+    c = _by_hand(q, t, dual[:2], line[: t + 1])
+    assert not c.evasive
+    result = is_ksm_free(c.graph, 2, t + 1)
+    assert not result.free
+    assert result.witness == ((0, 1), (2, 3, 4, 5))
+
+
+def test_the_evasive_certificate_is_sufficient_not_necessary():
+    # the same Y, but X has one point on l*: no two points of X have l as
+    # the meeting line of their planes, so the graph is free though Y is not
+    # evasive
+    q, t = 7, 3
+    line = _points_of_row(q, ROW)
+    dual_row = int(dual_index(q, [ROW])[0])
+    dual = _points_of_row(q, dual_row)
+    other = _points_of_row(q, OTHER_ROW)
+    x_points = np.union1d(dual[:1], other[:t])
+    c = _by_hand(q, t, x_points, line[: t + 1])
+    assert c.x_set.line_counts[dual_row] == 1 and c.x_set.count == t + 1
+    assert not c.evasive
+    assert is_ksm_free(c.graph, 2, t + 1).free
 
 
 def test_freeness_is_deterministic():
