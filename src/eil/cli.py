@@ -3,7 +3,8 @@
 construct, montecarlo and sweep share one path: _check rejects bad
 parameters, the command returns (report, {path: text}, stdout lines), and
 main creates --out, writes each file with _write and prints it, the lines
-and the checks. A rejected run creates nothing. verify prints its report.
+and the checks. A rejected run creates nothing. verify prints its report
+in --format and writes the same text to --out if given.
 
 Exit codes: 0 success, 1 parameter/validation error, 2 an acceptance-style
 check failed, 3 I/O or parse error. Outputs are byte-identical across
@@ -68,7 +69,6 @@ def _montecarlo_trial(args: tuple[int, int, int, int]) -> dict:
     # points and its s^t coefficient is 0: for t < q a zero function of
     # degree <= t is the zero polynomial, for t = q it is c * (s^q - s)
     ref_vanished = ref_count == q and top_coefficient(f, REFERENCE_LINE[1]) == 0
-    removed = x0.member & ~pruned.member
     return {
         "trial": index,
         "seed": base_seed + index,
@@ -78,7 +78,8 @@ def _montecarlo_trial(args: tuple[int, int, int, int]) -> dict:
         "ref_count_x0": ref_count,
         "ref_exact_t": ref_count == t,
         "ref_vanished": ref_vanished,
-        "ref_bad": bool(removed[ref_points].any()),
+        # the pruned set lies inside X0, so the line lost a point iff it holds fewer
+        "ref_bad": int(pruned.member[ref_points].sum()) < ref_count,
         "binom_stat": math.comb(ref_count, t),
     }
 
@@ -273,22 +274,22 @@ def cmd_sweep(args) -> tuple[StatsReport, dict, list[str]]:
 
 
 def cmd_verify(args) -> int:
-    """Prints the report JSON and writes --out if given; no other output."""
+    """Prints the report in --format and writes the same text to --out if given."""
     graph = read_graph(args.path)
     result = is_ksm_free(graph, args.s, args.m, force=args.force)
-    witness = list(map(list, result.witness)) if result.witness else None
     report = StatsReport(
         kind="verify",
         params={"path": str(args.path), "s": args.s, "m": args.m},
         trials=[{"trial": 0, "n": graph.n, "edge_count": graph.edge_count(),
-                 "free": result.free, "witness": witness}],
+                 "free": result.free, "witness": result.witness}],
         aggregates={"free": result.free},
         checks=[{"name": f"k_{args.s}_{args.m}_free", "passed": result.free,
-                 "witness": witness}],
+                 "witness": result.witness}],
     )
-    sys.stdout.write(report.to_json())
+    text = report.render(args.format)
+    sys.stdout.write(text)
     if args.out:
-        _write(args.out, report.render(args.format))
+        _write(args.out, text)
     return 0 if result.free else 2
 
 

@@ -128,7 +128,7 @@ def verify_construction(c: IncidenceConstruction) -> StatsReport:
         "vanishing_lines_y": c.vanishing_y,
         "ktt_count": count,
         "k2_free": freeness.free,
-        "freeness_witness": list(map(list, freeness.witness)) if freeness.witness else None,
+        "freeness_witness": freeness.witness,
         "ratio_count_n2": count / (n * n) if n else 0.0,
     }
     checks = [

@@ -72,7 +72,7 @@ def _csv_cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (list, dict)):
+    if isinstance(value, (list, tuple, dict)):
         return json.dumps(value)
     return str(value)
 

@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import GraphFormatError, ParameterError
 
-# Subset keys per scan above which a scan is refused: about 5 s on a desk machine.
+# Subset keys per scan above which a scan is refused: a forced cold verify of
+# 9.1e7 keys took 0.9 s (K_{450,450}) to 1.9 s (random, n = 20000) on a 2-core VM.
 KEY_BUDGET = 10**8
 # int64 entries per block of subset keys, over the arrays of all growth steps.
 CODEGREE_BLOCK = 1 << 16

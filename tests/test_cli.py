@@ -15,7 +15,7 @@ import pytest
 
 import eil
 from eil.cli import _run_indexed, main, run_montecarlo, run_sweep
-from eil.report import validate_report
+from eil.report import StatsReport, validate_report
 from eil.subgraph import BitGraph
 from oracles import write_graph
 from test_benchmark_call_sites import load_spans
@@ -97,16 +97,34 @@ def test_verify_k23_fixture_reports_witness(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["aggregates"]["free"] is False
     assert doc["checks"][0]["witness"] == [[0, 1], [2, 3, 4]]
+    # --format sets stdout too, and --out gets the same bytes
+    report = tmp_path / "r.csv"
+    assert main(["verify", str(fixture), "--s", "2", "--m", "3", "--format", "csv",
+                 "--out", str(report)]) == 2
+    out = capsys.readouterr().out
+    assert out.encode() == read_bytes(report)
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["trial", "n", "edge_count", "free", "witness"]
+    assert rows[1][4] == "[[0, 1], [2, 3, 4]]"
 
 
-def test_verify_can_write_report_file(tmp_path, capsys):
+def test_verify_can_write_report_file(tmp_path, capsys, monkeypatch):
     fixture = tmp_path / "c5.graph.txt"
     g = BitGraph(5, [(i, (i + 1) % 5) for i in range(5)])
     write_graph(g, fixture)
     out = tmp_path / "c5.report.json"
+    renders = []
+    to_json = StatsReport.to_json
+
+    def spy(self):
+        renders.append(self.kind)
+        return to_json(self)
+
+    monkeypatch.setattr(StatsReport, "to_json", spy)
     assert main(["verify", str(fixture), "--s", "2", "--m", "2",
                  "--out", str(out)]) == 0
-    capsys.readouterr()
+    assert renders == ["verify"]  # rendered once, for stdout and the file
+    assert capsys.readouterr().out.encode() == read_bytes(out)
     doc = json.loads(out.read_text())
     validate_report(doc)
     assert doc["aggregates"]["free"] is True  # C_5 has girth 5

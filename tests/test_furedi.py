@@ -11,6 +11,7 @@ from eil.furedi import (
     classes_to_text,
     verify_appendix,
 )
+from eil.gf import subgroup_of_order
 from eil.report import validate_report
 from eil.subgraph import BitGraph, count_biclique_general, is_ksm_free
 from oracles import (
@@ -34,7 +35,7 @@ def test_orbits_partition_the_punctured_plane(q, t):
     assert list(g.classes) == sorted(g.classes)
     seen = set()
     for rep in g.classes:
-        orbit = orbit_of(q, g.subgroup, rep)
+        orbit = orbit_of(q, subgroup_of_order(q, t), rep)
         assert len(set(orbit)) == t
         assert min(orbit) == rep
         assert not (set(orbit) & seen)
@@ -53,7 +54,7 @@ def test_degree_profile(q, t):
 def test_edge_relation_is_rescaling_invariant():
     q, t = 13, 3
     g = build_furedi(q, t)
-    subgroup = list(g.subgroup)
+    subgroup = sorted(subgroup_of_order(q, t))
     rng = random.Random(99)
     baseline = set(edge_list(g.graph))
     for _ in range(50):
@@ -135,7 +136,7 @@ def test_verify_appendix_counts_when_not_k3t_free(monkeypatch):
     # K_{4,4} as a general graph under a Furedi wrapper: it holds K_{3,3}s,
     # so the count must come from count_biclique_general
     k44 = BitGraph(8, [(u, v) for u in range(4) for v in range(4, 8)])
-    g = FurediGraph(7, 3, (1, 2, 4), tuple((0, v) for v in range(1, 9)), k44)
+    g = FurediGraph(7, 3, tuple((0, v) for v in range(1, 9)), k44)
     calls = _counting_calls(monkeypatch)
     report = verify_appendix(g)
     rec = report.trials[0]
@@ -145,9 +146,18 @@ def test_verify_appendix_counts_when_not_k3t_free(monkeypatch):
     assert not [c for c in report.checks if c["name"] == "ktt_count_zero"][0]["passed"]
 
 
-def test_verify_appendix_t2():
+def test_verify_appendix_t2(monkeypatch):
+    scans = []
+
+    def spy(graph, s, m, force=False):
+        scans.append((s, m))
+        return is_ksm_free(graph, s, m, force)
+
+    monkeypatch.setattr(furedi, "is_ksm_free", spy)
     report = verify_appendix(build_furedi(5, 2))
     assert report.all_passed()
+    # at t = 2 the K_{3,t} check is the K_{2,t+1} check, made once
+    assert scans == [(2, 3)]
     assert report.trials[0]["ktt_count"] is None  # only tracked for t >= 3
 
 
