@@ -1,10 +1,10 @@
 """Command-line front end: construct, verify, montecarlo, sweep.
 
-construct, montecarlo and sweep share one path: _check rejects bad
-parameters, the command returns (report, {path: text}, stdout lines), and
-main creates --out, writes each file with _write and prints it, the lines
-and the checks. A rejected run creates nothing. verify prints its report
-in --format and writes the same text to --out if given.
+_check rejects bad parameters of every command. Then construct, montecarlo
+and sweep share one path: the command returns (report, {path: text},
+stdout lines), and main creates --out, writes each file with _write and
+prints it, the lines and the checks. A rejected run creates nothing. verify
+prints its report in --format and writes the same text to --out if given.
 
 Exit codes: 0 success, 1 parameter/validation error, 2 an acceptance-style
 check failed, 3 I/O or parse error. Outputs are byte-identical across
@@ -37,12 +37,11 @@ from .evasive import (
     zero_set,
 )
 from .furedi import build_furedi, classes_to_text, verify_appendix
-from .geom3 import line_points
 from .geom3 import line_table  # noqa: F401  (perfbench/spans.py traces this name)
 from .gf import check_field
 from .incidence import build_incidence, count_ktt_via_lines, verify_construction
 from .report import StatsReport
-from .subgraph import graph_to_text, is_ksm_free, read_graph
+from .subgraph import check_sizes, graph_to_text, is_ksm_free, read_graph
 
 
 def _run_indexed(fn, argslist, workers: int) -> list:
@@ -63,8 +62,8 @@ def _montecarlo_trial(args: tuple[int, int, int, int]) -> dict:
     f = sample_poly(q, t, base_seed + index)
     x0 = zero_set(q, f)
     pruned, vanishing = prune_bad_lines(q, f, x0)
-    ref_points = line_points(q, *REFERENCE_LINE)
-    ref_count = int(x0.member[ref_points].sum())
+    ref = q**4 + q  # the row of REFERENCE_LINE in the geom3 layout
+    ref_count = int(x0.line_counts[ref])
     # f restricts to the zero polynomial on the line iff it is zero at all q
     # points and its s^t coefficient is 0: for t < q a zero function of
     # degree <= t is the zero polynomial, for t = q it is c * (s^q - s)
@@ -79,7 +78,7 @@ def _montecarlo_trial(args: tuple[int, int, int, int]) -> dict:
         "ref_exact_t": ref_count == t,
         "ref_vanished": ref_vanished,
         # the pruned set lies inside X0, so the line lost a point iff it holds fewer
-        "ref_bad": int(pruned.member[ref_points].sum()) < ref_count,
+        "ref_bad": int(pruned.line_counts[ref]) < ref_count,
         "binom_stat": math.comb(ref_count, t),
     }
 
@@ -349,12 +348,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check(args) -> None:
-    """Reject the parameters of construct, montecarlo or sweep before any work.
+    """Reject the parameters of a command before any work.
 
-    The one check of these parameters: the functions the commands call
-    trust them. Parses the sweep's q list into args.q. An option a command
-    does not take is absent from args and not checked.
+    The one check of these parameters (is_ksm_free checks s and m again, for
+    library callers). Parses the sweep's q list into args.q. An option a
+    command does not take is absent from args and not checked.
     """
+    if args.command == "verify":
+        check_sizes(args.s, args.m)
+        return
     if args.command == "sweep":
         try:
             args.q = [int(v) for v in args.q.split(",") if v != ""]
@@ -392,10 +394,10 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     started = time.monotonic()
     try:
+        _check(args)
         if args.command == "verify":
             code = cmd_verify(args)
         else:
-            _check(args)
             report, files, lines = COMMANDS[args.command](args)
             Path(args.out).mkdir(parents=True, exist_ok=True)
             for path, text in files.items():

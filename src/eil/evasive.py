@@ -7,9 +7,9 @@ vanishes identically). The pruned set X meets every line in at most t
 points, and for each line the chance of hitting exactly t points stays
 bounded away from zero as q grows.
 
-Every PointSet carries its line counts |X intersect l| from construction;
-the pruned set takes X0's minus those of the removed points. zero_set and
-restriction_tensor share one table of a^e mod q (power_table).
+A PointSet is its sorted point indices and its line counts |X intersect l|;
+the pruned set takes X0's counts minus those of the removed points.
+zero_set and restriction_tensor share one table of a^e mod q (power_table).
 
 The field is its prime q and a polynomial's randomness its seed, both plain
 ints. The commands and build_incidence check them on entry, so nothing here
@@ -29,10 +29,6 @@ from .geom3 import line_at, line_counts, line_points, line_table
 # Fixed reference line (base, dir) used by the Monte Carlo commands:
 # canonical and not through the origin, valid for every q.
 REFERENCE_LINE = ((1, 0, 0), (0, 1, 0))
-
-# Generator words that sample_poly draws at once. Philox yields the same
-# words whatever the batch sizes, so this fixes no coefficient.
-_BATCH = 256
 
 
 @lru_cache(maxsize=None)
@@ -77,31 +73,27 @@ class TriPoly:
 
 
 class PointSet:
-    """Subset of F_q^3 as a membership bitmask over point indices, with its line counts.
+    """Subset of F_q^3 as its sorted point indices, with its line counts.
 
-    member is a bool array of length q^3. line_counts[row] = |X intersect l|
-    for every line, rows in the geom3 layout: projected by geom3.line_counts
-    when the set is built, unless counts are passed in, and read-only either
-    way (a pruned set that lost no point shares X0's array).
+    points is an increasing int64 array of point indices. line_counts[row]
+    = |X intersect l| for every line, rows in the geom3 layout: projected
+    by geom3.line_counts when the set is built, unless counts are passed
+    in, and read-only either way (a pruned set that lost no point is X0).
     """
 
-    def __init__(self, q: int, member: np.ndarray, counts: np.ndarray | None = None):
+    def __init__(self, q: int, points: np.ndarray, counts: np.ndarray | None = None):
         self.q = q
-        self.member = member
-        self.line_counts = line_counts(q, self.indices()) if counts is None else counts
+        self.points = points
+        self.line_counts = line_counts(q, points) if counts is None else counts
         self.line_counts.flags.writeable = False
 
     @property
     def count(self) -> int:
-        return int(self.member.sum())
-
-    def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.member)
+        return self.points.size
 
     def to_text(self) -> str:
-        lines = [f"q={self.q} n={self.count}"]
-        lines.extend(str(i) for i in self.indices())
-        return "\n".join(lines) + "\n"
+        header = f"q={self.q} n={self.count}\n"
+        return header + "".join(f"{p}\n" for p in self.points.tolist())
 
 
 def sample_poly(q: int, t: int, seed: int) -> TriPoly:
@@ -112,13 +104,12 @@ def sample_poly(q: int, t: int, seed: int) -> TriPoly:
     carry no modulo bias.
     """
     n = math.comb(t + 3, 3)
-    rem = (1 << 64) % q
+    limit = (1 << 64) - (1 << 64) % q
     bits = np.random.Philox(seed)
     kept = []
-    while sum(map(len, kept)) < n:
-        words = bits.random_raw(_BATCH)
-        kept.append(words[words < np.uint64((1 << 64) - rem)] if rem else words)
-    return TriPoly(q, t, tuple((np.concatenate(kept)[:n] % np.uint64(q)).tolist()))
+    while len(kept) < n:
+        kept += [w % q for w in bits.random_raw(n - len(kept)).tolist() if w < limit]
+    return TriPoly(q, t, tuple(kept))
 
 
 def top_coefficient(f: TriPoly, direction) -> int:
@@ -188,7 +179,7 @@ def zero_set(q: int, f: TriPoly) -> PointSet:
     v = powers @ cube.reshape(t + 1, -1) % q
     v = v.reshape(q, t + 1, t + 1).transpose(0, 2, 1) @ powers.T % q
     v = v.transpose(0, 2, 1) @ powers.T % q
-    return PointSet(q, v.ravel() == 0)
+    return PointSet(q, np.flatnonzero(v.ravel() == 0))
 
 
 def prune_bad_lines(q: int, f: TriPoly, x0: PointSet) -> tuple[PointSet, np.ndarray]:
@@ -200,20 +191,20 @@ def prune_bad_lines(q: int, f: TriPoly, x0: PointSet) -> tuple[PointSet, np.ndar
     has at most t roots, and a zero one vanishes at all q > t points of the
     line. For t = q no line carries more than q points, so nothing is pruned
     and X = X0, although f may still restrict to the zero polynomial on a
-    line. Returns the pruned set and the rows (the geom3 layout) of the
-    cleared lines. The points of those few rows come from geom3.line_at;
-    the pruned set carries X0's line counts minus those of the removed
-    points, so its counts are never projected from scratch.
+    line. Returns the pruned set (x0 itself if no line is cleared) and the
+    rows (the geom3 layout) of the cleared lines. Their points, from
+    geom3.line_at, are marked in a q^3 bool read at x0's points; the pruned
+    set carries X0's counts less those of the removed points.
     """
     counts = x0.line_counts
     vanishing = np.flatnonzero(counts > f.t)
-    member = x0.member.copy()
     if vanishing.size == 0:
-        return PointSet(q, member, counts), vanishing
-    member[line_points(q, *line_at(q, vanishing))] = False
-    removed = np.flatnonzero(x0.member & ~member)
-    left = line_counts(q, removed)  # of a subset of x0, so no count wraps below 0
-    return PointSet(q, member, np.subtract(counts, left, out=left)), vanishing
+        return x0, vanishing
+    cleared = np.zeros(q**3, dtype=np.bool_)
+    cleared[line_points(q, *line_at(q, vanishing))] = True
+    gone = cleared[x0.points]
+    left = line_counts(q, x0.points[gone])  # of a subset of x0, so no count wraps below 0
+    return PointSet(q, x0.points[~gone], np.subtract(counts, left, out=left)), vanishing
 
 
 @dataclass(frozen=True)

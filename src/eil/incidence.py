@@ -61,7 +61,7 @@ class IncidenceConstruction:
     @cached_property
     def graph(self) -> BitGraph:
         """The incidence graph, X as the left side; built on first use."""
-        xc, yc = (point_coords(self.q, s.indices()) for s in (self.x_set, self.y_set))
+        xc, yc = (point_coords(self.q, s.points) for s in (self.x_set, self.y_set))
         return BitGraph.from_biadjacency(_incidence_blocks(xc, yc, self.q), (len(xc), len(yc)))
 
 

@@ -92,8 +92,7 @@ def is_ksm_free(graph: BitGraph, s: int, m: int, force: bool = False) -> Freenes
     s-subsets of every neighbourhood (see _first_rich_subset), and a graph
     whose scan needs more than KEY_BUDGET keys is refused unless forced.
     """
-    if not 1 <= s <= m:
-        raise ParameterError(f"need 1 <= s <= m, got ({s}, {m})")
+    check_sizes(s, m)
     _check_key_budget(graph, s, force)
     offsets, nbr = graph.offsets, graph.nbr
     subset = _first_rich_subset(offsets, nbr, s, m)
@@ -101,6 +100,12 @@ def is_ksm_free(graph: BitGraph, s: int, m: int, force: bool = False) -> Freenes
         return FreenessResult(True)
     common = reduce(np.intersect1d, (nbr[offsets[v]:offsets[v + 1]] for v in subset))
     return FreenessResult(False, (subset, tuple(common[:m].tolist())))
+
+
+def check_sizes(s: int, m: int) -> None:
+    """Reject the sizes of a K_{s,m} unless 1 <= s <= m."""
+    if not 1 <= s <= m:
+        raise ParameterError(f"need 1 <= s <= m, got ({s}, {m})")
 
 
 def _check_key_budget(graph: BitGraph, s: int, force: bool) -> None:

@@ -37,10 +37,10 @@ class AffineLine:
 
 
 def same(a, b) -> bool:
-    """Equal content: point sets by q and membership, graphs by their CSR,
+    """Equal content: point sets by q and points, graphs by their CSR,
     dataclasses and tuples field by field, anything else by ==."""
     if isinstance(a, PointSet):
-        return isinstance(b, PointSet) and a.q == b.q and np.array_equal(a.member, b.member)
+        return isinstance(b, PointSet) and a.q == b.q and np.array_equal(a.points, b.points)
     if isinstance(a, BitGraph):
         return (isinstance(b, BitGraph) and a.n == b.n and a.sides == b.sides
                 and np.array_equal(a.offsets, b.offsets) and np.array_equal(a.nbr, b.nbr))
@@ -184,7 +184,7 @@ def line_table_oracle(q: int) -> LineTable:
 
 def gather_line_counts(x: PointSet) -> np.ndarray:
     """|X intersect l| for every row, by gathering membership of its q points."""
-    return x.member[line_table_oracle(x.q).point_idx].sum(axis=1)
+    return np.isin(line_table_oracle(x.q).point_idx, x.points).sum(axis=1)
 
 
 def ktt_count_by_table(x: PointSet, y: PointSet, t: int) -> int:

@@ -139,6 +139,12 @@ def test_verify_truncated_file_is_parse_error(tmp_path, capsys):
     assert main(["verify", str(missing), "--s", "2", "--m", "3"]) == 3
 
 
+def test_verify_checks_s_and_m_before_reading_the_file(tmp_path, capsys):
+    missing = tmp_path / "missing.graph.txt"
+    assert main(["verify", str(missing), "--s", "0", "--m", "2"]) == 1
+    assert capsys.readouterr().err == "error: need 1 <= s <= m, got (0, 2)\n"
+
+
 def test_verify_file_that_is_not_utf8_is_parse_error(tmp_path, capsys):
     bad = tmp_path / "latin1.graph.txt"
     bad.write_bytes(b"general 3\n0 1\n\xff 2\n")
@@ -558,6 +564,26 @@ def test_cli_import_leaves_out_the_process_pool():
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_commands_leave_out_numpy_ma(tmp_path):
+    # numpy.ma (loaded by np.unique and np.intersect1d, among others) adds
+    # about 1.8 MB to a run's peak RSS
+    probe = (
+        "import sys\n"
+        "from eil.cli import main\n"
+        f"out = {str(tmp_path)!r}\n"
+        "for argv in (['construct', 'incidence', '--q', '7', '--t', '3'],\n"
+        "             ['sweep', '--q', '5,7', '--t', '3'],\n"
+        "             ['montecarlo', '--q', '5', '--t', '3', '--trials', '100']):\n"
+        "    main(argv + ['--out', out])\n"
+        "print('numpy.ma' in sys.modules, file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eil.__file__)))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "False"
 
 
 def test_package_import_leaves_out_numpy():

@@ -60,14 +60,14 @@ def test_edges_match_incidence_relation():
             assert (len(xs) + j in adj[i]) == expected
     # the origin, when present, is isolated: the form vanishes at 0
     origin = point_index(5, (0, 0, 0))
-    if c.x_set.member[origin]:
-        v = list(c.x_set.indices()).index(origin)
+    if origin in c.x_set.points:
+        v = c.x_set.points.tolist().index(origin)
         assert c.graph.offsets[v + 1] == c.graph.offsets[v]
 
 
 def _coords(point_set):
     q = point_set.q
-    for idx in point_set.indices():
+    for idx in point_set.points.tolist():
         yield (idx // (q * q), (idx // q) % q, idx % q)
 
 
@@ -88,7 +88,7 @@ def test_count_zero_for_empty_x():
     c = build_incidence(5, 3, 7)
     gutted = IncidenceConstruction(
         q=5, t=3, seed_x=7, seed_y=c.seed_y,
-        x_set=PointSet(5, np.zeros(125, dtype=np.bool_)), y_set=c.y_set,
+        x_set=PointSet(5, np.zeros(0, dtype=np.int64)), y_set=c.y_set,
         vanishing_x=0, vanishing_y=c.vanishing_y,
     )
     assert count_ktt_via_lines(gutted) == 0
@@ -101,11 +101,7 @@ def _points_of_row(q, row):
 
 def _by_hand(q, t, x_points, y_points):
     """A construction whose X and Y are the given point indices."""
-    sets = []
-    for points in (x_points, y_points):
-        member = np.zeros(q**3, dtype=np.bool_)
-        member[points] = True
-        sets.append(PointSet(q, member))
+    sets = [PointSet(q, np.unique(points)) for points in (x_points, y_points)]
     return IncidenceConstruction(q, t, 0, 0, *sets, 0, 0)
 
 

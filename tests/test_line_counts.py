@@ -38,7 +38,7 @@ def point_sets(draw):
         member[draw(st.lists(st.integers(0, q**3 - 1), max_size=300))] = True
     if kind in ("cosparse", "full"):
         member = ~member
-    return PointSet(q, member)
+    return PointSet(q, np.flatnonzero(member))
 
 
 @settings(max_examples=80, deadline=None)
@@ -102,7 +102,7 @@ def test_blocked_projection_matches_the_gather(q, block, monkeypatch):
     # pivot-0 blocks of `block` d1 values: one, several (7 of 11), or all of them
     x0 = zero_set(q, sample_poly(q, 3, block))
     monkeypatch.setattr(geom3, "BLOCK", block * (q * x0.count + q**3))
-    assert np.array_equal(line_counts(q, x0.indices()), gather_line_counts(x0))
+    assert np.array_equal(line_counts(q, x0.points), gather_line_counts(x0))
 
 
 def test_line_counts_of_one_line_stay_within_a_block(monkeypatch):

@@ -1,12 +1,13 @@
 """Frozen coefficients of the polynomial sampler.
 
-The golden configs draw at most 35 coefficients, all inside one batch of
-generator words. These cases cross batches and the edges of the rejection
-step: at q = 2 no word is rejected (2^64 is a multiple of 2), q = 1048573
-is the largest prime the field allows, and t = 40 at q = 61 draws 12 341
-coefficients. The polynomial is caught where a Monte Carlo trial samples it,
-before its zero set is computed, so the pin does not depend on how the
-field or the seed is passed to the sampler.
+The sampler draws as many generator words as it still needs coefficients,
+and Philox yields the same words whatever the sizes of the draws. The
+golden configs draw at most 35 coefficients. These cases reach the edges
+of the rejection step: at q = 2 no word is rejected (2^64 is a multiple
+of 2), q = 1048573 is the largest prime the field allows, and t = 40 at
+q = 61 draws 12 341 coefficients. The polynomial is caught where a Monte
+Carlo trial samples it, before its zero set is computed, so the pin does
+not depend on how the field or the seed is passed to the sampler.
 """
 
 import hashlib
