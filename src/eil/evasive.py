@@ -192,14 +192,15 @@ def prune_bad_lines(q: int, f: TriPoly, x0: PointSet) -> tuple[PointSet, np.ndar
     line. For t = q no line carries more than q points, so nothing is pruned
     and X = X0, although f may still restrict to the zero polynomial on a
     line. Returns the pruned set (x0 itself if no line is cleared) and the
-    rows (the geom3 layout) of the cleared lines. Their points, from
-    geom3.line_at, are marked in a q^3 bool read at x0's points; the pruned
-    set carries X0's counts less those of the removed points.
+    rows (the geom3 layout) of the cleared lines; the largest count rules
+    out any, with no mask of every row. Their points, from geom3.line_at,
+    are marked in a q^3 bool read at x0's points; the pruned set carries
+    X0's counts less those of the removed points.
     """
     counts = x0.line_counts
+    if counts.max() <= f.t:
+        return x0, np.empty(0, dtype=np.int64)
     vanishing = np.flatnonzero(counts > f.t)
-    if vanishing.size == 0:
-        return x0, vanishing
     cleared = np.zeros(q**3, dtype=np.bool_)
     cleared[line_points(q, *line_at(q, vanishing))] = True
     gone = cleared[x0.points]

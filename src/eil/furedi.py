@@ -5,6 +5,14 @@ the (q^2-1)/t orbits of the free scaling action h.(a,b) = (ha,hb); classes
 [a,b] and [x,y] are adjacent when ax + by lands in H. The relation is
 H-invariant so it is well-defined on orbits; self-incident classes would
 be loops and are dropped to keep the graph simple.
+
+The neighbours of [a,b] are the classes of the q points of the affine line
+ax + by = 1, less [a,b] itself. An orbit [x,y] with ax + by = h in H has
+exactly one member on that line: g.(x,y) lies on it iff gh = 1, so the
+member is h^-1.(x,y). Hence the q points of the line lie in q distinct
+orbits, each adjacent to [a,b], and every neighbour is one of them. [a,b]
+is among them exactly when a^2 + b^2 is in H, so every degree is q - 1 or
+q, as verify_appendix checks.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import subgroup_of_order
+from .gf import inverses, subgroup_of_order
 from .report import StatsReport
 from .subgraph import BitGraph, count_biclique_general, is_ksm_free
 
@@ -34,23 +42,29 @@ class FurediGraph:
 def build_furedi(q: int, t: int) -> FurediGraph:
     """Canonical representatives are the lexicographically smallest orbit members.
 
-    A nonzero (a, b) is coded a*q + b, so the smallest code of an orbit
-    {(ha, hb) : h in H} is its lexicographically smallest member. Needs a
-    prime q, t >= 2 and t | q - 1, as the CLI checks.
+    A point (a, b) is coded a*q + b, so the smallest code over its orbit
+    {(ha, hb) : h in H}, its class code, is the orbit's lexicographically
+    smallest member; the representatives are the nonzero points equal to
+    their own class code. Row [a, b] lists the classes of the line
+    ax + by = 1 (module docstring): (s, (1 - as)/b) if b != 0, else (1/a, s).
+    Needs a prime q, t >= 2 and t | q - 1, as the CLI checks.
     """
     h = np.array(sorted(subgroup_of_order(q, t)), dtype=np.int64)[:, None]
-    a, b = np.divmod(np.arange(1, q * q, dtype=np.int64), q)
-    codes = np.unique((h * a % q * q + h * b % q).min(axis=0))
+    a, b = np.divmod(np.arange(q * q, dtype=np.int64), q)
+    code = (h * a % q * q + h * b % q).min(axis=0)
+    reps = np.flatnonzero(code == np.arange(q * q))[1:]  # the origin is its own orbit
     # orbits have at most t points and cover the q^2 - 1 nonzero points, so
     # this count also means every orbit has exactly t
-    assert len(codes) == (q * q - 1) // t
-    reps = np.stack(np.divmod(codes, q), axis=1)
-    classes = tuple(map(tuple, reps.tolist()))
-    dots = reps @ reps.T % q
-    adj = np.isin(dots, h)
-    # each edge once; the diagonal (self-incident classes) is left out
-    graph = BitGraph(len(classes), np.argwhere(np.triu(adj, 1)))
-    return FurediGraph(q, t, classes, graph)
+    n = reps.size
+    assert n == (q * q - 1) // t
+    index = np.zeros(q * q, dtype=np.int64)
+    index[reps] = np.arange(n)
+    a, b, s, inv = a[reps, None], b[reps, None], np.arange(q, dtype=np.int64), inverses(q)
+    nbr = index[code][np.where(b != 0, s * q + (1 - a * s) % q * inv[b] % q, inv[a] * q + s)]
+    # each edge once; the loop at a self-incident class is left out
+    u, i = np.nonzero(np.arange(n)[:, None] < nbr)
+    graph = BitGraph(n, np.column_stack((u, nbr[u, i])))
+    return FurediGraph(q, t, tuple(zip(a.ravel().tolist(), b.ravel().tolist())), graph)
 
 
 def verify_appendix(g: FurediGraph) -> StatsReport:

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .gf import inverses
+
 # Most int64 entries a streamed loop holds per block (see blocks), unless one
 # item alone holds more. At 2^20 (8 MB) the pivot-0 blocks of line_counts stay
 # below the peak that the rest of a cold construct reaches; at 2^22 they were
@@ -140,8 +142,7 @@ def dual_index(q: int, rows) -> np.ndarray:
     k0 = w0 != 0
     k2 = ~k0 & (w1 == 0)
     k1 = ~k0 & ~k2
-    inverses = np.array([0] + [pow(a, q - 2, q) for a in range(1, q)], dtype=np.int64)
-    s = inverses[np.where(k0, w0, np.where(k1, w1, w2))]  # 1 / w_k
+    s = inverses(q)[np.where(k0, w0, np.where(k1, w1, w2))]  # 1 / w_k
     tail = np.where(k0, w1 * s % q * q + w2 * s % q, np.where(k1, w2 * s % q, 0))
     inv_det = np.where(k1, q - s, s)
     v0 = np.where(k2, d1, d2) * inv_det % q

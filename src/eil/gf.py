@@ -1,12 +1,15 @@
 """The prime field F_q on canonical residues.
 
 The field is its modulus q, a plain int; elements are plain ints in [0, q),
-and the bulk paths do their arithmetic with `% q` on numpy arrays.
+and the bulk paths do their arithmetic with `% q` on numpy arrays, reading
+a^-1 from the one table of inverses (inverses).
 check_field rejects a q that is not a prime no larger than Q_LIMIT; the
 entry points call it once and everything after them trusts q.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import ParameterError
 
@@ -46,3 +49,8 @@ def subgroup_of_order(q: int, t: int) -> set[int]:
     h = {x for x in range(1, q) if pow(x, t, q) == 1}
     assert len(h) == t
     return h
+
+
+def inverses(q: int) -> np.ndarray:
+    """(q,) int64 table of a^-1 mod q, with 0 at index 0 (0 has no inverse)."""
+    return np.array([0] + [pow(a, q - 2, q) for a in range(1, q)], dtype=np.int64)

@@ -6,7 +6,8 @@ and graphs, the whole table of lines with the q points of every row and
 line counts gathered through it, pointwise polynomial evaluation,
 symbolic restriction of a polynomial to a line (one line at a time, or to
 every line through the restriction tensor), Furedi orbits one member at a
-time, edge lists, graph neighbourhoods as sets or n-bit masks,
+time and Furedi's graph from the dense n x n product of its classes, edge
+lists, graph neighbourhoods as sets or n-bit masks,
 brute-force subset scans, the line-by-line graph parser and the per-edge
 graph writer.
 """
@@ -23,7 +24,9 @@ import numpy as np
 
 from eil.errors import GraphFormatError, ParameterError
 from eil.evasive import PointSet, TriPoly, monomials, restriction_tensor
+from eil.furedi import FurediGraph
 from eil.geom3 import dual_index
+from eil.gf import subgroup_of_order
 from eil.subgraph import BitGraph, graph_to_text
 
 Point3 = tuple[int, int, int]
@@ -276,6 +279,27 @@ def orbit_of(q: int, subgroup, pair: tuple[int, int]) -> list[tuple[int, int]]:
     """The Furedi orbit {(ha, hb) : h in subgroup} of pair, one member per h."""
     a, b = pair
     return [(h * a % q, h * b % q) for h in subgroup]
+
+
+def furedi_adjacency(q: int, subgroup, reps) -> np.ndarray:
+    """(n, n) bool: reps i != j are adjacent iff their dot product mod q is in subgroup."""
+    arr = np.asarray(reps, dtype=np.int64)
+    adj = np.isin(arr @ arr.T % q, np.asarray(sorted(subgroup), dtype=np.int64))
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+def furedi_dense(q: int, t: int) -> FurediGraph:
+    """Furedi's graph from its definition: the orbit minima of the nonzero
+    points, sorted, as classes, and the upper triangle of furedi_adjacency
+    as edges."""
+    h = np.array(sorted(subgroup_of_order(q, t)), dtype=np.int64)[:, None]
+    a, b = np.divmod(np.arange(1, q * q, dtype=np.int64), q)
+    codes = np.unique((h * a % q * q + h * b % q).min(axis=0))
+    reps = np.stack(np.divmod(codes, q), axis=1)
+    adj = furedi_adjacency(q, h.ravel().tolist(), reps)
+    graph = BitGraph(len(reps), np.argwhere(np.triu(adj, 1)))
+    return FurediGraph(q, t, tuple(map(tuple, reps.tolist())), graph)
 
 
 def edge_list(graph) -> list[tuple[int, int]]:

@@ -529,7 +529,8 @@ def test_every_package_function_is_reached_by_a_command(tmp_path, capsys):
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
 @pytest.mark.parametrize("q,t,seed,bound_mb", [
-    (37, 3, 1, 300), (31, 7, 1, 70), (61, 3, 1, 110), (61, 3, 3, 110)])
+    (37, 3, 1, 300), (31, 7, 1, 70), (61, 3, 1, 110), (61, 3, 3, 110),
+    pytest.param(109, 3, None, 120, id="furedi-109-3-120")])
 def test_construct_incidence_memory(q, t, seed, bound_mb, tmp_path):
     # the line counts are O(q^4) bytes and the zero set O(q^3): no table of
     # lines or of monomial values is built, which the t = 7 case checks; the
@@ -537,6 +538,11 @@ def test_construct_incidence_memory(q, t, seed, bound_mb, tmp_path):
     # scans the line counts in slices, which q = 61 checks. Seed 3 prunes two
     # lines of Y: the line counts of the few removed points are bounded by
     # their q^4 output as well as by their input.
+    # seed None runs `construct furedi`, which takes no seed: its graph is
+    # built from one line per class in O(q^3/t) memory, not from the n x n
+    # product of the classes (336 MB at q = 109), and the key budget of the
+    # K_{3,3} scan then refuses it
+    kind = ["furedi"] if seed is None else ["incidence", "--seed", str(seed)]
     probe = (
         "import sys\n"
         "from eil.cli import main\n"
@@ -547,11 +553,14 @@ def test_construct_incidence_memory(q, t, seed, bound_mb, tmp_path):
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eil.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-c", probe, "construct", "incidence", "--q", str(q),
-         "--t", str(t), "--seed", str(seed), "--out", str(tmp_path)],
+        [sys.executable, "-c", probe, "construct", kind[0], "--q", str(q), "--t", str(t),
+         *kind[1:], "--out", str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
+    if seed is None:
+        assert proc.returncode == 1 and "3-subset scan needs" in proc.stderr, proc.stderr
+    else:
+        assert proc.returncode == 0, proc.stderr
     peak_mb = int(proc.stderr.split()[-1]) / 1024  # VmHWM is in kB
     assert peak_mb < bound_mb, (q, t, seed, peak_mb)
 
@@ -575,8 +584,10 @@ def test_commands_leave_out_numpy_ma(tmp_path):
         f"out = {str(tmp_path)!r}\n"
         "for argv in (['construct', 'incidence', '--q', '7', '--t', '3'],\n"
         "             ['sweep', '--q', '5,7', '--t', '3'],\n"
-        "             ['montecarlo', '--q', '5', '--t', '3', '--trials', '100']):\n"
+        "             ['montecarlo', '--q', '5', '--t', '3', '--trials', '100'],\n"
+        "             ['construct', 'furedi', '--q', '13', '--t', '4']):\n"
         "    main(argv + ['--out', out])\n"
+        "main(['verify', out + '/furedi-q13-t4.graph.txt', '--s', '3', '--m', '4'])\n"
         "print('numpy.ma' in sys.modules, file=sys.stderr)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eil.__file__)))

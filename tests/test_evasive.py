@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,25 @@ def test_prune_removes_plane_entirely():
     x0 = zero_set(q, f)
     pruned, vanishing = prune_bad_lines(q, f, x0)
     assert vanishing.size == 0 and same(pruned, x0)
+
+
+def test_prune_that_clears_nothing_masks_no_rows():
+    # x1 x2 x3 + 1 vanishes on no line: there x1 x2 x3 is a product of three
+    # factors of degree <= 1 in s, which is the constant -1 only if every
+    # factor is constant, that is, only if dir = 0
+    q = 31
+    f = poly_from_map(q, 3, {(1, 1, 1): 1, (0, 0, 0): 1})
+    x0 = zero_set(q, f)
+    assert x0.count == (q - 1) ** 2
+    tracemalloc.start()
+    try:
+        pruned, vanishing = prune_bad_lines(q, f, x0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pruned is x0 and vanishing.size == 0
+    # a bool of every row alone takes q^2 (q^2 + q + 1) bytes
+    assert peak < q**4, peak
 
 
 @pytest.mark.parametrize("q,t", [(5, 3), (7, 3), (7, 4)])

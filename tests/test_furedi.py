@@ -19,6 +19,8 @@ from oracles import (
     common_neighbors,
     count_biclique_general_scan,
     edge_list,
+    furedi_adjacency,
+    furedi_dense,
     orbit_of,
 )
 
@@ -27,6 +29,16 @@ def test_vertex_counts_frozen():
     assert build_furedi(7, 3).n == 16
     assert build_furedi(5, 2).n == 12
     assert build_furedi(13, 4).n == 42
+
+
+@pytest.mark.parametrize("q,t", [
+    (3, 2), (5, 2), (7, 3), (13, 2), (13, 4), (31, 3), (31, 5), (61, 3)])
+def test_build_matches_the_dense_product(q, t):
+    # build_furedi reads each class's row off one line; the oracle tests
+    # every pair of classes
+    g, dense = build_furedi(q, t), furedi_dense(q, t)
+    assert g.classes == dense.classes
+    assert edge_list(g.graph) == edge_list(dense.graph)
 
 
 @pytest.mark.parametrize("q,t", [(5, 2), (7, 3), (13, 4), (31, 3)])
@@ -63,10 +75,7 @@ def test_edge_relation_is_rescaling_invariant():
         for a, b in g.classes:
             h = rng.choice(subgroup)
             reps.append((h * a % q, h * b % q))
-        arr = np.array(reps, dtype=np.int64)
-        dots = arr @ arr.T % q
-        adj = np.isin(dots, np.array(subgroup))
-        np.fill_diagonal(adj, False)
+        adj = furedi_adjacency(q, subgroup, reps)
         edges = {
             (i, j) for i in range(len(reps)) for j in range(i + 1, len(reps)) if adj[i, j]
         }

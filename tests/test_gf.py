@@ -3,7 +3,7 @@ import pytest
 
 from eil.errors import ParameterError
 from eil.evasive import power_table
-from eil.gf import check_field, is_prime, subgroup_of_order
+from eil.gf import check_field, inverses, is_prime, subgroup_of_order
 from oracles import check_residue, inverse
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
@@ -52,6 +52,15 @@ def test_pow_matches_repeated_multiplication(q):
     for e in range(21):
         assert (table[:, e] == acc).all()
         acc = acc * col % q
+
+
+@pytest.mark.parametrize("q", SMALL_PRIMES)
+def test_inverse_table_matches_fermat(q):
+    # dual_index and build_furedi read every a^-1 mod q from this table
+    table = inverses(q)
+    assert table.shape == (q,) and table.dtype == np.int64
+    assert table[0] == 0
+    assert [int(v) for v in table[1:]] == [inverse(q, a) for a in range(1, q)]
 
 
 def test_inv_identities():
