@@ -74,8 +74,10 @@ def verify_appendix(g: FurediGraph) -> StatsReport:
     deg = np.diff(g.graph.offsets)
     lo, hi = int(deg.min()), int(deg.max())
     degrees_ok = q - 1 <= lo and hi <= q
-    free_k2 = is_ksm_free(g.graph, 2, t + 1)
-    free_k3t = free_k2 if t == 2 else is_ksm_free(g.graph, 3, t)
+    # the K_{3,t} scan first: it needs more keys, so a graph over the key
+    # budget is refused before any scan runs. At t = 2 it is the K_{2,t+1} scan
+    free_k3t = is_ksm_free(g.graph, 3, t) if t > 2 else is_ksm_free(g.graph, 2, t + 1)
+    free_k2 = free_k3t if t == 2 else is_ksm_free(g.graph, 2, t + 1)
     # a K_{t,t} with t >= 3 contains a K_{3,t}, so a K_{3,t}-free graph has none
     ktt_count = None
     if t >= 3:

@@ -22,9 +22,13 @@ every row by bincounting the rows of the q^2 + q + 1 lines through each
 point of X, in O(|X| q^2) time. evasive.PointSet projects its counts
 once, when it is built.
 
-The dual of an off-origin line base + F_q*dir is the line
-{z : base.z = 1, dir.z = 0}; its direction is base x dir and its base
-comes from Cramer's rule on a 2x2 system (see dual_index).
+The lines inside a plane H_x = {y : x.y = 1} have closed-form rows as
+well: (base, dir) lies in H_x exactly when x.dir = 0 and x.base = 1,
+which picks q^2 + q rows for each x != 0. So plane_counts gets
+|{x in X : l inside H_x}| for every row by the same bincounts, streamed
+block by block. For a line l off the origin that is |X intersect l*|,
+l* = {z : base.z = 1, dir.z = 0} being its dual; a line through the
+origin lies in no H_x.
 """
 
 from __future__ import annotations
@@ -50,23 +54,18 @@ def blocks(n: int, per_item: int):
     return (slice(lo, min(n, lo + step)) for lo in range(0, n, step))
 
 
-def _columns(q: int, rows) -> tuple[np.ndarray, ...]:
-    """(b0, b1, b2, d0, d1, d2): the canonical base and dir of each row, by column."""
+def line_at(q: int, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical (base, dir) of each row in the layout above."""
     r = np.asarray(rows, dtype=np.int64)
     p = (r >= q**4).astype(np.int64) + (r >= q**4 + q**3)
     offset = np.array([0, q**4, q**4 + q**3], dtype=np.int64)
     tail, free = np.divmod(r - offset[p], q * q)
     v0, v1 = np.divmod(free, q)
     p0, p1, p2 = p == 0, p == 1, p == 2
-    return (np.where(p0, 0, v0), np.where(p0, v0, np.where(p1, 0, v1)), np.where(p2, 0, v1),
-            p0.astype(np.int64), np.where(p0, tail // q, p1),
-            np.where(p0, tail % q, np.where(p1, tail, 1)))
-
-
-def line_at(q: int, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical (base, dir) of each row in the layout above."""
-    cols = _columns(q, rows)
-    return np.stack(cols[:3], axis=-1), np.stack(cols[3:], axis=-1)
+    base = (np.where(p0, 0, v0), np.where(p0, v0, np.where(p1, 0, v1)), np.where(p2, 0, v1))
+    direction = (p0.astype(np.int64), np.where(p0, tail // q, p1),
+                 np.where(p0, tail % q, np.where(p1, tail, 1)))
+    return np.stack(base, axis=-1), np.stack(direction, axis=-1)
 
 
 def line_table(q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -125,27 +124,56 @@ def line_counts(q: int, points) -> np.ndarray:
     return counts
 
 
-def dual_index(q: int, rows) -> np.ndarray:
-    """Row of the dual of each off-origin row (rows that are not 0 mod q^2).
+def plane_counts(q: int, points):
+    """|{x in X : l inside H_x}| for every row l, streamed as (slice of rows, counts).
 
-    The dual of base + F_q*dir is {z : b.z = 1, d.z = 0}. Its direction is
-    w = b x d, scaled so its pivot coordinate k is 1. Its canonical base has
-    z_k = 0; for the other two coordinates i < j, Cramer's rule gives
-    z_i = d_j / det and z_j = -d_i / det with det = b_i d_j - b_j d_i, which
-    is w_k for k = 0, 2 and -w_k for k = 1. z_i and z_j are the v0, v1 of
-    the dual's row.
+    The blocks come in row order and cover every row once, so a caller
+    that compares each with the same rows of another count holds no array
+    of every row. For x = (x0, x1, x2) != 0 the q^2 + q rows inside H_x
+    are, with v0, v1 the base coordinates of a row:
+
+        x2 != 0:       pivot 0, each d1, v0:  d2 = -(x0 + x1*d1)/x2, v1 = (1 - x1*v0)/x2
+                       pivot 1, each v0:      d2 = -x1/x2,           v1 = (1 - x0*v0)/x2
+        x2 = 0 != x1:  pivot 0, each d2, v1:  d1 = -x0/x1,           v0 = 1/x1
+                       pivot 2, each v0:      v1 = (1 - x0*v0)/x1
+        x1 = x2 = 0:   pivot 1, each d2, v1:  v0 = 1/x0
+                       pivot 2, each v1:      v0 = 1/x0
+
+    Counts come in the smallest unsigned type that holds q. Pivot 0 runs
+    in blocks of d1 values with one bincount per d1: the points with
+    x2 != 0 give q rows per d1, and each point with x2 = 0 != x1 adds 1 to
+    the q^2 rows of its (d1, v0) in place. So a block holds q^3 one-byte
+    counts per d1, which with a caller's comparisons come to about half an
+    int64 entry per row (see blocks), and the int64 rows and bincount of
+    one d1, q |X| + q^3 entries. Pivot 1 and pivot 2 are one block each.
     """
-    b0, b1, b2, d0, d1, d2 = _columns(q, rows)
-    w0 = (b1 * d2 - b2 * d1) % q
-    w1 = (b2 * d0 - b0 * d2) % q
-    w2 = (b0 * d1 - b1 * d0) % q
-    k0 = w0 != 0
-    k2 = ~k0 & (w1 == 0)
-    k1 = ~k0 & ~k2
-    s = inverses(q)[np.where(k0, w0, np.where(k1, w1, w2))]  # 1 / w_k
-    tail = np.where(k0, w1 * s % q * q + w2 * s % q, np.where(k1, w2 * s % q, 0))
-    inv_det = np.where(k1, q - s, s)
-    v0 = np.where(k2, d1, d2) * inv_det % q
-    v1 = -np.where(k0, d1, d0) * inv_det % q
-    offset = np.where(k0, 0, np.where(k1, q**4, q**4 + q**3))
-    return offset + (tail * q + v0) * q + v1
+    x0, x1, x2 = point_coords(q, points).T
+    inv, field = inverses(q), np.arange(q, dtype=np.int64)[:, None]
+    q2, q3, q4 = q * q, q**3, q**4
+    small = np.min_scalar_type(q)
+    up = x2 != 0
+    flat = ~up & ((x0 != 0) | (x1 != 0))  # in the plane x2 = 0, less the origin
+    axis = flat & (x1 == 0)
+    a0, a1, i2 = x0[up], x1[up], inv[x2[up]]
+    # v0*q + v1 of the pivot-0 rows of each point with x2 != 0, one row per v0
+    low = field * q + (1 - a1 * field) * i2 % q
+    # how many points with x2 = 0 != x1 have each (d1, v0)
+    side = flat & ~axis
+    i1 = inv[x1[side]]
+    fold = np.bincount(-x0[side] * i1 % q * q + i1, minlength=q2).astype(small).reshape(q, q)
+    for part in blocks(q, a0.size + q3 // 2):
+        high = -(a0 + a1 * field[part]) * i2 % q * q2  # d2*q^2 of each d1 and point
+        counts = np.empty((len(high), q3), dtype=small)
+        for j, h in enumerate(high):
+            counts[j] = np.bincount((h + low).ravel(), minlength=q3)
+        d, v = np.nonzero(fold[part])
+        counts.reshape(-1, q, q, q)[d, :, v, :] += fold[part][d, v][:, None, None]
+        yield slice(part.start * q3, part.stop * q3), counts.ravel()
+    counts = np.bincount(
+        ((1 - a0 * field) * i2 % q + field * q + -a1 * i2 % q * q2).ravel(), minlength=q3)
+    counts.reshape(q, q, q)[:] += np.bincount(inv[x0[axis]], minlength=q)[:, None]
+    yield slice(q4, q4 + q3), counts.astype(small)
+    x0, x1 = x0[flat], x1[flat]
+    yield slice(q4 + q3, n_lines(q)), np.bincount(np.where(
+        x1 != 0, field * q + (1 - x0 * field) % q * inv[x1] % q, inv[x0] * q + field
+    ).ravel(), minlength=q2).astype(small)

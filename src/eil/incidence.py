@@ -6,10 +6,11 @@ The graph is K_{2,t+1}-free outright: two left vertices pin their common
 neighborhood into a line or the empty set, and lines carry at most t
 points of either set (IncidenceConstruction.evasive). Copies of K_{t,t}
 are counted exactly by scanning lines: a line l off the origin yields a
-copy precisely when l carries t points of Y and its dual carries t points
-of X, and every copy arises that way exactly once. Both read the sets'
-line counts (PointSet.line_counts), so neither needs the graph, which is
-built on first use of IncidenceConstruction.graph.
+copy precisely when l carries t points of Y and t planes H_x of X hold
+it (so its dual carries t points of X), and every copy arises that way
+exactly once. Both read Y's line counts (PointSet.line_counts), the
+count also the plane counts of X (geom3.plane_counts), so neither needs
+the graph, which is built on first use of IncidenceConstruction.graph.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .evasive import PointSet, prune_bad_lines, sample_poly, zero_set
-from .geom3 import blocks, dual_index, point_coords
+from .geom3 import blocks, plane_counts, point_coords
 from .geom3 import line_table  # noqa: F401  (perfbench/spans.py traces this name)
 from .gf import check_field
 from .report import StatsReport
@@ -96,19 +97,13 @@ def build_incidence(q: int, t: int, seed_x: int) -> IncidenceConstruction:
 def count_ktt_via_lines(c: IncidenceConstruction) -> int:
     """Exact K_{t,t} count: lines l with |Y on l| = t and |X on dual(l)| = t.
 
-    Y's line counts are scanned in blocks of rows (dual_index holds about a
-    dozen int64 temporaries per row). A block's off-origin rows (not 0 mod
-    q^2) that are t-rich in Y are dualised together, each in closed form; a
-    block without one makes no dual_index call.
+    |X on dual(l)| is the number of x in X whose plane H_x holds l, which
+    is 0 on lines through the origin (geom3.plane_counts). Its blocks are
+    compared with the same rows of Y's line counts one at a time.
     """
-    cy, cx = c.y_set.line_counts, c.x_set.line_counts
-    total = 0
-    for part in blocks(cy.size, 16):
-        rows = part.start + np.flatnonzero(cy[part] == c.t)
-        rows = rows[rows % (c.q * c.q) != 0]
-        if rows.size:
-            total += int((cx[dual_index(c.q, rows)] == c.t).sum())
-    return total
+    cy, t = c.y_set.line_counts, c.t
+    return sum(int(np.count_nonzero((cy[rows] == t) & (px == t)))
+               for rows, px in plane_counts(c.q, c.x_set.points))
 
 
 def verify_construction(c: IncidenceConstruction) -> StatsReport:

@@ -1,15 +1,15 @@
 """Scalar reference implementations that the tests check the array code against.
 
 None of these is on a production path: field residues and inverses, points
-and lines one tuple at a time, the row of a line, equality of built sets
-and graphs, the whole table of lines with the q points of every row and
-line counts gathered through it, pointwise polynomial evaluation,
-symbolic restriction of a polynomial to a line (one line at a time, or to
-every line through the restriction tensor), Furedi orbits one member at a
-time and Furedi's graph from the dense n x n product of its classes, edge
-lists, graph neighbourhoods as sets or n-bit masks,
-brute-force subset scans, the line-by-line graph parser and the per-edge
-graph writer.
+and lines one tuple at a time, the row of a line and of its dual (by
+Cramer's rule), equality of built sets and graphs, the whole table of
+lines with the q points of every row and line counts gathered through it,
+pointwise polynomial evaluation, symbolic restriction of a polynomial to
+a line (one line at a time, or to every line through the restriction
+tensor), Furedi orbits one member at a time and Furedi's graph from the
+dense n x n product of its classes, edge lists, graph neighbourhoods as
+sets or n-bit masks, brute-force subset scans, the line-by-line graph
+parser and the per-edge graph writer.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import numpy as np
 from eil.errors import GraphFormatError, ParameterError
 from eil.evasive import PointSet, TriPoly, monomials, restriction_tensor
 from eil.furedi import FurediGraph
-from eil.geom3 import dual_index
-from eil.gf import subgroup_of_order
+from eil.geom3 import line_at
+from eil.gf import inverses, subgroup_of_order
 from eil.subgraph import BitGraph, graph_to_text
 
 Point3 = tuple[int, int, int]
@@ -146,6 +146,34 @@ def _pivot_block(q: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     i, j = (c for c in range(3) if c != p)
     b[:, i], b[:, j] = np.divmod(free, q)
     return b, d
+
+
+def dual_index(q: int, rows) -> np.ndarray:
+    """Row of the dual of each off-origin row (rows that are not 0 mod q^2).
+
+    The dual of base + F_q*dir is {z : b.z = 1, d.z = 0}. Its direction is
+    w = b x d, scaled so its pivot coordinate k is 1. Its canonical base has
+    z_k = 0; for the other two coordinates i < j, Cramer's rule gives
+    z_i = d_j / det and z_j = -d_i / det with det = b_i d_j - b_j d_i, which
+    is w_k for k = 0, 2 and -w_k for k = 1. z_i and z_j are the v0, v1 of
+    the dual's row.
+    """
+    base, direction = line_at(q, rows)
+    b0, b1, b2 = base.T
+    d0, d1, d2 = direction.T
+    w0 = (b1 * d2 - b2 * d1) % q
+    w1 = (b2 * d0 - b0 * d2) % q
+    w2 = (b0 * d1 - b1 * d0) % q
+    k0 = w0 != 0
+    k2 = ~k0 & (w1 == 0)
+    k1 = ~k0 & ~k2
+    s = inverses(q)[np.where(k0, w0, np.where(k1, w1, w2))]  # 1 / w_k
+    tail = np.where(k0, w1 * s % q * q + w2 * s % q, np.where(k1, w2 * s % q, 0))
+    inv_det = np.where(k1, q - s, s)
+    v0 = np.where(k2, d1, d2) * inv_det % q
+    v1 = -np.where(k0, d1, d0) * inv_det % q
+    offset = np.where(k0, 0, np.where(k1, q**4, q**4 + q**3))
+    return offset + (tail * q + v0) * q + v1
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations
 
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 
 from eil import furedi
+from eil import subgraph as sg
+from eil.errors import ParameterError
 from eil.furedi import (
     FurediGraph,
     build_furedi,
@@ -155,7 +158,7 @@ def test_verify_appendix_counts_when_not_k3t_free(monkeypatch):
     assert not [c for c in report.checks if c["name"] == "ktt_count_zero"][0]["passed"]
 
 
-def test_verify_appendix_t2(monkeypatch):
+def _scans(monkeypatch):
     scans = []
 
     def spy(graph, s, m, force=False):
@@ -163,11 +166,28 @@ def test_verify_appendix_t2(monkeypatch):
         return is_ksm_free(graph, s, m, force)
 
     monkeypatch.setattr(furedi, "is_ksm_free", spy)
+    return scans
+
+
+def test_verify_appendix_t2(monkeypatch):
+    scans = _scans(monkeypatch)
     report = verify_appendix(build_furedi(5, 2))
     assert report.all_passed()
     # at t = 2 the K_{3,t} check is the K_{2,t+1} check, made once
     assert scans == [(2, 3)]
     assert report.trials[0]["ktt_count"] is None  # only tracked for t >= 3
+
+
+def test_verify_appendix_scans_k3t_before_k2_t1(monkeypatch):
+    # a budget that admits the K_{2,4} scan and refuses the K_{3,3} one: the
+    # refusal comes before any K_{2,t+1} scan is made
+    g = build_furedi(13, 3)
+    deg = np.diff(g.graph.offsets)
+    monkeypatch.setattr(sg, "KEY_BUDGET", sum(math.comb(int(d), 2) for d in deg))
+    scans = _scans(monkeypatch)
+    with pytest.raises(ParameterError, match="3-subset scan"):
+        verify_appendix(g)
+    assert scans == [(3, 3)]
 
 
 def test_classes_sidecar_roundtrip():

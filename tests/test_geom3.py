@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from eil.errors import ParameterError
-from eil.geom3 import dual_index, line_at, line_points, line_table
+from eil.geom3 import line_at, line_points, line_table
 from oracles import (
     AffineLine,
     canonical_line,
+    dual_index,
     line_index,
     line_table_oracle,
     line_through,

@@ -56,7 +56,7 @@ def test_pow_matches_repeated_multiplication(q):
 
 @pytest.mark.parametrize("q", SMALL_PRIMES)
 def test_inverse_table_matches_fermat(q):
-    # dual_index and build_furedi read every a^-1 mod q from this table
+    # plane_counts and build_furedi read every a^-1 mod q from this table
     table = inverses(q)
     assert table.shape == (q,) and table.dtype == np.int64
     assert table[0] == 0

@@ -5,7 +5,7 @@ import pytest
 
 from eil.errors import ParameterError
 from eil.evasive import PointSet
-from eil.geom3 import dual_index, line_at, line_points
+from eil.geom3 import line_at, line_points
 from eil.incidence import (
     IncidenceConstruction,
     build_incidence,
@@ -14,7 +14,7 @@ from eil.incidence import (
 )
 from eil.report import validate_report
 from eil.subgraph import BitGraph, is_ksm_free
-from oracles import adjacency_sets, count_biclique, edge_list, point_index, same
+from oracles import adjacency_sets, count_biclique, dual_index, edge_list, point_index, same
 
 
 def test_build_is_deterministic():

@@ -1,11 +1,15 @@
-"""Closed-form line rows and projected line counts against the whole-table oracle.
+"""Closed-form line rows and projected line and plane counts against the whole-table oracle.
 
-Every count, prune and K_{t,t} count of the program reads |X on l| from
-geom3.line_counts, which bincounts the rows of the lines through each
-point of X, and decodes rows with geom3.line_at. The oracle in
-tests/oracles.py enumerates the table of lines block by block and gathers
-the membership of each row's q points (q <= 13).
+Every count and prune of the program reads |X on l| from geom3.line_counts,
+which bincounts the rows of the lines through each point of X, and decodes
+rows with geom3.line_at; the K_{t,t} count also reads |X on dual(l)| from
+geom3.plane_counts, which bincounts the rows of the lines inside the plane
+of each point of X. The oracle in tests/oracles.py enumerates the table of
+lines block by block and gathers the membership of each row's q points
+(q <= 13); dual rows come from Cramer's rule (oracles.dual_index).
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,9 +25,15 @@ from eil.evasive import (
     sample_poly,
     zero_set,
 )
-from eil.geom3 import line_at, line_counts, line_points, n_lines
+from eil.geom3 import line_at, line_counts, line_points, n_lines, plane_counts
 from eil.incidence import build_incidence, count_ktt_via_lines
-from oracles import gather_line_counts, ktt_count_by_table, line_index, line_table_oracle
+from oracles import (
+    dual_index,
+    gather_line_counts,
+    ktt_count_by_table,
+    line_index,
+    line_table_oracle,
+)
 
 QS = [2, 3, 5, 7, 11, 13]
 
@@ -47,6 +57,15 @@ def test_projected_counts_match_the_gather(x):
     counts = x.line_counts
     assert counts.shape == (n_lines(x.q),)
     assert np.array_equal(counts, gather_line_counts(x))
+    # the plane counts are the line counts of the dual off the origin and
+    # 0 through it; their blocks cover the rows in order
+    q, rows = x.q, np.arange(n_lines(x.q))
+    parts = list(plane_counts(q, x.points))
+    assert [p.start for p, _ in parts] == [0] + [p.stop for p, _ in parts[:-1]]
+    planes = np.concatenate([block for _, block in parts])
+    off = rows % (q * q) != 0
+    assert planes.shape == rows.shape and not planes[~off].any()
+    assert np.array_equal(planes[off], counts[dual_index(q, rows[off])])
 
 
 @settings(max_examples=40, deadline=None)
@@ -151,20 +170,35 @@ def test_ktt_count_matches_the_table_count(q, t):
         assert count_ktt_via_lines(c) == ktt_count_by_table(c.x_set, c.y_set, t)
 
 
-def test_ktt_count_in_chunks_of_duals(monkeypatch):
+def test_ktt_count_in_plane_blocks_of_one_d1(monkeypatch):
     c = build_incidence(11, 3, 7)
     whole = count_ktt_via_lines(c)
-    # 100-row slices: a row costs dual_index 16 entries
-    monkeypatch.setattr(geom3, "BLOCK", 100 * 16)
+    # a pivot-0 block of plane counts holds one d1 when BLOCK is below its size
+    monkeypatch.setattr(geom3, "BLOCK", 1)
     assert count_ktt_via_lines(c) == whole == ktt_count_by_table(c.x_set, c.y_set, 3) > 0
 
 
 @pytest.mark.parametrize("q", [7, 11])
 def test_ktt_count_in_slices_of_line_counts(q, monkeypatch):
-    # 7-row slices of Y's line counts, against a single slice of them all
+    # Y's line counts sliced by pivot-0 plane blocks of one d1, against one block of all q
     built = [build_incidence(q, 3, 40 + seed) for seed in range(5)]
     whole = [count_ktt_via_lines(c) for c in built]
-    monkeypatch.setattr(geom3, "BLOCK", 7 * 16)
+    monkeypatch.setattr(geom3, "BLOCK", 1)
     assert [count_ktt_via_lines(c) for c in built] == whole
     assert whole == [ktt_count_by_table(c.x_set, c.y_set, 3) for c in built]
     assert sum(whole) > 0
+
+
+def test_ktt_count_holds_no_array_of_every_row():
+    # seed 3 prunes; the count streams X's plane counts block by block
+    q, t = 61, 3
+    c = build_incidence(q, t, 3)
+    tracemalloc.start()
+    try:
+        count = count_ktt_via_lines(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count > 0
+    # a uint8 count of every row alone takes n_lines(q) bytes
+    assert peak < n_lines(q), peak
