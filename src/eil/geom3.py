@@ -38,9 +38,11 @@ import numpy as np
 from .gf import inverses
 
 # Most int64 entries a streamed loop holds per block (see blocks), unless one
-# item alone holds more. At 2^20 (8 MB) the pivot-0 blocks of line_counts stay
-# below the peak that the rest of a cold construct reaches; at 2^22 they were
-# that peak from q = 37 on.
+# item alone holds more. Only loops whose items are small group them: the d1
+# values of a plane_counts block and the rows of the point-plane product
+# (incidence._incidence_blocks). At 2^20 (8 MB) the product at q = 61 peaks
+# below the line counts built before it (20 against 36 MB traced); at 2^22
+# it was the peak of the construction (71 MB).
 BLOCK = 1 << 20
 
 
@@ -101,11 +103,10 @@ def line_counts(q: int, points) -> np.ndarray:
         pivot 1, d = (0, 1, d2):   q^4 + d2*q^2 + x0*q + (x2 - x1*d2)
         pivot 2, d = (0, 0, 1):    q^4 + q^3 + x0*q + x1
 
-    so the counts are bincounts of |X| (q^2 + q + 1) rows. Pivot 0 runs in
-    blocks of d1; one d1 value holds q |X| row indices and the bincount of
-    its own q^3 rows, so a block holds at most max(BLOCK, q |X| + q^3)
-    entries however small X is (q^3 alone exceeds BLOCK from q = 103 on).
-    Counts are stored in the smallest unsigned type that holds q.
+    so the counts are bincounts of |X| (q^2 + q + 1) rows. Pivot 0 makes
+    one bincount per d1, of its q |X| rows into its q^3 int64 counts,
+    however large or small X is. Counts are stored in the smallest unsigned
+    type that holds q.
     """
     x0, x1, x2 = point_coords(q, points).T
     field = np.arange(q, dtype=np.int64)[:, None]
@@ -113,11 +114,9 @@ def line_counts(q: int, points) -> np.ndarray:
     counts = np.empty(n_lines(q), dtype=np.min_scalar_type(q))
     # the part of a pivot-0 row that does not depend on d1, one row per d2
     low = field * q2 + (x2 - field * x0) % q
-    for part in blocks(q, low.size + q3):
-        d1 = field[part]
-        rows = ((d1 - part.start) * q3 + (x1 - d1 * x0) % q * q)[:, None, :] + low
-        counts[part.start * q3 : part.stop * q3] = np.bincount(
-            rows.ravel(), minlength=len(d1) * q3)
+    for d1 in range(q):
+        counts[d1 * q3 : (d1 + 1) * q3] = np.bincount(
+            ((x1 - d1 * x0) % q * q + low).ravel(), minlength=q3)
     counts[q4 : q4 + q3] = np.bincount(
         (field * q2 + x0 * q + (x2 - field * x1) % q).ravel(), minlength=q3)
     counts[q4 + q3 :] = np.bincount(x0 * q + x1, minlength=q2)

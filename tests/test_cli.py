@@ -535,9 +535,9 @@ def test_construct_incidence_memory(q, t, seed, bound_mb, tmp_path):
     # the line counts are O(q^4) bytes and the zero set O(q^3): no table of
     # lines or of monomial values is built, which the t = 7 case checks; the
     # |X| x |Y| point-plane product is built in row blocks and the K_tt count
-    # scans the line counts in slices, which q = 61 checks. Seed 3 prunes two
-    # lines of Y: the line counts of the few removed points are bounded by
-    # their q^4 output as well as by their input.
+    # compares Y's line counts with X's plane counts block by block, which
+    # q = 61 checks. Seed 3 prunes two lines of Y: the line counts of the few
+    # removed points are bounded by their q^4 output as well as by their input.
     # seed None runs `construct furedi`, which takes no seed: its graph is
     # built from one line per class in O(q^3/t) memory, not from the n x n
     # product of the classes (336 MB at q = 109), and the key budget of the

@@ -118,17 +118,34 @@ def test_built_sets_carry_read_only_counts_from_construction():
 @pytest.mark.parametrize("block", [1, 7, 100])
 @pytest.mark.parametrize("q", [7, 11])
 def test_blocked_projection_matches_the_gather(q, block, monkeypatch):
-    # pivot-0 blocks of `block` d1 values: one, several (7 of 11), or all of them
+    # pivot-0 plane blocks of `block` d1 values: one, several (7 of 11), or
+    # all of them. The points with x2 = 0 != x1 add their counts through
+    # fold[part], which the block of d1 = 7..10 reads from a nonzero start.
     x0 = zero_set(q, sample_poly(q, 3, block))
-    monkeypatch.setattr(geom3, "BLOCK", block * (q * x0.count + q**3))
-    assert np.array_equal(line_counts(q, x0.points), gather_line_counts(x0))
+    x1, x2 = x0.points // q % q, x0.points % q
+    assert np.any((x2 == 0) & (x1 != 0))
+    monkeypatch.setattr(geom3, "BLOCK", block * (np.count_nonzero(x2) + q**3 // 2))
+    parts = list(plane_counts(q, x0.points))
+    q3, q4 = q**3, q**4
+    assert [p for p, _ in parts] == [
+        slice(lo * q3, min(q, lo + block) * q3) for lo in range(0, q, block)
+    ] + [slice(q4, q4 + q3), slice(q4 + q3, n_lines(q))]
+    planes, rows = np.concatenate([c for _, c in parts]), np.arange(n_lines(q))
+    off = rows % (q * q) != 0
+    assert not planes[~off].any()
+    assert np.array_equal(planes[off], gather_line_counts(x0)[dual_index(q, rows[off])])
 
 
-def test_line_counts_of_one_line_stay_within_a_block(monkeypatch):
-    # the few points that pruning removes: every bincount holds at most BLOCK
-    # entries of input and output together, not a minlength of q * q^3
-    q, row = 37, 12345
-    points = line_points(q, *line_at(q, row))
+@pytest.mark.parametrize("q,seed", [(37, None), (23, 1)], ids=["line-37", "zero-set-23-3-1"])
+def test_line_counts_bincount_one_d1_at_a_time(q, seed, monkeypatch):
+    # one line, like the few points that pruning removes, and a whole zero
+    # set: every bincount holds at most the rows of one d1 and its q^3
+    # counts, not a minlength of q * q^3 nor several d1 values at once
+    row = 12345
+    if seed is None:
+        points = line_points(q, *line_at(q, row))
+    else:
+        points = zero_set(q, sample_poly(q, 3, seed)).points
     held = []
     bincount = np.bincount
 
@@ -139,9 +156,10 @@ def test_line_counts_of_one_line_stay_within_a_block(monkeypatch):
     monkeypatch.setattr(np, "bincount", spy)
     counts = line_counts(q, points)
     monkeypatch.undo()
-    assert len(held) > 2 and max(held) <= geom3.BLOCK
-    assert np.flatnonzero(counts == q).tolist() == [row]
-    assert int(counts.sum()) == q * (q * q + q + 1)
+    assert len(held) == q + 2 and max(held) <= q * len(points) + q**3
+    assert int(counts.sum()) == len(points) * (q * q + q + 1)
+    if seed is None:
+        assert np.flatnonzero(counts == q).tolist() == [row]
 
 
 @pytest.mark.parametrize("q", QS)
@@ -170,18 +188,11 @@ def test_ktt_count_matches_the_table_count(q, t):
         assert count_ktt_via_lines(c) == ktt_count_by_table(c.x_set, c.y_set, t)
 
 
-def test_ktt_count_in_plane_blocks_of_one_d1(monkeypatch):
-    c = build_incidence(11, 3, 7)
-    whole = count_ktt_via_lines(c)
-    # a pivot-0 block of plane counts holds one d1 when BLOCK is below its size
-    monkeypatch.setattr(geom3, "BLOCK", 1)
-    assert count_ktt_via_lines(c) == whole == ktt_count_by_table(c.x_set, c.y_set, 3) > 0
-
-
-@pytest.mark.parametrize("q", [7, 11])
-def test_ktt_count_in_slices_of_line_counts(q, monkeypatch):
+@pytest.mark.parametrize("q,seeds", [(7, range(40, 45)), (11, range(40, 45)), (11, [7])],
+                         ids=["7", "11", "11-7"])
+def test_ktt_count_in_slices_of_line_counts(q, seeds, monkeypatch):
     # Y's line counts sliced by pivot-0 plane blocks of one d1, against one block of all q
-    built = [build_incidence(q, 3, 40 + seed) for seed in range(5)]
+    built = [build_incidence(q, 3, seed) for seed in seeds]
     whole = [count_ktt_via_lines(c) for c in built]
     monkeypatch.setattr(geom3, "BLOCK", 1)
     assert [count_ktt_via_lines(c) for c in built] == whole
