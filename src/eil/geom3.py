@@ -26,7 +26,7 @@ The lines inside a plane H_x = {y : x.y = 1} have closed-form rows as
 well: (base, dir) lies in H_x exactly when x.dir = 0 and x.base = 1,
 which picks q^2 + q rows for each x != 0. So plane_counts gets
 |{x in X : l inside H_x}| for every row by the same bincounts, streamed
-block by block. For a line l off the origin that is |X intersect l*|,
+one d1 at a time. For a line l off the origin that is |X intersect l*|,
 l* = {z : base.z = 1, dir.z = 0} being its dual; a line through the
 origin lies in no H_x.
 """
@@ -37,23 +37,9 @@ import numpy as np
 
 from .gf import inverses
 
-# Most int64 entries a streamed loop holds per block (see blocks), unless one
-# item alone holds more. Only loops whose items are small group them: the d1
-# values of a plane_counts block and the rows of the point-plane product
-# (incidence._incidence_blocks). At 2^20 (8 MB) the product at q = 61 peaks
-# below the line counts built before it (20 against 36 MB traced); at 2^22
-# it was the peak of the construction (71 MB).
-BLOCK = 1 << 20
-
 
 def n_lines(q: int) -> int:
     return q * q * (q * q + q + 1)
-
-
-def blocks(n: int, per_item: int):
-    """Consecutive slices of range(n), max(1, BLOCK // per_item) items each."""
-    step = max(1, BLOCK // max(1, per_item))
-    return (slice(lo, min(n, lo + step)) for lo in range(0, n, step))
 
 
 def line_at(q: int, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -126,7 +112,7 @@ def line_counts(q: int, points) -> np.ndarray:
 def plane_counts(q: int, points):
     """|{x in X : l inside H_x}| for every row l, streamed as (slice of rows, counts).
 
-    The blocks come in row order and cover every row once, so a caller
+    The slices come in row order and cover every row once, so a caller
     that compares each with the same rows of another count holds no array
     of every row. For x = (x0, x1, x2) != 0 the q^2 + q rows inside H_x
     are, with v0, v1 the base coordinates of a row:
@@ -138,13 +124,12 @@ def plane_counts(q: int, points):
         x1 = x2 = 0:   pivot 1, each d2, v1:  v0 = 1/x0
                        pivot 2, each v1:      v0 = 1/x0
 
-    Counts come in the smallest unsigned type that holds q. Pivot 0 runs
-    in blocks of d1 values with one bincount per d1: the points with
-    x2 != 0 give q rows per d1, and each point with x2 = 0 != x1 adds 1 to
-    the q^2 rows of its (d1, v0) in place. So a block holds q^3 one-byte
-    counts per d1, which with a caller's comparisons come to about half an
-    int64 entry per row (see blocks), and the int64 rows and bincount of
-    one d1, q |X| + q^3 entries. Pivot 1 and pivot 2 are one block each.
+    Counts come in the smallest unsigned type that holds q. Pivot 0 yields
+    one slice per d1, from one bincount: the points with x2 != 0 give q
+    rows each, and each point with x2 = 0 != x1 adds 1 to the q^2 rows of
+    its (d1, v0) in place. So a step holds the q^3 one-byte counts of one
+    d1 and its int64 rows and bincount, q |X| + q^3 entries. Pivot 1 and
+    pivot 2 are one slice each.
     """
     x0, x1, x2 = point_coords(q, points).T
     inv, field = inverses(q), np.arange(q, dtype=np.int64)[:, None]
@@ -160,14 +145,14 @@ def plane_counts(q: int, points):
     side = flat & ~axis
     i1 = inv[x1[side]]
     fold = np.bincount(-x0[side] * i1 % q * q + i1, minlength=q2).astype(small).reshape(q, q)
-    for part in blocks(q, a0.size + q3 // 2):
-        high = -(a0 + a1 * field[part]) * i2 % q * q2  # d2*q^2 of each d1 and point
-        counts = np.empty((len(high), q3), dtype=small)
-        for j, h in enumerate(high):
-            counts[j] = np.bincount((h + low).ravel(), minlength=q3)
-        d, v = np.nonzero(fold[part])
-        counts.reshape(-1, q, q, q)[d, :, v, :] += fold[part][d, v][:, None, None]
-        yield slice(part.start * q3, part.stop * q3), counts.ravel()
+    # one buffer for the rows of every d1: a fresh one per d1 made the heap
+    # shrink and grow again each step, which doubled the time at q = 37
+    rows = np.empty_like(low)
+    for d1 in range(q):
+        high = -(a0 + a1 * d1) * i2 % q * q2  # d2*q^2 of each point
+        counts = np.bincount(np.add(high, low, out=rows).ravel(), minlength=q3).astype(small)
+        counts.reshape(q, q, q)[:] += fold[d1][:, None]
+        yield slice(d1 * q3, (d1 + 1) * q3), counts
     counts = np.bincount(
         ((1 - a0 * field) * i2 % q + field * q + -a1 * i2 % q * q2).ravel(), minlength=q3)
     counts.reshape(q, q, q)[:] += np.bincount(inv[x0[axis]], minlength=q)[:, None]

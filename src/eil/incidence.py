@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .evasive import PointSet, prune_bad_lines, sample_poly, zero_set
-from .geom3 import blocks, plane_counts, point_coords
+from .geom3 import plane_counts, point_coords
 from .geom3 import line_table  # noqa: F401  (perfbench/spans.py traces this name)
 from .gf import check_field
 from .report import StatsReport
@@ -61,16 +61,20 @@ class IncidenceConstruction:
 
     @cached_property
     def graph(self) -> BitGraph:
-        """The incidence graph, X as the left side; built on first use."""
-        xc, yc = (point_coords(self.q, s.points) for s in (self.x_set, self.y_set))
-        return BitGraph.from_biadjacency(_incidence_blocks(xc, yc, self.q), (len(xc), len(yc)))
+        """The incidence graph, X as the left side; built on first use.
 
+        The boolean matrix x.y == 1 (mod q) streams q rows of X at a time,
+        at most q |Y| <= t q^3 int64 entries per block.
+        """
+        q = self.q
+        xc, yc = (point_coords(q, s.points) for s in (self.x_set, self.y_set))
 
-def _incidence_blocks(xc: np.ndarray, yc: np.ndarray, q: int):
-    """Row blocks of the boolean matrix x.y == 1 (mod q), x a row of xc and y of yc."""
-    for rows in blocks(len(xc), len(yc)):
-        dots = xc[rows] @ yc.T
-        yield np.remainder(dots, q, out=dots) == 1
+        def rows():
+            for lo in range(0, len(xc), q):
+                dots = xc[lo : lo + q] @ yc.T
+                yield np.remainder(dots, q, out=dots) == 1
+
+        return BitGraph.from_biadjacency(rows(), (len(xc), len(yc)))
 
 
 def build_incidence(q: int, t: int, seed_x: int) -> IncidenceConstruction:
@@ -98,8 +102,9 @@ def count_ktt_via_lines(c: IncidenceConstruction) -> int:
     """Exact K_{t,t} count: lines l with |Y on l| = t and |X on dual(l)| = t.
 
     |X on dual(l)| is the number of x in X whose plane H_x holds l, which
-    is 0 on lines through the origin (geom3.plane_counts). Its blocks are
-    compared with the same rows of Y's line counts one at a time.
+    is 0 on lines through the origin (geom3.plane_counts). Its slices, one
+    per d1 for pivot 0, are compared with the same rows of Y's line counts
+    one at a time.
     """
     cy, t = c.y_set.line_counts, c.t
     return sum(int(np.count_nonzero((cy[rows] == t) & (px == t)))

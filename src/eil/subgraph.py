@@ -56,13 +56,14 @@ class BitGraph:
     def from_biadjacency(cls, blocks, shape: tuple[int, int]) -> "BitGraph":
         """Bipartite graph from the row blocks, top to bottom, of an (L, R) boolean matrix."""
         left, right = shape
-        parts = [np.empty((0, 2), dtype=np.int64)]
+        # each edge as its flat index row * R + column, one int64 while streaming
+        parts = [np.empty(0, dtype=np.int64)]
         row = 0
         for block in blocks:
-            u, v = np.nonzero(block)
-            parts.append(np.column_stack((u + row, v + left)))
+            parts.append(np.flatnonzero(block) + row * right)
             row += len(block)
-        return cls(left + right, np.concatenate(parts), (left, right))
+        u, v = np.divmod(np.concatenate(parts), max(1, right))
+        return cls(left + right, np.column_stack((u, v + left)), (left, right))
 
     def edge_count(self) -> int:
         return self.nbr.size // 2

@@ -529,14 +529,14 @@ def test_every_package_function_is_reached_by_a_command(tmp_path, capsys):
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
 @pytest.mark.parametrize("q,t,seed,bound_mb", [
-    (37, 3, 1, 300), (31, 7, 1, 70), (61, 3, 1, 110), (61, 3, 3, 110),
+    (37, 3, 1, 60), (31, 7, 1, 70), (61, 3, 1, 110), (61, 3, 3, 110),
     pytest.param(109, 3, None, 120, id="furedi-109-3-120")])
 def test_construct_incidence_memory(q, t, seed, bound_mb, tmp_path):
     # the line counts are O(q^4) bytes and the zero set O(q^3): no table of
     # lines or of monomial values is built, which the t = 7 case checks; the
-    # |X| x |Y| point-plane product is built in row blocks and the K_tt count
-    # compares Y's line counts with X's plane counts block by block, which
-    # q = 61 checks. Seed 3 prunes two lines of Y: the line counts of the few
+    # |X| x |Y| point-plane product is built q rows of X at a time, which
+    # q = 37 checks, and the K_tt count compares Y's line counts with X's
+    # plane counts one d1 at a time, which q = 61 checks. Seed 3 prunes two lines of Y: the line counts of the few
     # removed points are bounded by their q^4 output as well as by their input.
     # seed None runs `construct furedi`, which takes no seed: its graph is
     # built from one line per class in O(q^3/t) memory, not from the n x n

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,21 @@ def test_edges_match_incidence_relation():
     if origin in c.x_set.points:
         v = c.x_set.points.tolist().index(origin)
         assert c.graph.offsets[v + 1] == c.graph.offsets[v]
+
+
+
+def test_graph_streams_the_point_plane_product_in_blocks_of_q_rows():
+    # |X| = 1333 and |Y| = 1379 at (37, 3, 1): the whole int64 product
+    # takes 14.7 MB, a block of q rows 0.4 MB
+    c = build_incidence(37, 3, 1)
+    tracemalloc.start()
+    try:
+        edges = c.graph.edge_count()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert edges > 0
+    assert peak < 8_000_000, peak
 
 
 def _coords(point_set):

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eil import geom3
 from eil.evasive import (
     PointSet,
     TriPoly,
@@ -115,21 +114,18 @@ def test_built_sets_carry_read_only_counts_from_construction():
                 x.line_counts[0] = 0
 
 
-@pytest.mark.parametrize("block", [1, 7, 100])
+@pytest.mark.parametrize("seed", [1, 7, 100])
 @pytest.mark.parametrize("q", [7, 11])
-def test_blocked_projection_matches_the_gather(q, block, monkeypatch):
-    # pivot-0 plane blocks of `block` d1 values: one, several (7 of 11), or
-    # all of them. The points with x2 = 0 != x1 add their counts through
-    # fold[part], which the block of d1 = 7..10 reads from a nonzero start.
-    x0 = zero_set(q, sample_poly(q, 3, block))
+def test_blocked_projection_matches_the_gather(q, seed):
+    # one pivot-0 slice per d1, then pivot 1 and pivot 2. The points with
+    # x2 = 0 != x1 add their counts through fold[d1], which every d1 reads.
+    x0 = zero_set(q, sample_poly(q, 3, seed))
     x1, x2 = x0.points // q % q, x0.points % q
     assert np.any((x2 == 0) & (x1 != 0))
-    monkeypatch.setattr(geom3, "BLOCK", block * (np.count_nonzero(x2) + q**3 // 2))
     parts = list(plane_counts(q, x0.points))
     q3, q4 = q**3, q**4
-    assert [p for p, _ in parts] == [
-        slice(lo * q3, min(q, lo + block) * q3) for lo in range(0, q, block)
-    ] + [slice(q4, q4 + q3), slice(q4 + q3, n_lines(q))]
+    assert [p for p, _ in parts] == [slice(d1 * q3, (d1 + 1) * q3) for d1 in range(q)] + [
+        slice(q4, q4 + q3), slice(q4 + q3, n_lines(q))]
     planes, rows = np.concatenate([c for _, c in parts]), np.arange(n_lines(q))
     off = rows % (q * q) != 0
     assert not planes[~off].any()
@@ -139,8 +135,10 @@ def test_blocked_projection_matches_the_gather(q, block, monkeypatch):
 @pytest.mark.parametrize("q,seed", [(37, None), (23, 1)], ids=["line-37", "zero-set-23-3-1"])
 def test_line_counts_bincount_one_d1_at_a_time(q, seed, monkeypatch):
     # one line, like the few points that pruning removes, and a whole zero
-    # set: every bincount holds at most the rows of one d1 and its q^3
-    # counts, not a minlength of q * q^3 nor several d1 values at once
+    # set: every bincount of the line counts and of the plane counts holds
+    # at most the rows of one d1 and its q^3 counts, not a minlength of
+    # q * q^3 nor several d1 values at once, and no plane slice holds more
+    # than the q^3 counts of one d1
     row = 12345
     if seed is None:
         points = line_points(q, *line_at(q, row))
@@ -155,9 +153,16 @@ def test_line_counts_bincount_one_d1_at_a_time(q, seed, monkeypatch):
 
     monkeypatch.setattr(np, "bincount", spy)
     counts = line_counts(q, points)
+    lines_held, held[:] = held[:], []
+    parts = [(rows, c.sum(dtype=np.int64), c.size) for rows, c in plane_counts(q, points)]
     monkeypatch.undo()
-    assert len(held) == q + 2 and max(held) <= q * len(points) + q**3
+    bound = q * len(points) + q**3
+    assert len(lines_held) == q + 2 and max(lines_held) <= bound
+    assert len(held) == q + 4 and max(held) <= bound
+    assert len(parts) == q + 2 and max(size for _, _, size in parts) <= q**3
     assert int(counts.sum()) == len(points) * (q * q + q + 1)
+    # each point but the origin has its plane, which holds q^2 + q lines
+    assert sum(int(total) for _, total, _ in parts) == np.count_nonzero(points) * (q * q + q)
     if seed is None:
         assert np.flatnonzero(counts == q).tolist() == [row]
 
@@ -181,27 +186,22 @@ def test_origin_rows_are_the_multiples_of_q_squared(q):
     assert int(origin.sum()) == q * q + q + 1
 
 
-@pytest.mark.parametrize("q,t", [(5, 3), (7, 3), (11, 3), (11, 4), (13, 3)])
-def test_ktt_count_matches_the_table_count(q, t):
-    for seed in range(6):
-        c = build_incidence(q, t, 900 + seed)
-        assert count_ktt_via_lines(c) == ktt_count_by_table(c.x_set, c.y_set, t)
-
-
-@pytest.mark.parametrize("q,seeds", [(7, range(40, 45)), (11, range(40, 45)), (11, [7])],
-                         ids=["7", "11", "11-7"])
-def test_ktt_count_in_slices_of_line_counts(q, seeds, monkeypatch):
-    # Y's line counts sliced by pivot-0 plane blocks of one d1, against one block of all q
-    built = [build_incidence(q, 3, seed) for seed in seeds]
-    whole = [count_ktt_via_lines(c) for c in built]
-    monkeypatch.setattr(geom3, "BLOCK", 1)
-    assert [count_ktt_via_lines(c) for c in built] == whole
-    assert whole == [ktt_count_by_table(c.x_set, c.y_set, 3) for c in built]
-    assert sum(whole) > 0
+@pytest.mark.parametrize("q,t,seeds", [
+    (5, 3, range(900, 906)), (7, 3, range(900, 906)), (11, 3, range(900, 906)),
+    (11, 4, range(900, 906)), (13, 3, range(900, 906)),
+    (7, 3, range(40, 45)), (11, 3, range(40, 45)), (11, 3, [7])],
+    ids=["5-3", "7-3", "11-3", "11-4", "13-3", "7-3-40to44", "11-3-40to44", "11-3-7"])
+def test_ktt_count_matches_the_table_count(q, t, seeds):
+    counts = []
+    for seed in seeds:
+        c = build_incidence(q, t, seed)
+        counts.append(count_ktt_via_lines(c))
+        assert counts[-1] == ktt_count_by_table(c.x_set, c.y_set, t)
+    assert sum(counts) > 0
 
 
 def test_ktt_count_holds_no_array_of_every_row():
-    # seed 3 prunes; the count streams X's plane counts block by block
+    # seed 3 prunes; the count streams X's plane counts one slice at a time
     q, t = 61, 3
     c = build_incidence(q, t, 3)
     tracemalloc.start()
