@@ -33,10 +33,11 @@ from .evasive import (
     exact_probabilities,
     prune_bad_lines,
     sample_poly,
-    top_coefficient,
+    top_form,
     zero_set,
 )
 from .furedi import build_furedi, classes_to_text, verify_appendix
+from .geom3 import line_points
 from .geom3 import line_table  # noqa: F401  (perfbench/spans.py traces this name)
 from .gf import check_field
 from .incidence import build_incidence, count_ktt_via_lines, verify_construction
@@ -62,12 +63,14 @@ def _montecarlo_trial(args: tuple[int, int, int, int]) -> dict:
     f = sample_poly(q, t, base_seed + index)
     x0 = zero_set(q, f)
     pruned, vanishing = prune_bad_lines(q, f, x0)
-    ref = q**4 + q  # the row of REFERENCE_LINE in the geom3 layout
-    ref_count = int(x0.line_counts[ref])
+    ref = line_points(q, *REFERENCE_LINE)  # its q points (1, s, 0), increasing
+    ref_count, ref_left = (
+        int((np.searchsorted(x.points, ref, "right") - np.searchsorted(x.points, ref)).sum())
+        for x in (x0, pruned))
     # f restricts to the zero polynomial on the line iff it is zero at all q
-    # points and its s^t coefficient is 0: for t < q a zero function of
-    # degree <= t is the zero polynomial, for t = q it is c * (s^q - s)
-    ref_vanished = ref_count == q and top_coefficient(f, REFERENCE_LINE[1]) == 0
+    # points and f_t is 0 at its direction (0, 1, 0), of index q^2: for t < q
+    # a zero function of degree <= t is 0, for t = q it is c * (s^q - s)
+    ref_vanished = ref_count == q and int(top_form(f)[q * q]) == 0
     return {
         "trial": index,
         "seed": base_seed + index,
@@ -78,7 +81,7 @@ def _montecarlo_trial(args: tuple[int, int, int, int]) -> dict:
         "ref_exact_t": ref_count == t,
         "ref_vanished": ref_vanished,
         # the pruned set lies inside X0, so the line lost a point iff it holds fewer
-        "ref_bad": int(pruned.line_counts[ref]) < ref_count,
+        "ref_bad": ref_left < ref_count,
         "binom_stat": math.comb(ref_count, t),
     }
 

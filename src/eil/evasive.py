@@ -1,15 +1,14 @@
 """Randomized algebraic construction of line-evasive point sets.
 
-Samples a uniform trivariate polynomial of total degree <= t, takes its
-zero set X0, then removes every point lying on a line that carries more
-than t points of X0 (for t < q, exactly the lines on which the polynomial
-vanishes identically). The pruned set X meets every line in at most t
-points, and for each line the chance of hitting exactly t points stays
-bounded away from zero as q grows.
+Samples a uniform trivariate polynomial f of total degree <= t, takes its
+zero set X0, then removes every point on a line where f vanishes
+identically, whose direction is a zero of f's top form. The pruned set X
+meets every line in at most t points, and for each line the chance of
+hitting exactly t points stays bounded away from zero as q grows.
 
-A PointSet is its sorted point indices and its line counts |X intersect l|;
-the pruned set takes X0's counts minus those of the removed points.
-zero_set and restriction_tensor share one table of a^e mod q (power_table).
+A PointSet is its sorted point indices; its line counts |X intersect l|
+are projected when first read. zero_set, top_form and restriction_tensor
+share one table of a^e mod q (power_table).
 
 The field is its prime q and a polynomial's randomness its seed, both plain
 ints. The commands and build_incidence check them on entry, so nothing here
@@ -20,11 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .geom3 import line_at, line_counts, line_points, line_table
+from .geom3 import line_at, line_counts, line_points, line_table, point_coords
 
 # Fixed reference line (base, dir) used by the Monte Carlo commands:
 # canonical and not through the origin, valid for every q.
@@ -51,12 +50,14 @@ def monomials(t: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(mons)
 
 
+@lru_cache(maxsize=None)
 def power_table(q: int, t: int) -> np.ndarray:
-    """(q, t+1) table P[a, e] = a^e mod q, with 0^0 = 1."""
+    """(q, t+1) table P[a, e] = a^e mod q, with 0^0 = 1; read-only, built once per (q, t)."""
     field = np.arange(q, dtype=np.int64)
     powers = np.ones((q, t + 1), dtype=np.int64)
     for e in range(1, t + 1):
         powers[:, e] = powers[:, e - 1] * field % q
+    powers.flags.writeable = False
     return powers
 
 
@@ -73,19 +74,21 @@ class TriPoly:
 
 
 class PointSet:
-    """Subset of F_q^3 as its sorted point indices, with its line counts.
+    """Subset of F_q^3 as its sorted point indices (points, increasing int64).
 
-    points is an increasing int64 array of point indices. line_counts[row]
-    = |X intersect l| for every line, rows in the geom3 layout: projected
-    by geom3.line_counts when the set is built, unless counts are passed
-    in, and read-only either way (a pruned set that lost no point is X0).
+    line_counts[row] = |X intersect l| for every row of the geom3 layout is
+    read-only and projected by geom3.line_counts on first read.
     """
 
-    def __init__(self, q: int, points: np.ndarray, counts: np.ndarray | None = None):
+    def __init__(self, q: int, points: np.ndarray):
         self.q = q
         self.points = points
-        self.line_counts = line_counts(q, points) if counts is None else counts
-        self.line_counts.flags.writeable = False
+
+    @cached_property
+    def line_counts(self) -> np.ndarray:
+        counts = line_counts(self.q, self.points)
+        counts.flags.writeable = False
+        return counts
 
     @property
     def count(self) -> int:
@@ -110,21 +113,6 @@ def sample_poly(q: int, t: int, seed: int) -> TriPoly:
     while len(kept) < n:
         kept += [w % q for w in bits.random_raw(n - len(kept)).tolist() if w < limit]
     return TriPoly(q, t, tuple(kept))
-
-
-def top_coefficient(f: TriPoly, direction) -> int:
-    """The s^t coefficient of f(base + s*direction), the same for every base.
-
-    Only monomials of degree t reach s^t, so this is the degree-t
-    homogeneous part of f evaluated at the direction.
-    """
-    q = f.q
-    d0, d1, d2 = direction
-    total = 0
-    for (i, j, k), a in zip(monomials(f.t), f.coeffs):
-        if a and i + j + k == f.t:
-            total += a * pow(d0, i, q) * pow(d1, j, q) * pow(d2, k, q)
-    return total % q
 
 
 @lru_cache(maxsize=None)
@@ -161,51 +149,73 @@ def restriction_tensor(q: int, t: int) -> np.ndarray:
     return tensor
 
 
-def zero_set(q: int, f: TriPoly) -> PointSet:
-    """The points where f evaluates to zero.
-
-    The coefficients go into a (t+1)^3 cube c[i, j, k] indexed by exponents,
-    and with P = power_table(q, t) the cube is contracted one axis at a time:
-    (x, j*k) -> (x, k, y) -> (x, y, z). The raveled values are indexed by
-    x*q^2 + y*q + z, the point index. O(q^3 t) work, then O(q^4) to
-    project the set's line counts.
-    """
-    t = f.t
+def _values(f: TriPoly, rows: int) -> np.ndarray:
+    """(rows, q, q) values of f at (x, y, z), x < rows: its exponent cube c[i, j, k]
+    contracted with power_table one axis at a time, (x, j*k) -> (x, k, y) -> (x, y, z)."""
+    q, t = f.q, f.t
     cube = np.zeros((t + 1,) * 3, dtype=np.int64)
     cube[tuple(zip(*monomials(t)))] = f.coeffs
     powers = power_table(q, t)
     # each matmul sums t+1 <= q+1 products of residues below q <= 2^20, so
     # every sum stays below 2^61 before it is reduced
-    v = powers @ cube.reshape(t + 1, -1) % q
-    v = v.reshape(q, t + 1, t + 1).transpose(0, 2, 1) @ powers.T % q
-    v = v.transpose(0, 2, 1) @ powers.T % q
-    return PointSet(q, np.flatnonzero(v.ravel() == 0))
+    v = powers[:rows] @ cube.reshape(t + 1, -1) % q
+    v = v.reshape(rows, t + 1, t + 1).transpose(0, 2, 1) @ powers.T % q
+    return v.transpose(0, 2, 1) @ powers.T % q
+
+
+def zero_set(q: int, f: TriPoly) -> PointSet:
+    """The points where f is zero; the raveled values are indexed by point index."""
+    return PointSet(q, np.flatnonzero(_values(f, q).ravel() == 0))
+
+
+def top_form(f: TriPoly) -> np.ndarray:
+    """f_t, the degree-t part of f, at each direction in row order (row // q^2):
+    (1, d1, d2) at d1*q + d2, (0, 1, d2) at q^2 + d2, then (0, 0, 1). f_t(dir)
+    is the s^t coefficient of f(base + s*dir) for every base."""
+    q, t = f.q, f.t
+    top = tuple(a if sum(m) == t else 0 for m, a in zip(monomials(t), f.coeffs))
+    v = _values(TriPoly(q, t, top), 2).reshape(2, -1)
+    return np.concatenate([v[1], v[0, q : 2 * q], v[0, 1:2]])
 
 
 def prune_bad_lines(q: int, f: TriPoly, x0: PointSet) -> tuple[PointSet, np.ndarray]:
-    """Remove every point of x0 that lies on a line carrying more than t of them.
+    """Remove every point of x0 on a line where f vanishes identically.
 
-    This count rule is the evasive invariant itself: the returned set meets
-    every line in at most t points. For t < q it clears exactly the lines
-    on which f vanishes identically: a nonzero restriction of degree <= t
-    has at most t roots, and a zero one vanishes at all q > t points of the
-    line. For t = q no line carries more than q points, so nothing is pruned
-    and X = X0, although f may still restrict to the zero polynomial on a
-    line. Returns the pruned set (x0 itself if no line is cleared) and the
-    rows (the geom3 layout) of the cleared lines; the largest count rules
-    out any, with no mask of every row. Their points, from geom3.line_at,
-    are marked in a q^3 bool read at x0's points; the pruned set carries
-    X0's counts less those of the removed points.
+    For t < q those are the lines in the zero directions of top_form(f) whose
+    q points lie in x0 (a restriction of degree <= t with q roots is 0): the
+    lines with more than t points of x0. For t = q nothing is pruned, even
+    where f restricts to 0. A step bincounts at most q directions of one
+    pivot, q |x0| int64 keys, in one buffer for all steps. Returns the pruned
+    set (x0 itself if no line is cleared) and the cleared rows, increasing.
     """
-    counts = x0.line_counts
-    if counts.max() <= f.t:
-        return x0, np.empty(0, dtype=np.int64)
-    vanishing = np.flatnonzero(counts > f.t)
+    vanishing = [np.empty(0, dtype=np.int64)]
+    if f.t == q:
+        return x0, vanishing[0]
+    q2 = q * q
+    zeros = np.flatnonzero(top_form(f) == 0)
+    dirs = np.stack(np.divmod(zeros, q))  # (d_a, d_b): (d1, d2) for (1, d1, d2), then
+    dirs[0, zeros >= q2] = 0  # (0, d2) for (0, 1, d2) and (0, 0) for (0, 0, 1)
+    x = point_coords(q, x0.points).T
+    ends = np.searchsorted(zeros, [0, q2, q2 + q, q2 + q + 1])
+    buf = np.empty((2, min(q, zeros.size), x0.count), dtype=np.int64)
+    # the line of direction d through x has base x - x_p d: v0 = x_a - x_p d_a, v1 = x_b - x_p d_b
+    for p, ab in enumerate(([1, 2], [0, 2], [0, 1])):
+        for lo in range(ends[p], ends[p + 1], q):
+            hi = min(lo + q, ends[p + 1])
+            v = np.multiply(dirs[:, lo:hi, None], x[p], out=buf[:, : hi - lo])
+            keys, low = np.remainder(np.subtract(x[ab, None], v, out=v), q, out=v)
+            keys += np.arange(hi - lo)[:, None] * q
+            keys *= q
+            keys += low  # step index * q^2 + v0*q + v1
+            full = np.flatnonzero(np.bincount(keys.ravel(), minlength=(hi - lo) * q2) == q)
+            if full.size:
+                vanishing.append(zeros[lo + full // q2] * q2 + full % q2)
+    vanishing = np.concatenate(vanishing)
+    if not vanishing.size:
+        return x0, vanishing
     cleared = np.zeros(q**3, dtype=np.bool_)
     cleared[line_points(q, *line_at(q, vanishing))] = True
-    gone = cleared[x0.points]
-    left = line_counts(q, x0.points[gone])  # of a subset of x0, so no count wraps below 0
-    return PointSet(q, x0.points[~gone], np.subtract(counts, left, out=left)), vanishing
+    return PointSet(q, x0.points[~cleared[x0.points]]), vanishing
 
 
 @dataclass(frozen=True)

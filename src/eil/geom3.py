@@ -20,7 +20,7 @@ is 0 mod q^2. No table of lines is kept: the line through a point x with
 direction d has base x - x_p*d, so line_counts gets |X intersect l| for
 every row by bincounting the rows of the q^2 + q + 1 lines through each
 point of X, in O(|X| q^2) time. evasive.PointSet projects its counts
-once, when it is built.
+the first time they are read.
 
 The lines inside a plane H_x = {y : x.y = 1} have closed-form rows as
 well: (base, dir) lies in H_x exactly when x.dir = 0 and x.base = 1,
@@ -100,9 +100,9 @@ def line_counts(q: int, points) -> np.ndarray:
     counts = np.empty(n_lines(q), dtype=np.min_scalar_type(q))
     # the part of a pivot-0 row that does not depend on d1, one row per d2
     low = field * q2 + (x2 - field * x0) % q
+    high = (x1 - field * x0) % q * q  # the part that depends on d1, one row per d1
     for d1 in range(q):
-        counts[d1 * q3 : (d1 + 1) * q3] = np.bincount(
-            ((x1 - d1 * x0) % q * q + low).ravel(), minlength=q3)
+        counts[d1 * q3 : (d1 + 1) * q3] = np.bincount((high[d1] + low).ravel(), minlength=q3)
     counts[q4 : q4 + q3] = np.bincount(
         (field * q2 + x0 * q + (x2 - field * x1) % q).ravel(), minlength=q3)
     counts[q4 + q3 :] = np.bincount(x0 * q + x1, minlength=q2)

@@ -8,9 +8,10 @@ points of either set (IncidenceConstruction.evasive). Copies of K_{t,t}
 are counted exactly by scanning lines: a line l off the origin yields a
 copy precisely when l carries t points of Y and t planes H_x of X hold
 it (so its dual carries t points of X), and every copy arises that way
-exactly once. Both read Y's line counts (PointSet.line_counts), the
-count also the plane counts of X (geom3.plane_counts), so neither needs
-the graph, which is built on first use of IncidenceConstruction.graph.
+exactly once. The count reads Y's line counts (PointSet.line_counts, the
+only ones construct projects) and X's plane counts (geom3.plane_counts),
+the certificate both sets' line counts, so neither needs the graph,
+which is built on first use of IncidenceConstruction.graph.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ Cramer's rule), equality of built sets and graphs, the whole table of
 lines with the q points of every row and line counts gathered through it,
 pointwise polynomial evaluation, symbolic restriction of a polynomial to
 a line (one line at a time, or to every line through the restriction
-tensor), Furedi orbits one member at a time and Furedi's graph from the
+tensor), the prune by its count rule (the rows with more than t points),
+Furedi orbits one member at a time and Furedi's graph from the
 dense n x n product of its classes, edge lists, graph neighbourhoods as
 sets or n-bit masks, brute-force subset scans, the line-by-line graph
 parser and the per-edge graph writer.
@@ -25,7 +26,7 @@ import numpy as np
 from eil.errors import GraphFormatError, ParameterError
 from eil.evasive import PointSet, TriPoly, monomials, restriction_tensor
 from eil.furedi import FurediGraph
-from eil.geom3 import line_at
+from eil.geom3 import line_at, line_counts, line_points
 from eil.gf import inverses, subgroup_of_order
 from eil.subgraph import BitGraph, graph_to_text
 
@@ -216,6 +217,14 @@ def line_table_oracle(q: int) -> LineTable:
 def gather_line_counts(x: PointSet) -> np.ndarray:
     """|X intersect l| for every row, by gathering membership of its q points."""
     return np.isin(line_table_oracle(x.q).point_idx, x.points).sum(axis=1)
+
+
+def prune_by_counts(x0: PointSet, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The points of x0 on no row carrying more than t of them, and those rows."""
+    q = x0.q
+    rows = np.flatnonzero(line_counts(q, x0.points) > t)
+    gone = line_points(q, *line_at(q, rows)).ravel()
+    return x0.points[~np.isin(x0.points, gone)], rows
 
 
 def ktt_count_by_table(x: PointSet, y: PointSet, t: int) -> int:

@@ -371,6 +371,28 @@ def test_no_command_enumerates_every_line(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_line_counts_are_projected_only_where_read(tmp_path, monkeypatch, capsys):
+    # a montecarlo trial looks the reference line's points up in X0 and X,
+    # and construct reads only Y's line counts (in the K_tt count)
+    import eil.evasive
+    import eil.geom3
+
+    projected, project = [], eil.geom3.line_counts
+
+    def spy(q, points):
+        projected.append(q)
+        return project(q, points)
+
+    for module in (eil.evasive, eil.geom3):
+        monkeypatch.setattr(module, "line_counts", spy)
+    out = ["--out", str(tmp_path)]
+    assert main(["montecarlo", "--q", "7", "--t", "3", "--trials", "100", *out]) == 0
+    assert projected == []
+    assert main(["construct", "incidence", "--q", "7", "--t", "3", *out]) == 0
+    assert projected == [7]
+    capsys.readouterr()
+
+
 def test_sweep_builds_no_graph(tmp_path, monkeypatch, capsys):
     # a sweep trial reads K_{2,t+1}-freeness from the line counts of its two
     # sets (IncidenceConstruction.evasive): no graph, no subset scan
@@ -499,7 +521,7 @@ def test_every_package_function_is_reached_by_a_command(tmp_path, capsys):
         ["construct", "furedi", "--q", "13", "--t", "4", "--out", str(out)],
         ["verify", furedi, "--s", "2", "--m", "5"],
         ["verify", furedi, "--s", "3", "--m", "4"],
-        # q = t = 3: the reference line is often all zeros, so top_coefficient runs
+        # q = t = 3: no line is pruned, and the reference line is often all zeros
         ["montecarlo", "--q", "3", "--t", "3", "--seed", "7", "--trials", "300",
          "--workers", "1", "--out", str(out)],
         ["sweep", "--q", "5,7", "--t", "3", "--trials", "100", "--workers", "1",
@@ -529,15 +551,16 @@ def test_every_package_function_is_reached_by_a_command(tmp_path, capsys):
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
 @pytest.mark.parametrize("q,t,seed,bound_mb", [
-    (37, 3, 1, 60), (31, 7, 1, 70), (61, 3, 1, 110), (61, 3, 3, 110),
+    (37, 3, 1, 60), (31, 7, 1, 70), (61, 3, 1, 85), (61, 3, 3, 85),
     pytest.param(109, 3, None, 120, id="furedi-109-3-120")])
 def test_construct_incidence_memory(q, t, seed, bound_mb, tmp_path):
     # the line counts are O(q^4) bytes and the zero set O(q^3): no table of
     # lines or of monomial values is built, which the t = 7 case checks; the
     # |X| x |Y| point-plane product is built q rows of X at a time, which
     # q = 37 checks, and the K_tt count compares Y's line counts with X's
-    # plane counts one d1 at a time, which q = 61 checks. Seed 3 prunes two lines of Y: the line counts of the few
-    # removed points are bounded by their q^4 output as well as by their input.
+    # plane counts one d1 at a time, which q = 61 checks. Y's are the only
+    # line counts projected: the prune counts X0 only on the lines of the
+    # zero directions of f's top form, and seed 3 prunes two lines of Y.
     # seed None runs `construct furedi`, which takes no seed: its graph is
     # built from one line per class in O(q^3/t) memory, not from the n x n
     # product of the classes (336 MB at q = 109), and the key budget of the

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eil.evasive import (
     REFERENCE_LINE,
@@ -13,10 +15,10 @@ from eil.evasive import (
     monomials,
     prune_bad_lines,
     sample_poly,
-    top_coefficient,
+    top_form,
     zero_set,
 )
-from eil.geom3 import line_at, n_lines
+from eil.geom3 import line_at, line_points, n_lines
 from oracles import (
     AffineLine,
     UniPoly,
@@ -26,6 +28,7 @@ from oracles import (
     line_table_oracle,
     point_index,
     points_on,
+    prune_by_counts,
     restrict_all_lines,
     restrict_to_line,
     same,
@@ -196,6 +199,59 @@ def test_prune_count_rule_matches_symbolic_rule(q, t):
         assert np.array_equal(vanishing, symbolic)
 
 
+def prunes_as_the_count_rule(f):
+    """The prune of f's zero set, checked against oracles.prune_by_counts."""
+    q = f.q
+    x0 = zero_set(q, f)
+    pruned, rows = prune_bad_lines(q, f, x0)
+    points, expected = prune_by_counts(x0, f.t)
+    assert np.array_equal(rows, expected)
+    assert np.array_equal(pruned.points, points)
+    assert (pruned is x0) == (rows.size == 0)
+    return pruned, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 5, 7, 11, 13]).flatmap(
+    lambda q: st.tuples(st.just(q), st.integers(3, q), st.integers(0, 2**32))))
+def test_prune_matches_the_count_rule(qts):
+    q, t, seed = qts
+    prunes_as_the_count_rule(sample_poly(q, t, seed))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_prune_matches_the_count_rule_at_q61(seed):
+    prunes_as_the_count_rule(sample_poly(61, 3, seed))
+
+
+@pytest.mark.parametrize("q", [5, 7, 11])
+def test_prune_with_a_zero_top_form_tries_every_direction(q):
+    # x1 x2 - x3 at t = 3 has f_t = 0, so all q^2 + q + 1 directions are
+    # candidates; its zero set is the union of its 2q lines (c, s, cs) and
+    # (s, c, cs), so nothing is left
+    f = poly_from_map(q, 3, {(1, 1, 0): 1, (0, 0, 1): q - 1})
+    assert not top_form(f).any()
+    pruned, rows = prunes_as_the_count_rule(f)
+    assert rows.size == 2 * q and pruned.count == 0
+
+
+@pytest.mark.parametrize("q,t", [(5, 3), (7, 4), (11, 3)])
+def test_prune_with_a_top_form_divisible_by_x1(q, t):
+    # f = x1 g: f_t = x1 g_{t-1} is zero at the q + 1 directions (0, 1, d)
+    # and (0, 0, 1), its last q + 1 entries, and every line of the plane
+    # x1 = 0 is cleared: the q (q + 1) rows of those directions whose base
+    # has x1 = 0
+    base, _ = line_at(q, np.arange(q**4, n_lines(q)))
+    plane = q**4 + np.flatnonzero(base[:, 0] == 0)
+    assert plane.size == q * (q + 1)
+    for trial in range(5):
+        g = sample_poly(q, t - 1, 90_000 + trial)
+        f = poly_from_map(q, t, {(i + 1, j, k): a
+                                 for (i, j, k), a in zip(monomials(t - 1), g.coeffs)})
+        assert not top_form(f)[q * q :].any()
+        assert np.isin(plane, prunes_as_the_count_rule(f)[1]).all()
+
+
 def test_prune_t_equals_q_keeps_the_zero_set():
     # decision for t = q: no line carries more than q points, so nothing is
     # pruned, even where f restricts to the zero polynomial on a line
@@ -204,23 +260,27 @@ def test_prune_t_equals_q_keeps_the_zero_set():
         f = sample_poly(q, t, 50_000 + trial)
         x0 = zero_set(q, f)
         pruned, vanishing = prune_bad_lines(q, f, x0)
-        assert vanishing.size == 0 and same(pruned, x0)
+        assert vanishing.size == 0 and pruned is x0
     # the plane x1 = 0 holds q(q + 1) lines on which x1 is symbolically zero
     plane = poly_from_map(q, t, {(1, 0, 0): 1})
     x0 = zero_set(q, plane)
     pruned, vanishing = prune_bad_lines(q, plane, x0)
-    assert vanishing.size == 0 and same(pruned, x0) and x0.count == 25
+    assert vanishing.size == 0 and pruned is x0 and x0.count == 25
     assert int((~restrict_all_lines(q, plane).any(axis=1)).sum()) == 30
 
 
 @pytest.mark.parametrize("q,t", [(3, 3), (5, 4), (7, 3), (7, 7)])
 def test_top_coefficient_is_the_leading_restriction_coefficient(q, t):
+    # entry i of top_form is the s^t coefficient on every line of rows
+    # i q^2 .. i q^2 + q^2 - 1; one line of each direction, at random, is tried
     rng = random.Random(q * t)
     for trial in range(10):
         f = sample_poly(q, t, 70_000 + trial)
-        for i in rng.sample(range(n_lines(q)), 25):
-            line = row_line(q, i)
-            assert top_coefficient(f, line.dir) == restrict_to_line(q, f, line).coeffs[t]
+        top = top_form(f)
+        assert top.shape == (q * q + q + 1,)
+        for i, value in enumerate(top.tolist()):
+            line = row_line(q, i * q * q + rng.randrange(q * q))
+            assert value == restrict_to_line(q, f, line).coeffs[t]
 
 
 @pytest.mark.parametrize("q,t", [(3, 3), (5, 3), (5, 5), (7, 3), (7, 7)])
@@ -349,7 +409,10 @@ def test_reference_line_is_canonical_and_off_origin():
     for q in (2, 7, 13):
         row = int(line_index(q, *REFERENCE_LINE))
         assert row_line(q, row) == AffineLine(*REFERENCE_LINE)
-        assert row == q**4 + q  # the row that cli._montecarlo_trial reads
+        # cli._montecarlo_trial reads f_t at the direction of index row // q^2
+        # and looks the line's q points up in X0 and X
+        assert row == q**4 + q
+        assert line_points(q, *REFERENCE_LINE).tolist() == [q * q + s * q for s in range(q)]
     assert REFERENCE_LINE[0] != (0, 0, 0)
 
 

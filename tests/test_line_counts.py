@@ -1,8 +1,8 @@
 """Closed-form line rows and projected line and plane counts against the whole-table oracle.
 
-Every count and prune of the program reads |X on l| from geom3.line_counts,
-which bincounts the rows of the lines through each point of X, and decodes
-rows with geom3.line_at; the K_{t,t} count also reads |X on dual(l)| from
+Every line count of the program comes from geom3.line_counts, which
+bincounts the rows of the lines through each point of X, and rows are
+decoded with geom3.line_at; the K_{t,t} count also reads |X on dual(l)| from
 geom3.plane_counts, which bincounts the rows of the lines inside the plane
 of each point of X. The oracle in tests/oracles.py enumerates the table of
 lines block by block and gathers the membership of each row's q points
@@ -70,8 +70,6 @@ def test_projected_counts_match_the_gather(x):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([5, 7, 11, 13]), st.integers(3, 5), st.integers(0, 2**32))
 def test_zero_set_and_pruned_counts_match_the_gather(q, t, seed):
-    # the pruned set never projects from scratch: it carries X0's counts,
-    # less those of the removed points
     f = sample_poly(q, t, seed)
     x0 = zero_set(q, f)
     pruned, vanishing = prune_bad_lines(q, f, x0)
@@ -99,17 +97,21 @@ def test_planted_prune_removes_points_and_keeps_counts_exact(q):
 
 def test_built_sets_carry_read_only_counts_from_construction():
     # X0, a pruned set that lost points (seed 0 clears a line) and one that
-    # lost none (seed 1), which shares X0's array: a write into any of them
-    # would change the others' counts
+    # lost none (seed 1), which is X0 itself: no set projects its counts
+    # before they are read, and a write into them would change what every
+    # later read sees
     q, t = 7, 3
     for seed, lost in ((0, True), (1, False)):
         f = sample_poly(q, t, seed)
         x0 = zero_set(q, f)
         pruned, vanishing = prune_bad_lines(q, f, x0)
         assert (pruned.count < x0.count) == (vanishing.size > 0) == lost
-        assert (pruned.line_counts is x0.line_counts) == (not lost)
+        assert (pruned is x0) == (not lost)
+        for x in (x0, pruned):
+            assert "line_counts" not in vars(x)
         for x in (x0, pruned):
             assert np.array_equal(x.line_counts, gather_line_counts(x))
+            assert x.line_counts is x.line_counts
             with pytest.raises(ValueError):
                 x.line_counts[0] = 0
 
@@ -134,11 +136,10 @@ def test_blocked_projection_matches_the_gather(q, seed):
 
 @pytest.mark.parametrize("q,seed", [(37, None), (23, 1)], ids=["line-37", "zero-set-23-3-1"])
 def test_line_counts_bincount_one_d1_at_a_time(q, seed, monkeypatch):
-    # one line, like the few points that pruning removes, and a whole zero
-    # set: every bincount of the line counts and of the plane counts holds
-    # at most the rows of one d1 and its q^3 counts, not a minlength of
-    # q * q^3 nor several d1 values at once, and no plane slice holds more
-    # than the q^3 counts of one d1
+    # one line and a whole zero set: every bincount of the line counts and
+    # of the plane counts holds at most the rows of one d1 and its q^3
+    # counts, not a minlength of q * q^3 nor several d1 values at once, and
+    # no plane slice holds more than the q^3 counts of one d1
     row = 12345
     if seed is None:
         points = line_points(q, *line_at(q, row))
@@ -204,6 +205,7 @@ def test_ktt_count_holds_no_array_of_every_row():
     # seed 3 prunes; the count streams X's plane counts one slice at a time
     q, t = 61, 3
     c = build_incidence(q, t, 3)
+    c.y_set.line_counts  # projected on first read; only the count itself is traced
     tracemalloc.start()
     try:
         count = count_ktt_via_lines(c)
