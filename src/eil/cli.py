@@ -70,7 +70,7 @@ def _montecarlo_trial(args: tuple[int, int, int, int]) -> dict:
     # f restricts to the zero polynomial on the line iff it is zero at all q
     # points and f_t is 0 at its direction (0, 1, 0), of index q^2: for t < q
     # a zero function of degree <= t is 0, for t = q it is c * (s^q - s)
-    ref_vanished = ref_count == q and int(top_form(f)[q * q]) == 0
+    ref_vanished = ref_count == q and (t < q or int(top_form(f)[q * q]) == 0)
     return {
         "trial": index,
         "seed": base_seed + index,

@@ -12,11 +12,15 @@ share one table of a^e mod q (power_table).
 
 The field is its prime q and a polynomial's randomness its seed, both plain
 ints. The commands and build_incidence check them on entry, so nothing here
-checks them again.
+checks them again. sample_poly reads the words of numpy's Philox(seed) bit
+generator, made here in pure Python (_philox_key, _philox_words): importing
+numpy.random for them would add about 5.6 MB to every sampling process.
+The tests check the words against numpy's, bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -99,20 +103,74 @@ class PointSet:
         return header + "".join(f"{p}\n" for p in self.points.tolist())
 
 
+_M32, _M64 = (1 << 32) - 1, (1 << 64) - 1
+
+
+def _philox_key(seed: int) -> tuple[int, int]:
+    """The Philox key of seed, as numpy's SeedSequence(seed).generate_state(2, np.uint64).
+
+    The seed's 32-bit words, lowest first, are hashed into a pool of four
+    words, mixed, and hashed out again as four 32-bit words: two 64-bit
+    words, low half first.
+    """
+    entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    mult = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal mult
+        value ^= mult
+        mult = mult * 0x931E8875 & _M32
+        value = value * mult & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for value in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(value))
+    mult, out = 0x8B51F9DD, []
+    for value in pool:
+        value ^= mult
+        mult = mult * 0x58F38DED & _M32
+        value = value * mult & _M32
+        out.append(value ^ value >> 16)
+    return out[0] | out[1] << 32, out[2] | out[3] << 32
+
+
+def _philox_words(seed: int):
+    """The 64-bit words of numpy's Philox(seed), in order: Philox4x64-10 of
+    the counters 1, 2, ... under _philox_key(seed), four words per counter.
+    (numpy carries the counter into a second word after 2^64 blocks; no
+    sample comes near that.)"""
+    k0, k1 = _philox_key(seed)
+    keys = [(k0 + r * 0x9E3779B97F4A7C15 & _M64, k1 + r * 0xBB67AE8584CAA73B & _M64)
+            for r in range(10)]  # the key of each round
+    for ctr in itertools.count(1):
+        c0, c1, c2, c3 = ctr, 0, 0, 0
+        for a0, a1 in keys:
+            p0, p1 = 0xD2E7470EE14C6C93 * c0, 0xCA5A826395121157 * c2
+            c0, c1, c2, c3 = p1 >> 64 ^ c1 ^ a0, p1 & _M64, p0 >> 64 ^ c3 ^ a1, p0 & _M64
+        yield from (c0, c1, c2, c3)
+
+
 def sample_poly(q: int, t: int, seed: int) -> TriPoly:
     """Uniform random TriPoly: coefficients drawn iid in monomial order.
 
-    The 64-bit words of Philox(seed) are reduced by rejection sampling:
-    words at or above the largest multiple of q are discarded, so residues
-    carry no modulo bias.
+    The 64-bit words that np.random.Philox(seed) gives (_philox_words) are
+    reduced by rejection sampling: words at or above the largest multiple of
+    q are discarded, so residues carry no modulo bias. The words do not
+    depend on how many are read at a time.
     """
-    n = math.comb(t + 3, 3)
     limit = (1 << 64) - (1 << 64) % q
-    bits = np.random.Philox(seed)
-    kept = []
-    while len(kept) < n:
-        kept += [w % q for w in bits.random_raw(n - len(kept)).tolist() if w < limit]
-    return TriPoly(q, t, tuple(kept))
+    kept = (w % q for w in _philox_words(seed) if w < limit)
+    return TriPoly(q, t, tuple(itertools.islice(kept, math.comb(t + 3, 3))))
 
 
 @lru_cache(maxsize=None)
@@ -149,12 +207,24 @@ def restriction_tensor(q: int, t: int) -> np.ndarray:
     return tensor
 
 
-def _values(f: TriPoly, rows: int) -> np.ndarray:
-    """(rows, q, q) values of f at (x, y, z), x < rows: its exponent cube c[i, j, k]
-    contracted with power_table one axis at a time, (x, j*k) -> (x, k, y) -> (x, y, z)."""
+@lru_cache(maxsize=None)
+def _cube_index(t: int) -> np.ndarray:
+    """Flat index (i*(t+1) + j)*(t+1) + k in a (t+1)^3 cube of each monomial of monomials(t)."""
+    i, j, k = np.array(monomials(t), dtype=np.int64).T
+    index = (i * (t + 1) + j) * (t + 1) + k
+    index.flags.writeable = False
+    return index
+
+
+def _values(f: TriPoly, rows: int, top: bool = False) -> np.ndarray:
+    """(rows, q, q) values of f at (x, y, z), x < rows, or of f_t if top: its
+    exponent cube c[i, j, k] contracted with power_table one axis at a time,
+    (x, j*k) -> (x, k, y) -> (x, y, z)."""
     q, t = f.q, f.t
-    cube = np.zeros((t + 1,) * 3, dtype=np.int64)
-    cube[tuple(zip(*monomials(t)))] = f.coeffs
+    # monomials(t) lists the C(t+2, 3) of degree below t first
+    first = math.comb(t + 2, 3) if top else 0
+    cube = np.zeros((t + 1) ** 3, dtype=np.int64)
+    cube[_cube_index(t)[first:]] = f.coeffs[first:]
     powers = power_table(q, t)
     # each matmul sums t+1 <= q+1 products of residues below q <= 2^20, so
     # every sum stays below 2^61 before it is reduced
@@ -172,9 +242,8 @@ def top_form(f: TriPoly) -> np.ndarray:
     """f_t, the degree-t part of f, at each direction in row order (row // q^2):
     (1, d1, d2) at d1*q + d2, (0, 1, d2) at q^2 + d2, then (0, 0, 1). f_t(dir)
     is the s^t coefficient of f(base + s*dir) for every base."""
-    q, t = f.q, f.t
-    top = tuple(a if sum(m) == t else 0 for m, a in zip(monomials(t), f.coeffs))
-    v = _values(TriPoly(q, t, top), 2).reshape(2, -1)
+    q = f.q
+    v = _values(f, 2, top=True).reshape(2, -1)
     return np.concatenate([v[1], v[0, q : 2 * q], v[0, 1:2]])
 
 

@@ -127,7 +127,8 @@ def plane_counts(q: int, points):
     Counts come in the smallest unsigned type that holds q. Pivot 0 yields
     one slice per d1, from one bincount: the points with x2 != 0 give q
     rows each, and each point with x2 = 0 != x1 adds 1 to the q^2 rows of
-    its (d1, v0) in place. So a step holds the q^3 one-byte counts of one
+    its (d1, v0) in place. The d2*q^2 parts of the rows, q |X| int64 for
+    all d1, are computed once; a step holds the q^3 one-byte counts of one
     d1 and its int64 rows and bincount, q |X| + q^3 entries. Pivot 1 and
     pivot 2 are one slice each.
     """
@@ -141,6 +142,7 @@ def plane_counts(q: int, points):
     a0, a1, i2 = x0[up], x1[up], inv[x2[up]]
     # v0*q + v1 of the pivot-0 rows of each point with x2 != 0, one row per v0
     low = field * q + (1 - a1 * field) * i2 % q
+    high = -(a0 + a1 * field) * i2 % q * q2  # d2*q^2 of each point, one row per d1
     # how many points with x2 = 0 != x1 have each (d1, v0)
     side = flat & ~axis
     i1 = inv[x1[side]]
@@ -149,8 +151,7 @@ def plane_counts(q: int, points):
     # shrink and grow again each step, which doubled the time at q = 37
     rows = np.empty_like(low)
     for d1 in range(q):
-        high = -(a0 + a1 * d1) * i2 % q * q2  # d2*q^2 of each point
-        counts = np.bincount(np.add(high, low, out=rows).ravel(), minlength=q3).astype(small)
+        counts = np.bincount(np.add(high[d1], low, out=rows).ravel(), minlength=q3).astype(small)
         counts.reshape(q, q, q)[:] += fold[d1][:, None]
         yield slice(d1 * q3, (d1 + 1) * q3), counts
     counts = np.bincount(

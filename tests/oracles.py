@@ -4,6 +4,7 @@ None of these is on a production path: field residues and inverses, points
 and lines one tuple at a time, the row of a line and of its dual (by
 Cramer's rule), equality of built sets and graphs, the whole table of
 lines with the q points of every row and line counts gathered through it,
+the polynomial sampler on numpy's own Philox bit generator,
 pointwise polynomial evaluation, symbolic restriction of a polynomial to
 a line (one line at a time, or to every line through the restriction
 tensor), the prune by its count rule (the rows with more than t points),
@@ -233,6 +234,18 @@ def ktt_count_by_table(x: PointSet, y: PointSet, t: int) -> int:
     cx, cy = gather_line_counts(x), gather_line_counts(y)
     ok = ~table.origin_mask & (cy == t)
     return int((ok & (cx[table.dual_idx] == t)).sum())
+
+
+def philox_poly(q: int, t: int, seed: int) -> TriPoly:
+    """sample_poly's rejection loop on the words of numpy's Philox(seed), drawn
+    as many at a time as coefficients are still missing."""
+    n = math.comb(t + 3, 3)
+    limit = (1 << 64) - (1 << 64) % q
+    bits = np.random.Philox(seed)
+    kept = []
+    while len(kept) < n:
+        kept += [w % q for w in bits.random_raw(n - len(kept)).tolist() if w < limit]
+    return TriPoly(q, t, tuple(kept))
 
 
 def evaluate(f: TriPoly, p) -> int:

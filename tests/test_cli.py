@@ -571,7 +571,8 @@ def test_construct_incidence_memory(q, t, seed, bound_mb, tmp_path):
         "from eil.cli import main\n"
         "code = main(sys.argv[1:])\n"
         "status = open('/proc/self/status').read().split()\n"
-        "print(status[status.index('VmHWM:') + 1], file=sys.stderr)\n"
+        "print(status[status.index('VmHWM:') + 1], 'numpy.random' in sys.modules,\n"
+        "      file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eil.__file__)))
@@ -584,7 +585,9 @@ def test_construct_incidence_memory(q, t, seed, bound_mb, tmp_path):
         assert proc.returncode == 1 and "3-subset scan needs" in proc.stderr, proc.stderr
     else:
         assert proc.returncode == 0, proc.stderr
-    peak_mb = int(proc.stderr.split()[-1]) / 1024  # VmHWM is in kB
+    peak_kb, numpy_random = proc.stderr.split()[-2:]
+    assert numpy_random == "False"  # its import alone adds about 5.6 MB
+    peak_mb = int(peak_kb) / 1024  # VmHWM is in kB
     assert peak_mb < bound_mb, (q, t, seed, peak_mb)
 
 
@@ -612,6 +615,29 @@ def test_commands_leave_out_numpy_ma(tmp_path):
         "    main(argv + ['--out', out])\n"
         "main(['verify', out + '/furedi-q13-t4.graph.txt', '--s', '3', '--m', '4'])\n"
         "print('numpy.ma' in sys.modules, file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eil.__file__)))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "False"
+
+
+def test_commands_leave_out_numpy_random(tmp_path):
+    # the sampler makes its own Philox words: importing numpy.random (and
+    # OpenSSL through it) would add about 5.6 MB to a run's peak RSS
+    probe = (
+        "import sys\n"
+        "from eil.cli import main\n"
+        f"out = {str(tmp_path)!r}\n"
+        "for argv in (['construct', 'incidence', '--q', '7', '--t', '3'],\n"
+        "             ['construct', 'furedi', '--q', '13', '--t', '4'],\n"
+        "             ['verify', out + '/furedi-q13-t4.graph.txt', '--s', '3', '--m', '4'],\n"
+        "             ['montecarlo', '--q', '5', '--t', '3', '--trials', '100'],\n"
+        "             ['sweep', '--q', '5,7', '--t', '3', '--workers', '1']):\n"
+        "    code = main(argv if argv[0] == 'verify' else argv + ['--out', out])\n"
+        "    assert code == 0, argv\n"
+        "print('numpy.random' in sys.modules, file=sys.stderr)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eil.__file__)))
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,

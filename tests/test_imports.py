@@ -1,4 +1,5 @@
-"""No module of src/eil imports a name that it never uses or reads a hidden setting.
+"""No module of src/eil imports a name that it never uses, reads a hidden
+setting or reaches numpy.random.
 
 No linter runs on this repository, so a name left imported after the code
 that used it is gone would go unnoticed. __init__.py is left out: its
@@ -8,6 +9,11 @@ modules that import it).
 
 A setting read from the environment is one that no flag shows, so the
 modules may touch the environment only on the lines of ENV_ALLOWED.
+
+The sampler makes its own Philox words (evasive._philox_words): importing
+numpy.random for them would cost every sampling command about 5.6 MB of
+resident memory, most of it OpenSSL, so no module imports it or reads
+`random` off numpy.
 """
 
 import ast
@@ -101,3 +107,51 @@ def test_no_module_reads_a_hidden_environment_setting():
     found = {(p.name, line) for p in paths
              for line in environment_access(p.read_text(encoding="utf-8"))}
     assert found == ENV_ALLOWED
+
+
+def numpy_random_uses(source: str) -> list[str]:
+    """The stripped source line of each import of numpy.random and each
+    read of `random` off np or numpy, in order."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(a.name.split(".")[:2] == ["numpy", "random"] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            hit = module[:2] == ["numpy", "random"] or (
+                module == ["numpy"] and any(a.name == "random" for a in node.names))
+        elif isinstance(node, ast.Attribute):
+            hit = (node.attr == "random" and isinstance(node.value, ast.Name)
+                   and node.value.id in ("np", "numpy"))
+        else:
+            continue
+        if hit:
+            found.add(node.lineno)
+    return [lines[i - 1].strip() for i in sorted(found)]
+
+
+def test_numpy_random_uses_are_found():
+    source = (
+        "import random\n"
+        "import numpy as np\n"
+        "import numpy.random\n"
+        "from numpy import random as npr\n"
+        "from numpy.random import Philox\n"
+        "bits = np.random.Philox(1)\n"
+        "print(random.random(), np.arange(3), numpy.linalg)\n"
+    )
+    assert numpy_random_uses(source) == [
+        "import numpy.random",
+        "from numpy import random as npr",
+        "from numpy.random import Philox",
+        "bits = np.random.Philox(1)",
+    ]
+
+
+def test_no_module_uses_numpy_random():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = {p.name: numpy_random_uses(p.read_text(encoding="utf-8")) for p in paths}
+    assert not {name: uses for name, uses in found.items() if uses}
