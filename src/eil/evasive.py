@@ -6,9 +6,9 @@ identically, whose direction is a zero of f's top form. The pruned set X
 meets every line in at most t points, and for each line the chance of
 hitting exactly t points stays bounded away from zero as q grows.
 
-A PointSet is its sorted point indices; its line counts |X intersect l|
-are projected when first read. zero_set, top_form and restriction_tensor
-share one table of a^e mod q (power_table).
+A PointSet is its q and its sorted point indices; the prune reads no line
+counts. zero_set, top_form and restriction_tensor share one table of
+a^e mod q (power_table).
 
 The field is its prime q and a polynomial's randomness its seed, both plain
 ints. The commands and build_incidence check them on entry, so nothing here
@@ -23,11 +23,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
-from .geom3 import line_at, line_counts, line_points, line_table, point_coords
+from .geom3 import line_at, line_points, line_table, point_coords
 
 # Fixed reference line (base, dir) used by the Monte Carlo commands:
 # canonical and not through the origin, valid for every q.
@@ -78,21 +78,11 @@ class TriPoly:
 
 
 class PointSet:
-    """Subset of F_q^3 as its sorted point indices (points, increasing int64).
-
-    line_counts[row] = |X intersect l| for every row of the geom3 layout is
-    read-only and projected by geom3.line_counts on first read.
-    """
+    """Subset of F_q^3 as its sorted point indices (points, increasing int64)."""
 
     def __init__(self, q: int, points: np.ndarray):
         self.q = q
         self.points = points
-
-    @cached_property
-    def line_counts(self) -> np.ndarray:
-        counts = line_counts(self.q, self.points)
-        counts.flags.writeable = False
-        return counts
 
     @property
     def count(self) -> int:

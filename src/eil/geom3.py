@@ -19,16 +19,16 @@ multiples of q^2, so a row is a line through the origin exactly when it
 is 0 mod q^2. No table of lines is kept: the line through a point x with
 direction d has base x - x_p*d, so line_counts gets |X intersect l| for
 every row by bincounting the rows of the q^2 + q + 1 lines through each
-point of X, in O(|X| q^2) time. evasive.PointSet projects its counts
-the first time they are read.
+point of X, in O(|X| q^2) time.
 
 The lines inside a plane H_x = {y : x.y = 1} have closed-form rows as
 well: (base, dir) lies in H_x exactly when x.dir = 0 and x.base = 1,
 which picks q^2 + q rows for each x != 0. So plane_counts gets
-|{x in X : l inside H_x}| for every row by the same bincounts, streamed
-one d1 at a time. For a line l off the origin that is |X intersect l*|,
-l* = {z : base.z = 1, dir.z = 0} being its dual; a line through the
-origin lies in no H_x.
+|{x in X : l inside H_x}| for every row by the same bincounts. For a
+line l off the origin that is |X intersect l*|, l* = {z : base.z = 1,
+dir.z = 0} being its dual; a line through the origin lies in no H_x.
+Both stream (slice of rows, counts) in the same slices, in row order,
+so no array of every row is made (q^4 bytes: 250 MiB at q = 127).
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def line_points(q: int, base, direction) -> np.ndarray:
     return (pts[..., 0] * q + pts[..., 1]) * q + pts[..., 2]
 
 
-def line_counts(q: int, points) -> np.ndarray:
+def line_counts(q: int, points):
     """|X intersect l| for every row, for X given by its point indices.
 
     A point lies on exactly one line of each canonical direction d, the one
@@ -89,33 +89,33 @@ def line_counts(q: int, points) -> np.ndarray:
         pivot 1, d = (0, 1, d2):   q^4 + d2*q^2 + x0*q + (x2 - x1*d2)
         pivot 2, d = (0, 0, 1):    q^4 + q^3 + x0*q + x1
 
-    so the counts are bincounts of |X| (q^2 + q + 1) rows. Pivot 0 makes
-    one bincount per d1, of its q |X| rows into its q^3 int64 counts,
-    however large or small X is. Counts are stored in the smallest unsigned
-    type that holds q.
+    so the counts are bincounts of |X| (q^2 + q + 1) rows. The slices are
+    those of plane_counts: pivot 0 yields one per d1, the bincount of its
+    q |X| rows into q^3 counts, and pivot 1 and pivot 2 one each. Counts
+    come in the smallest unsigned type that holds q.
     """
     x0, x1, x2 = point_coords(q, points).T
     field = np.arange(q, dtype=np.int64)[:, None]
     q2, q3, q4 = q * q, q**3, q**4
-    counts = np.empty(n_lines(q), dtype=np.min_scalar_type(q))
+    small = np.min_scalar_type(q)
     # the part of a pivot-0 row that does not depend on d1, one row per d2
     low = field * q2 + (x2 - field * x0) % q
     high = (x1 - field * x0) % q * q  # the part that depends on d1, one row per d1
+    rows = np.empty_like(low)
     for d1 in range(q):
-        counts[d1 * q3 : (d1 + 1) * q3] = np.bincount((high[d1] + low).ravel(), minlength=q3)
-    counts[q4 : q4 + q3] = np.bincount(
-        (field * q2 + x0 * q + (x2 - field * x1) % q).ravel(), minlength=q3)
-    counts[q4 + q3 :] = np.bincount(x0 * q + x1, minlength=q2)
-    return counts
+        yield slice(d1 * q3, (d1 + 1) * q3), np.bincount(
+            np.add(high[d1], low, out=rows).ravel(), minlength=q3).astype(small)
+    del low, high, rows  # freed before the pivot-1 rows are made
+    yield slice(q4, q4 + q3), np.bincount(
+        (field * q2 + x0 * q + (x2 - field * x1) % q).ravel(), minlength=q3).astype(small)
+    yield slice(q4 + q3, n_lines(q)), np.bincount(x0 * q + x1, minlength=q2).astype(small)
 
 
 def plane_counts(q: int, points):
-    """|{x in X : l inside H_x}| for every row l, streamed as (slice of rows, counts).
+    """|{x in X : l inside H_x}| for every row l.
 
-    The slices come in row order and cover every row once, so a caller
-    that compares each with the same rows of another count holds no array
-    of every row. For x = (x0, x1, x2) != 0 the q^2 + q rows inside H_x
-    are, with v0, v1 the base coordinates of a row:
+    For x = (x0, x1, x2) != 0 the q^2 + q rows inside H_x are, with v0, v1
+    the base coordinates of a row:
 
         x2 != 0:       pivot 0, each d1, v0:  d2 = -(x0 + x1*d1)/x2, v1 = (1 - x1*v0)/x2
                        pivot 1, each v0:      d2 = -x1/x2,           v1 = (1 - x0*v0)/x2
@@ -154,6 +154,7 @@ def plane_counts(q: int, points):
         counts = np.bincount(np.add(high[d1], low, out=rows).ravel(), minlength=q3).astype(small)
         counts.reshape(q, q, q)[:] += fold[d1][:, None]
         yield slice(d1 * q3, (d1 + 1) * q3), counts
+    del low, high, rows  # freed before the pivot-1 rows are made
     counts = np.bincount(
         ((1 - a0 * field) * i2 % q + field * q + -a1 * i2 % q * q2).ravel(), minlength=q3)
     counts.reshape(q, q, q)[:] += np.bincount(inv[x0[axis]], minlength=q)[:, None]

@@ -4,6 +4,7 @@ None of these is on a production path: field residues and inverses, points
 and lines one tuple at a time, the row of a line and of its dual (by
 Cramer's rule), equality of built sets and graphs, the whole table of
 lines with the q points of every row and line counts gathered through it,
+the streamed line counts joined into one array of every row,
 the polynomial sampler on numpy's own Philox bit generator,
 pointwise polynomial evaluation, symbolic restriction of a polynomial to
 a line (one line at a time, or to every line through the restriction
@@ -215,6 +216,11 @@ def line_table_oracle(q: int) -> LineTable:
                      origin, dual)
 
 
+def line_count_array(q: int, points) -> np.ndarray:
+    """The stream of geom3.line_counts as one array of every row, q^4 bytes and more."""
+    return np.concatenate([counts for _, counts in line_counts(q, points)])
+
+
 def gather_line_counts(x: PointSet) -> np.ndarray:
     """|X intersect l| for every row, by gathering membership of its q points."""
     return np.isin(line_table_oracle(x.q).point_idx, x.points).sum(axis=1)
@@ -223,7 +229,7 @@ def gather_line_counts(x: PointSet) -> np.ndarray:
 def prune_by_counts(x0: PointSet, t: int) -> tuple[np.ndarray, np.ndarray]:
     """The points of x0 on no row carrying more than t of them, and those rows."""
     q = x0.q
-    rows = np.flatnonzero(line_counts(q, x0.points) > t)
+    rows = np.flatnonzero(line_count_array(q, x0.points) > t)
     gone = line_points(q, *line_at(q, rows)).ravel()
     return x0.points[~np.isin(x0.points, gone)], rows
 

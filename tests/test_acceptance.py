@@ -17,6 +17,7 @@ from eil.subgraph import count_biclique_general, is_ksm_free
 from oracles import (
     AffineLine,
     count_biclique,
+    line_count_array,
     line_index,
     line_table_oracle,
     restrict_all_lines,
@@ -107,7 +108,7 @@ def test_criterion_04_deterministic_evasiveness(acceptance_constructions):
     assert len(acceptance_constructions) == 200
     for c in acceptance_constructions:
         for point_set in (c.x_set, c.y_set):
-            if int(point_set.line_counts.max()) > c.t:
+            if int(line_count_array(c.q, point_set.points).max()) > c.t:
                 failures += 1
             if point_set.count > c.t * c.q * c.q:
                 failures += 1
@@ -185,7 +186,7 @@ def test_criterion_07_quadratic_growth_proxy():
             c = build_incidence(q, t, seed + i)
             mismatches += count_ktt_via_lines(c) != counts[i]
             for point_set in (c.x_set, c.y_set):
-                rich += int((point_set.line_counts[off_origin] == t).sum())
+                rich += int((line_count_array(q, point_set.points)[off_origin] == t).sum())
         pi_hat[q] = rich / (2 * trials * n_off)
         if abs(per_q[q] - n_off * pi_hat[q] ** 2) > 3 * rows[q]["mean_count_se"]:
             unfactorised.append(q)

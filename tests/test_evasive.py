@@ -24,6 +24,7 @@ from oracles import (
     UniPoly,
     evaluate,
     evaluate_uni,
+    line_count_array,
     line_index,
     line_table_oracle,
     point_index,
@@ -356,7 +357,7 @@ def test_pruned_set_meets_every_line_at_most_t(q, t):
     for trial in range(100):
         f = sample_poly(q, t, 777 + trial)
         pruned, _ = prune_bad_lines(q, f, zero_set(q, f))
-        counts = pruned.line_counts
+        counts = line_count_array(q, pruned.points)
         assert counts.max() <= t
         assert pruned.count <= t * q * q
 
@@ -366,7 +367,7 @@ def test_line_histogram_empty_and_single_point():
     origin = line_table_oracle(5).origin_mask
 
     def histogram(points):
-        counts = PointSet(5, np.array(points, dtype=np.int64)).line_counts
+        counts = line_count_array(5, np.array(points, dtype=np.int64))
         return np.bincount(counts, minlength=6), np.bincount(counts[origin], minlength=6)
 
     total, through_origin = histogram([])

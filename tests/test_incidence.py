@@ -15,7 +15,15 @@ from eil.incidence import (
 )
 from eil.report import validate_report
 from eil.subgraph import BitGraph, is_ksm_free
-from oracles import adjacency_sets, count_biclique, dual_index, edge_list, point_index, same
+from oracles import (
+    adjacency_sets,
+    count_biclique,
+    dual_index,
+    edge_list,
+    line_count_array,
+    point_index,
+    same,
+)
 
 
 def test_build_is_deterministic():
@@ -46,8 +54,8 @@ def test_size_bounds_and_edges():
     for seed in range(100):
         c = build_incidence(7, 3, 1000 + seed)
         assert c.n == c.x_set.count + c.y_set.count <= 2 * 3 * 49
-        assert c.x_set.line_counts.max() <= 3
-        assert c.y_set.line_counts.max() <= 3
+        assert line_count_array(7, c.x_set.points).max() <= 3
+        assert line_count_array(7, c.y_set.points).max() <= 3
 
 
 def test_edges_match_incidence_relation():
@@ -136,6 +144,10 @@ def test_a_t_plus_1_rich_line_with_two_dual_points_fails_both_checks():
     result = is_ksm_free(c.graph, 2, t + 1)
     assert not result.free
     assert result.witness == ((0, 1), (2, 3, 4, 5))
+    # without the certificate verify_construction reports the scan's verdict
+    record = verify_construction(c).trials[0]
+    assert not record["k2_free"]
+    assert record["freeness_witness"] == ((0, 1), (2, 3, 4, 5))
 
 
 def test_the_evasive_certificate_is_sufficient_not_necessary():
@@ -149,9 +161,11 @@ def test_the_evasive_certificate_is_sufficient_not_necessary():
     other = _points_of_row(q, OTHER_ROW)
     x_points = np.union1d(dual[:1], other[:t])
     c = _by_hand(q, t, x_points, line[: t + 1])
-    assert c.x_set.line_counts[dual_row] == 1 and c.x_set.count == t + 1
+    assert line_count_array(q, c.x_set.points)[dual_row] == 1 and c.x_set.count == t + 1
     assert not c.evasive
     assert is_ksm_free(c.graph, 2, t + 1).free
+    record = verify_construction(c).trials[0]
+    assert record["k2_free"] and record["freeness_witness"] is None
 
 
 def test_freeness_is_deterministic():

@@ -1,12 +1,14 @@
 """Closed-form line rows and projected line and plane counts against the whole-table oracle.
 
-Every line count of the program comes from geom3.line_counts, which
+Every line count of the program is streamed by geom3.line_counts, which
 bincounts the rows of the lines through each point of X, and rows are
 decoded with geom3.line_at; the K_{t,t} count also reads |X on dual(l)| from
 geom3.plane_counts, which bincounts the rows of the lines inside the plane
-of each point of X. The oracle in tests/oracles.py enumerates the table of
-lines block by block and gathers the membership of each row's q points
-(q <= 13); dual rows come from Cramer's rule (oracles.dual_index).
+of each point of X, in the same slices of rows. The tests join a stream
+into one array (oracles.line_count_array). The oracle in tests/oracles.py
+enumerates the table of lines block by block and gathers the membership of
+each row's q points (q <= 13); dual rows come from Cramer's rule
+(oracles.dual_index).
 """
 
 import tracemalloc
@@ -30,6 +32,7 @@ from oracles import (
     dual_index,
     gather_line_counts,
     ktt_count_by_table,
+    line_count_array,
     line_index,
     line_table_oracle,
 )
@@ -53,14 +56,19 @@ def point_sets(draw):
 @settings(max_examples=80, deadline=None)
 @given(point_sets())
 def test_projected_counts_match_the_gather(x):
-    counts = x.line_counts
-    assert counts.shape == (n_lines(x.q),)
+    # the line slices cover the rows in order, and they are the plane slices
+    q, rows = x.q, np.arange(n_lines(x.q))
+    lines = list(line_counts(q, x.points))
+    assert [p.start for p, _ in lines] == [0] + [p.stop for p, _ in lines[:-1]]
+    assert lines[-1][0].stop == n_lines(q)
+    assert all(c.size == p.stop - p.start for p, c in lines)
+    counts = line_count_array(q, x.points)
+    assert counts.shape == (n_lines(q),)
     assert np.array_equal(counts, gather_line_counts(x))
     # the plane counts are the line counts of the dual off the origin and
-    # 0 through it; their blocks cover the rows in order
-    q, rows = x.q, np.arange(n_lines(x.q))
+    # 0 through it
     parts = list(plane_counts(q, x.points))
-    assert [p.start for p, _ in parts] == [0] + [p.stop for p, _ in parts[:-1]]
+    assert [p for p, _ in parts] == [p for p, _ in lines]
     planes = np.concatenate([block for _, block in parts])
     off = rows % (q * q) != 0
     assert planes.shape == rows.shape and not planes[~off].any()
@@ -73,8 +81,8 @@ def test_zero_set_and_pruned_counts_match_the_gather(q, t, seed):
     f = sample_poly(q, t, seed)
     x0 = zero_set(q, f)
     pruned, vanishing = prune_bad_lines(q, f, x0)
-    assert np.array_equal(x0.line_counts, gather_line_counts(x0))
-    assert np.array_equal(pruned.line_counts, gather_line_counts(pruned))
+    assert np.array_equal(line_count_array(q, x0.points), gather_line_counts(x0))
+    assert np.array_equal(line_count_array(q, pruned.points), gather_line_counts(pruned))
     assert np.array_equal(vanishing, np.flatnonzero(gather_line_counts(x0) > t))
 
 
@@ -91,15 +99,14 @@ def test_planted_prune_removes_points_and_keeps_counts_exact(q):
     pruned, vanishing = prune_bad_lines(q, f, x0)
     assert len(vanishing) == q * (q + 1)
     assert x0.count == 2 * q * q - 1 and pruned.count == q * q - 1
-    assert np.array_equal(pruned.line_counts, gather_line_counts(pruned))
+    assert np.array_equal(line_count_array(q, pruned.points), gather_line_counts(pruned))
     assert gather_line_counts(pruned).max() <= 3
 
 
-def test_built_sets_carry_read_only_counts_from_construction():
+def test_built_sets_are_their_q_and_points():
     # X0, a pruned set that lost points (seed 0 clears a line) and one that
-    # lost none (seed 1), which is X0 itself: no set projects its counts
-    # before they are read, and a write into them would change what every
-    # later read sees
+    # lost none (seed 1), which is X0 itself: a set holds no counts, and
+    # its streamed counts are the gathered ones
     q, t = 7, 3
     for seed, lost in ((0, True), (1, False)):
         f = sample_poly(q, t, seed)
@@ -108,12 +115,8 @@ def test_built_sets_carry_read_only_counts_from_construction():
         assert (pruned.count < x0.count) == (vanishing.size > 0) == lost
         assert (pruned is x0) == (not lost)
         for x in (x0, pruned):
-            assert "line_counts" not in vars(x)
-        for x in (x0, pruned):
-            assert np.array_equal(x.line_counts, gather_line_counts(x))
-            assert x.line_counts is x.line_counts
-            with pytest.raises(ValueError):
-                x.line_counts[0] = 0
+            assert set(vars(x)) == {"q", "points"}
+            assert np.array_equal(line_count_array(q, x.points), gather_line_counts(x))
 
 
 @pytest.mark.parametrize("seed", [1, 7, 100])
@@ -153,12 +156,15 @@ def test_line_counts_bincount_one_d1_at_a_time(q, seed, monkeypatch):
         return bincount(x, weights, minlength)
 
     monkeypatch.setattr(np, "bincount", spy)
-    counts = line_counts(q, points)
+    lines = [(rows, c) for rows, c in line_counts(q, points)]
     lines_held, held[:] = held[:], []
     parts = [(rows, c.sum(dtype=np.int64), c.size) for rows, c in plane_counts(q, points)]
     monkeypatch.undo()
     bound = q * len(points) + q**3
     assert len(lines_held) == q + 2 and max(lines_held) <= bound
+    assert [rows for rows, _ in lines] == [rows for rows, _, _ in parts]
+    assert max(c.size for _, c in lines) <= q**3
+    counts = np.concatenate([c for _, c in lines])
     assert len(held) == q + 4 and max(held) <= bound
     assert len(parts) == q + 2 and max(size for _, _, size in parts) <= q**3
     assert int(counts.sum()) == len(points) * (q * q + q + 1)
@@ -202,10 +208,10 @@ def test_ktt_count_matches_the_table_count(q, t, seeds):
 
 
 def test_ktt_count_holds_no_array_of_every_row():
-    # seed 3 prunes; the count streams X's plane counts one slice at a time
+    # seed 3 prunes; the count's one pass streams X's line counts, then
+    # Y's line counts zipped with X's plane counts, one slice at a time
     q, t = 61, 3
     c = build_incidence(q, t, 3)
-    c.y_set.line_counts  # projected on first read; only the count itself is traced
     tracemalloc.start()
     try:
         count = count_ktt_via_lines(c)
