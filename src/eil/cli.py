@@ -169,7 +169,7 @@ def _sweep_trial(args: tuple[int, int, int, int]) -> dict:
         "x_size": c.x_set.count,
         "y_size": c.y_set.count,
         "ktt_count": count,
-        "k2_free": c.evasive,
+        "k2_free": c.k2_free,
         "upper_bound_ok": count <= math.comb(n, 2),
         "ratio_count_n2": count / (n * n) if n else 0.0,
     }

@@ -373,32 +373,37 @@ def test_no_command_enumerates_every_line(tmp_path, monkeypatch, capsys):
 
 def test_line_counts_are_projected_only_where_read(tmp_path, monkeypatch, capsys):
     # a montecarlo trial looks the reference line's points up in X0 and X,
-    # and construct streams X's and Y's line counts once each, in the one
-    # pass that gives the evasive certificate and the K_tt count
+    # and construct streams Y's line counts and X's plane counts once each,
+    # in the one pass that gives K_{2,t+1}-freeness and the K_tt count
     import eil.geom3
     import eil.incidence
 
-    projected, project = [], eil.geom3.line_counts
+    streamed = []
 
-    def spy(q, points):
-        projected.append(points.tolist())
-        return project(q, points)
+    def spy(name, stream):
+        def spied(q, points):
+            streamed.append((name, points.tolist()))
+            return stream(q, points)
+        return spied
 
-    for module in (eil.geom3, eil.incidence):
-        monkeypatch.setattr(module, "line_counts", spy)
+    for name in ("line_counts", "plane_counts"):
+        spied = spy(name, getattr(eil.geom3, name))
+        for module in (eil.geom3, eil.incidence):
+            monkeypatch.setattr(module, name, spied)
     out = ["--out", str(tmp_path)]
     assert main(["montecarlo", "--q", "7", "--t", "3", "--trials", "100", *out]) == 0
-    assert projected == []
+    assert streamed == []
     assert main(["construct", "incidence", "--q", "7", "--t", "3", "--seed", "1", *out]) == 0
     c = eil.incidence.build_incidence(7, 3, 1)
-    assert projected == [c.x_set.points.tolist(), c.y_set.points.tolist()]
+    assert streamed == [("line_counts", c.y_set.points.tolist()),
+                        ("plane_counts", c.x_set.points.tolist())]
     capsys.readouterr()
 
 
 @pytest.mark.parametrize("q,t,seed", [(7, 3, 0), (11, 3, 1), (13, 4, 2), (23, 3, 1), (37, 4, 9)])
 def test_verify_scans_the_graph_that_construct_certifies(q, t, seed, tmp_path, capsys):
-    # construct reports freeness from the evasive certificate; the
-    # K_{2,t+1} scan of verify reads the graph file it wrote and agrees
+    # construct reports freeness read from the line counts; the K_{2,t+1}
+    # scan of verify reads the graph file it wrote and agrees
     assert main(["construct", "incidence", "--q", str(q), "--t", str(t), "--seed", str(seed),
                  "--out", str(tmp_path)]) == 0
     base = tmp_path / f"incidence-q{q}-t{t}-seed{seed}"
@@ -413,7 +418,7 @@ def test_verify_scans_the_graph_that_construct_certifies(q, t, seed, tmp_path, c
 
 def test_sweep_builds_no_graph(tmp_path, monkeypatch, capsys):
     # a sweep trial reads K_{2,t+1}-freeness from the line counts of its two
-    # sets (IncidenceConstruction.evasive): no graph, no subset scan
+    # sets (IncidenceConstruction.k2_free): no graph, no subset scan
     argv = ["sweep", "--q", "5,7", "--t", "3", "--trials", "100"]
 
     def outputs(out):
@@ -575,13 +580,13 @@ def test_construct_incidence_memory(q, t, seed, bound_mb, tmp_path):
     # the zero set is O(q^3) and no array of every line is made: no table
     # of lines or of monomial values is built, which the t = 7 case checks;
     # the |X| x |Y| point-plane product is built q rows of X at a time,
-    # which q = 37 checks, and the line counts of X and Y and the plane
-    # counts of X are streamed one d1 at a time, which q = 61 checks (a
+    # which q = 37 checks, and the line counts of Y and the plane counts
+    # of X are streamed one d1 at a time, which q = 61 checks (a
     # q^4-byte array of Y's line counts took it to 66 and 68 MB). The
     # prune counts X0 only on the lines of the zero directions of f's top
-    # form, and seed 3 prunes two lines of Y. Freeness comes from the
-    # evasive certificate, so no subset scan refuses (101, 3, 3), whose
-    # K_{2,4} scan needs 1.03e8 keys.
+    # form, and seed 3 prunes two lines of Y. Freeness is read from the
+    # line counts, so no subset scan refuses (101, 3, 3), whose K_{2,4}
+    # scan needs 1.03e8 keys.
     # seed None runs `construct furedi`, which takes no seed: its graph is
     # built from one line per class in O(q^3/t) memory, not from the n x n
     # product of the classes (336 MB at q = 109), and the key budget of the

@@ -1,9 +1,12 @@
+import collections
 import math
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import eil.incidence
 from eil.errors import ParameterError
 from eil.evasive import PointSet
 from eil.geom3 import line_at, line_points
@@ -133,27 +136,34 @@ def _by_hand(q, t, x_points, y_points):
 ROW, OTHER_ROW = 7**4 + 3 * 7 * 7 + 2 * 7 + 5, 2 * 7**3 + 4 * 7 + 1
 
 
-def test_a_t_plus_1_rich_line_with_two_dual_points_fails_both_checks():
-    # Y holds t + 1 points of l and X two points of its dual l*: every point
-    # of l* is joined to every point of l, a K_{2,t+1}
+@pytest.mark.parametrize("rich", ["x-pair", "y-pair"])
+def test_a_t_plus_1_rich_line_with_two_dual_points_fails_both_checks(rich):
+    # x-pair: Y holds t + 1 points of l and X two points of its dual l*;
+    # y-pair: X holds t + 1 points of l* and Y two points of l. Every point
+    # of l* is joined to every point of l, a K_{2,t+1} on one side
     q, t = 7, 3
     line = _points_of_row(q, ROW)
     dual = _points_of_row(q, int(dual_index(q, [ROW])[0]))
-    c = _by_hand(q, t, dual[:2], line[: t + 1])
-    assert not c.evasive
+    if rich == "x-pair":
+        c = _by_hand(q, t, dual[:2], line[: t + 1])
+        pair = (0, 1)
+    else:
+        c = _by_hand(q, t, dual[: t + 1], line[:2])
+        pair = (t + 1, t + 2)
+    assert not c.k2_free
     result = is_ksm_free(c.graph, 2, t + 1)
     assert not result.free
-    assert result.witness == ((0, 1), (2, 3, 4, 5))
-    # without the certificate verify_construction reports the scan's verdict
+    assert result.witness[0] == pair and len(result.witness[1]) == t + 1
+    # the scan runs to give the witness of a graph that is not free
     record = verify_construction(c).trials[0]
     assert not record["k2_free"]
-    assert record["freeness_witness"] == ((0, 1), (2, 3, 4, 5))
+    assert record["freeness_witness"] == result.witness
 
 
-def test_the_evasive_certificate_is_sufficient_not_necessary():
-    # the same Y, but X has one point on l*: no two points of X have l as
-    # the meeting line of their planes, so the graph is free though Y is not
-    # evasive
+def test_a_non_evasive_set_can_be_free(monkeypatch):
+    # the same Y, t + 1 points on l, but X has one point on l*: no two points
+    # of X have l as the meeting line of their planes, so the graph is free
+    # though Y is not evasive, and the line counts say so without a scan
     q, t = 7, 3
     line = _points_of_row(q, ROW)
     dual_row = int(dual_index(q, [ROW])[0])
@@ -162,10 +172,39 @@ def test_the_evasive_certificate_is_sufficient_not_necessary():
     x_points = np.union1d(dual[:1], other[:t])
     c = _by_hand(q, t, x_points, line[: t + 1])
     assert line_count_array(q, c.x_set.points)[dual_row] == 1 and c.x_set.count == t + 1
-    assert not c.evasive
+    assert line_count_array(q, c.y_set.points)[ROW] == t + 1
     assert is_ksm_free(c.graph, 2, t + 1).free
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a free construction was scanned")
+
+    monkeypatch.setattr(eil.incidence, "is_ksm_free", refuse)
+    assert c.k2_free
     record = verify_construction(c).trials[0]
     assert record["k2_free"] and record["freeness_witness"] is None
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_k2_free_matches_the_scan_on_random_sets(seed):
+    # dense random X and Y at q in {3, 5, 7} and 3 <= t <= q: the rule read
+    # from the line counts agrees with the K_{2,t+1} scan, and the sides that
+    # fail, found from the co-degrees of the x.y = 1 matrix, include X alone
+    # and Y alone
+    rng = random.Random(seed)
+    sides = collections.Counter()
+    for _ in range(100):
+        q = rng.choice((3, 5, 7))
+        t = rng.randint(3, q)
+        x_points, y_points = (rng.sample(range(q**3), rng.randint(1, 2 * q * q))
+                              for _ in range(2))
+        c = _by_hand(q, t, x_points, y_points)
+        assert c.k2_free == is_ksm_free(c.graph, 2, t + 1).free
+        a = (np.array(list(_coords(c.x_set))) @ np.array(list(_coords(c.y_set))).T % q == 1)
+        a = a.astype(np.int64)
+        rich = [bool(np.any(np.triu(co, 1) > t)) for co in (a @ a.T, a.T @ a)]
+        assert c.k2_free == (rich == [False, False])
+        sides[tuple(rich)] += 1
+    assert sides[True, False] and sides[False, True] and sides[False, False]
 
 
 def test_freeness_is_deterministic():

@@ -208,8 +208,8 @@ def test_ktt_count_matches_the_table_count(q, t, seeds):
 
 
 def test_ktt_count_holds_no_array_of_every_row():
-    # seed 3 prunes; the count's one pass streams X's line counts, then
-    # Y's line counts zipped with X's plane counts, one slice at a time
+    # seed 3 prunes; the count's one pass zips Y's line counts with X's
+    # plane counts, one slice at a time
     q, t = 61, 3
     c = build_incidence(q, t, 3)
     tracemalloc.start()
