@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geom3 import line_at, line_points, line_table, point_coords
+from .geom3 import STEP_BINS, line_table, point_coords
 
 # Fixed reference line (base, dir) used by the Monte Carlo commands:
 # canonical and not through the origin, valid for every q.
@@ -243,9 +243,11 @@ def prune_bad_lines(q: int, f: TriPoly, x0: PointSet) -> tuple[PointSet, np.ndar
     For t < q those are the lines in the zero directions of top_form(f) whose
     q points lie in x0 (a restriction of degree <= t with q roots is 0): the
     lines with more than t points of x0. For t = q nothing is pruned, even
-    where f restricts to 0. A step bincounts at most q directions of one
-    pivot, q |x0| int64 keys, in one buffer for all steps. Returns the pruned
-    set (x0 itself if no line is cleared) and the cleared rows, increasing.
+    where f restricts to 0. A step bincounts max(q, STEP_BINS // q^2)
+    directions of one pivot, into at most max(q^3, STEP_BINS) bins, from
+    int64 keys in one buffer for all steps; a point is cleared when its key
+    in some direction of the step counts q. Returns the pruned set (x0
+    itself if no line is cleared) and the cleared rows, increasing.
     """
     vanishing = [np.empty(0, dtype=np.int64)]
     if f.t == q:
@@ -256,25 +258,27 @@ def prune_bad_lines(q: int, f: TriPoly, x0: PointSet) -> tuple[PointSet, np.ndar
     dirs[0, zeros >= q2] = 0  # (0, d2) for (0, 1, d2) and (0, 0) for (0, 0, 1)
     x = point_coords(q, x0.points).T
     ends = np.searchsorted(zeros, [0, q2, q2 + q, q2 + q + 1])
-    buf = np.empty((2, min(q, zeros.size), x0.count), dtype=np.int64)
+    step = max(q, STEP_BINS // q2)
+    buf = np.empty((2, min(step, zeros.size), x0.count), dtype=np.int64)
+    gone = False  # becomes a bool per point of x0 at the first cleared line
     # the line of direction d through x has base x - x_p d: v0 = x_a - x_p d_a, v1 = x_b - x_p d_b
     for p, ab in enumerate(([1, 2], [0, 2], [0, 1])):
-        for lo in range(ends[p], ends[p + 1], q):
-            hi = min(lo + q, ends[p + 1])
+        for lo in range(ends[p], ends[p + 1], step):
+            hi = min(lo + step, ends[p + 1])
             v = np.multiply(dirs[:, lo:hi, None], x[p], out=buf[:, : hi - lo])
             keys, low = np.remainder(np.subtract(x[ab, None], v, out=v), q, out=v)
             keys += np.arange(hi - lo)[:, None] * q
             keys *= q
             keys += low  # step index * q^2 + v0*q + v1
-            full = np.flatnonzero(np.bincount(keys.ravel(), minlength=(hi - lo) * q2) == q)
+            hit = np.bincount(keys.ravel(), minlength=(hi - lo) * q2) == q
+            full = np.flatnonzero(hit)
             if full.size:
                 vanishing.append(zeros[lo + full // q2] * q2 + full % q2)
+                gone = gone | hit[keys].any(axis=0)
     vanishing = np.concatenate(vanishing)
     if not vanishing.size:
         return x0, vanishing
-    cleared = np.zeros(q**3, dtype=np.bool_)
-    cleared[line_points(q, *line_at(q, vanishing))] = True
-    return PointSet(q, x0.points[~cleared[x0.points]]), vanishing
+    return PointSet(q, x0.points[~gone]), vanishing
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,9 @@ which picks q^2 + q rows for each x != 0. So plane_counts gets
 line l off the origin that is |X intersect l*|, l* = {z : base.z = 1,
 dir.z = 0} being its dual; a line through the origin lies in no H_x.
 Both stream (slice of rows, counts) in the same slices, in row order,
-so no array of every row is made (q^4 bytes: 250 MiB at q = 127).
+so no array of every row is made (q^4 bytes: 250 MiB at q = 127). A
+pivot-0 slice is a group of consecutive d1 values whose counts fit in
+STEP_BINS, or one d1 where q^3 alone is more (q >= 26).
 """
 
 from __future__ import annotations
@@ -38,8 +40,24 @@ import numpy as np
 from .gf import inverses
 
 
+# The bins of one bincount step: 128 KiB of int64 output, which stays in
+# cache and comes from the heap each step. At q = 11 and 13 one bincount
+# per d1 (1.3k and 2.2k bins) is mostly per-call overhead. On a 2-core VM
+# (Python 3.11, numpy 2.4), 200 sweep trials at q = 11 and 13 took 0.195 s
+# with one d1 and q directions per step, and 0.178, 0.164, 0.159, 0.176,
+# 0.172 and 0.171 s with 2^12, 2^13, 2^14, 2^15, 2^16 and 2^18 bins, the
+# last about an L2 cache (median of 5 rounds).
+STEP_BINS = 2**14
+
+
 def n_lines(q: int) -> int:
     return q * q * (q * q + q + 1)
+
+
+def d1_step(q: int) -> int:
+    """How many consecutive d1 values a pivot-0 slice of line_counts and plane_counts holds:
+    as many as STEP_BINS holds, at least 1 (from q = 26 on) and at most q."""
+    return max(1, min(q, STEP_BINS // q**3))
 
 
 def line_at(q: int, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -90,21 +108,25 @@ def line_counts(q: int, points):
         pivot 2, d = (0, 0, 1):    q^4 + q^3 + x0*q + x1
 
     so the counts are bincounts of |X| (q^2 + q + 1) rows. The slices are
-    those of plane_counts: pivot 0 yields one per d1, the bincount of its
-    q |X| rows into q^3 counts, and pivot 1 and pivot 2 one each. Counts
+    those of plane_counts: pivot 0 yields one per group of d1_step(q)
+    consecutive d1 values, the bincount of the group's q |X| rows per d1
+    into its q^3 counts per d1, and pivot 1 and pivot 2 one each. Counts
     come in the smallest unsigned type that holds q.
     """
     x0, x1, x2 = point_coords(q, points).T
     field = np.arange(q, dtype=np.int64)[:, None]
     q2, q3, q4 = q * q, q**3, q**4
-    small = np.min_scalar_type(q)
+    small, g = np.min_scalar_type(q), d1_step(q)
     # the part of a pivot-0 row that does not depend on d1, one row per d2
     low = field * q2 + (x2 - field * x0) % q
-    high = (x1 - field * x0) % q * q  # the part that depends on d1, one row per d1
-    rows = np.empty_like(low)
-    for d1 in range(q):
-        yield slice(d1 * q3, (d1 + 1) * q3), np.bincount(
-            np.add(high[d1], low, out=rows).ravel(), minlength=q3).astype(small)
+    high = (x1 - field * x0) % q * q  # the part that depends on d1, one row per d1,
+    high += field % g * q3  # and the offset (d1 - lo) q^3 of d1 in its group
+    rows = np.empty((g, *low.shape), dtype=np.int64)
+    for lo in range(0, q, g):
+        n = min(g, q - lo)
+        yield slice(lo * q3, (lo + n) * q3), np.bincount(
+            np.add(high[lo : lo + n, None], low, out=rows[:n]).ravel(),
+            minlength=n * q3).astype(small)
     del low, high, rows  # freed before the pivot-1 rows are made
     yield slice(q4, q4 + q3), np.bincount(
         (field * q2 + x0 * q + (x2 - field * x1) % q).ravel(), minlength=q3).astype(small)
@@ -125,35 +147,39 @@ def plane_counts(q: int, points):
                        pivot 2, each v1:      v0 = 1/x0
 
     Counts come in the smallest unsigned type that holds q. Pivot 0 yields
-    one slice per d1, from one bincount: the points with x2 != 0 give q
-    rows each, and each point with x2 = 0 != x1 adds 1 to the q^2 rows of
-    its (d1, v0) in place. The d2*q^2 parts of the rows, q |X| int64 for
-    all d1, are computed once; a step holds the q^3 one-byte counts of one
-    d1 and its int64 rows and bincount, q |X| + q^3 entries. Pivot 1 and
-    pivot 2 are one slice each.
+    one slice per group of d1_step(q) consecutive d1 values, from one
+    bincount: the points with x2 != 0 give q rows per d1 each, and each
+    point with x2 = 0 != x1 adds 1 to the q^2 rows of its (d1, v0) in
+    place. The d2*q^2 parts of the rows, q |X| int64 for all d1, are
+    computed once; a step holds the one-byte counts of its group and its
+    int64 rows and bincount, g (q |X| + q^3) entries for a group of g.
+    Pivot 1 and pivot 2 are one slice each.
     """
     x0, x1, x2 = point_coords(q, points).T
     inv, field = inverses(q), np.arange(q, dtype=np.int64)[:, None]
     q2, q3, q4 = q * q, q**3, q**4
-    small = np.min_scalar_type(q)
+    small, g = np.min_scalar_type(q), d1_step(q)
     up = x2 != 0
     flat = ~up & ((x0 != 0) | (x1 != 0))  # in the plane x2 = 0, less the origin
     axis = flat & (x1 == 0)
     a0, a1, i2 = x0[up], x1[up], inv[x2[up]]
     # v0*q + v1 of the pivot-0 rows of each point with x2 != 0, one row per v0
     low = field * q + (1 - a1 * field) * i2 % q
-    high = -(a0 + a1 * field) * i2 % q * q2  # d2*q^2 of each point, one row per d1
+    high = -(a0 + a1 * field) * i2 % q * q2  # d2*q^2 of each point, one row per d1,
+    high += field % g * q3  # and the offset (d1 - lo) q^3 of d1 in its group
     # how many points with x2 = 0 != x1 have each (d1, v0)
     side = flat & ~axis
     i1 = inv[x1[side]]
     fold = np.bincount(-x0[side] * i1 % q * q + i1, minlength=q2).astype(small).reshape(q, q)
-    # one buffer for the rows of every d1: a fresh one per d1 made the heap
-    # shrink and grow again each step, which doubled the time at q = 37
-    rows = np.empty_like(low)
-    for d1 in range(q):
-        counts = np.bincount(np.add(high[d1], low, out=rows).ravel(), minlength=q3).astype(small)
-        counts.reshape(q, q, q)[:] += fold[d1][:, None]
-        yield slice(d1 * q3, (d1 + 1) * q3), counts
+    # one buffer for the rows of every group: a fresh one per d1 made the
+    # heap shrink and grow again each step, which doubled the time at q = 37
+    rows = np.empty((g, *low.shape), dtype=np.int64)
+    for lo in range(0, q, g):
+        n = min(g, q - lo)
+        counts = np.bincount(np.add(high[lo : lo + n, None], low, out=rows[:n]).ravel(),
+                             minlength=n * q3).astype(small)
+        counts.reshape(n, q, q, q)[:] += fold[lo : lo + n, None, :, None]
+        yield slice(lo * q3, (lo + n) * q3), counts
     del low, high, rows  # freed before the pivot-1 rows are made
     counts = np.bincount(
         ((1 - a0 * field) * i2 % q + field * q + -a1 * i2 % q * q2).ravel(), minlength=q3)

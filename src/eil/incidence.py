@@ -112,7 +112,11 @@ def build_incidence(q: int, t: int, seed_x: int) -> IncidenceConstruction:
 
 def count_ktt_via_lines(c: IncidenceConstruction) -> int:
     """Exact K_{t,t} count: lines l with |Y on l| = t and |X on dual(l)| = t,
-    the number of x in X whose plane H_x holds l (0 through the origin)."""
+    the number of x in X whose plane H_x holds l (0 through the origin).
+
+    Read from the one line pass, which zips the slices of both streams: two
+    pivot-0 slices and pivots 1 and 2 at q = 13, q + 2 slices from q = 26 on
+    (geom3.d1_step)."""
     return c._line_pass[1]
 
 

@@ -400,6 +400,29 @@ def test_line_counts_are_projected_only_where_read(tmp_path, monkeypatch, capsys
     capsys.readouterr()
 
 
+def test_a_q13_sweep_trial_makes_13_bincounts(monkeypatch):
+    # a step fills up to STEP_BINS counts, so at q = 13 a stream takes 7 + 6
+    # d1 values in two pivot-0 steps, not one step per d1 (35 bincounts):
+    # X's prune takes 1 step (11 zero directions, all of pivot 0), Y's 2
+    # (9 of pivot 0, 1 of pivot 1); Y's line counts 2 + 2; X's plane counts
+    # its fold, 2 pivot-0 steps, 2 for pivot 1 and 1 for pivot 2
+    import numpy as np
+
+    from eil.cli import _sweep_trial
+
+    calls = []
+    bincount = np.bincount
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", spy)
+    record = _sweep_trial((13, 3, 1, 0))
+    monkeypatch.undo()
+    assert record["k2_free"] and len(calls) == 1 + 2 + 4 + 6
+
+
 @pytest.mark.parametrize("q,t,seed", [(7, 3, 0), (11, 3, 1), (13, 4, 2), (23, 3, 1), (37, 4, 9)])
 def test_verify_scans_the_graph_that_construct_certifies(q, t, seed, tmp_path, capsys):
     # construct reports freeness read from the line counts; the K_{2,t+1}
@@ -473,6 +496,8 @@ def test_every_traced_cli_name_is_reached(tmp_path, monkeypatch, capsys):
 # perfbench/spans.py::call_sites patches or perfbench/run.py imports.
 UNREACHED = {
     "geom3.line_table": "the benchmark traces it (ROADMAP item 2)",
+    "geom3.line_at": "called only by geom3.line_table; moves to tests/oracles.py with it "
+                     "(ROADMAP item 1)",
     "evasive.restriction_tensor": "the benchmark traces it (ROADMAP item 2)",
     "report.validate_report": "the benchmark's gate checks every report with it",
     "subgraph.count_biclique_general": "only a Furedi graph that fails its K_{3,t} check",

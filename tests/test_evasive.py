@@ -18,7 +18,7 @@ from eil.evasive import (
     top_form,
     zero_set,
 )
-from eil.geom3 import line_at, line_points, n_lines
+from eil.geom3 import STEP_BINS, line_at, line_points, n_lines
 from oracles import (
     AffineLine,
     UniPoly,
@@ -187,6 +187,66 @@ def test_prune_that_clears_nothing_masks_no_rows():
     assert pruned is x0 and vanishing.size == 0
     # a bool of every row alone takes q^2 (q^2 + q + 1) bytes
     assert peak < q**4, peak
+
+
+def planted_plane(q, c):
+    """x_c (x2^2 - n x3^2 - x1), n a non-square, at t = 3 (coordinates x1, x2, x3).
+
+    The elliptic paraboloid holds no line, so the rows with more than 3
+    points of the zero set are the q (q + 1) lines of the plane x_c = 0.
+    """
+    n = next(a for a in range(2, q) if pow(a, (q - 1) // 2, q) == q - 1)
+    unit = tuple(int(i == c) for i in range(3))
+    quadric = {(0, 2, 0): 1, (0, 0, 2): q - n, (1, 0, 0): q - 1}
+    return poly_from_map(q, 3, {tuple(a + b for a, b in zip(e, unit)): v
+                                for e, v in quadric.items()})
+
+
+def test_prune_that_clears_lines_masks_no_rows():
+    # the key prune clears the points from the keys of the step that found
+    # the lines, with no q^3 mask and no points of the cleared lines: those
+    # took the peak to 19.0 MB here
+    q = 61
+    f = planted_plane(q, 0)
+    x0 = zero_set(q, f)
+    tracemalloc.start()
+    try:
+        pruned, vanishing = prune_bad_lines(q, f, x0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vanishing.size == q * (q + 1) and pruned.count == q * q - 1
+    # a bool of every row alone takes q^2 (q^2 + q + 1) bytes
+    assert peak < q**4, peak
+
+
+def pivots(q, rows):
+    return set((np.asarray(rows) >= q**4).astype(int) + (np.asarray(rows) >= q**4 + q**3))
+
+
+@pytest.mark.parametrize("q", [5, 7, 11])
+def test_key_prune_of_planted_planes_in_every_pivot(q):
+    # the plane x1 = 0 holds the directions of pivots 1 and 2, x2 = 0 those
+    # of pivots 0 and 2, and x3 = 0 those of pivots 0 and 1
+    for c, expected in enumerate(({1, 2}, {0, 2}, {0, 1})):
+        pruned, rows = prunes_as_the_count_rule(planted_plane(q, c))
+        assert rows.size == q * (q + 1) and pivots(q, rows) == expected
+
+
+@pytest.mark.parametrize("q", [5, 7, 13])
+def test_key_prune_with_a_zero_top_form_across_steps(q):
+    # x1 x3 at t = 3 has f_t = 0, so every direction is a candidate; its
+    # zero set is the planes x1 = 0 and x3 = 0, whose 2 q (q + 1) - 1 lines
+    # (one shared) take all three pivots. At q = 13 a step holds 96 of the
+    # 169 pivot-0 directions, and the lines (1, d1, 0) of x3 = 0 fall in both
+    f = poly_from_map(q, 3, {(1, 0, 1): 1})
+    assert not top_form(f).any()
+    pruned, rows = prunes_as_the_count_rule(f)
+    assert rows.size == 2 * q * (q + 1) - 1 and pruned.count == 0
+    assert pivots(q, rows) == {0, 1, 2}
+    step = max(q, STEP_BINS // q**2)
+    steps = set((rows[rows < q**4] // q**2 // step).tolist())
+    assert steps == ({0, 1} if q == 13 else {0})
 
 
 @pytest.mark.parametrize("q,t", [(5, 3), (7, 3), (7, 4)])

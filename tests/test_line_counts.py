@@ -26,7 +26,15 @@ from eil.evasive import (
     sample_poly,
     zero_set,
 )
-from eil.geom3 import line_at, line_counts, line_points, n_lines, plane_counts
+from eil.geom3 import (
+    STEP_BINS,
+    d1_step,
+    line_at,
+    line_counts,
+    line_points,
+    n_lines,
+    plane_counts,
+)
 from eil.incidence import build_incidence, count_ktt_via_lines
 from oracles import (
     dual_index,
@@ -120,17 +128,21 @@ def test_built_sets_are_their_q_and_points():
 
 
 @pytest.mark.parametrize("seed", [1, 7, 100])
-@pytest.mark.parametrize("q", [7, 11])
+@pytest.mark.parametrize("q", [7, 11, 13])
 def test_blocked_projection_matches_the_gather(q, seed):
-    # one pivot-0 slice per d1, then pivot 1 and pivot 2. The points with
-    # x2 = 0 != x1 add their counts through fold[d1], which every d1 reads.
+    # pivot-0 slices of d1_step(q) consecutive d1 values (one group at
+    # q = 7 and 11; 7 + 6 at q = 13, where the last group is short), then
+    # pivot 1 and pivot 2, in both streams. The points with x2 = 0 != x1
+    # add their counts through fold[d1], which every group reads.
     x0 = zero_set(q, sample_poly(q, 3, seed))
     x1, x2 = x0.points // q % q, x0.points % q
     assert np.any((x2 == 0) & (x1 != 0))
     parts = list(plane_counts(q, x0.points))
-    q3, q4 = q**3, q**4
-    assert [p for p, _ in parts] == [slice(d1 * q3, (d1 + 1) * q3) for d1 in range(q)] + [
-        slice(q4, q4 + q3), slice(q4 + q3, n_lines(q))]
+    q3, q4, g = q**3, q**4, d1_step(q)
+    assert g == {7: 7, 11: 11, 13: 7}[q]
+    groups = [slice(lo * q3, min(lo + g, q) * q3) for lo in range(0, q, g)]
+    assert [p for p, _ in parts] == groups + [slice(q4, q4 + q3), slice(q4 + q3, n_lines(q))]
+    assert [p for p, _ in line_counts(q, x0.points)] == [p for p, _ in parts]
     planes, rows = np.concatenate([c for _, c in parts]), np.arange(n_lines(q))
     off = rows % (q * q) != 0
     assert not planes[~off].any()
@@ -172,6 +184,35 @@ def test_line_counts_bincount_one_d1_at_a_time(q, seed, monkeypatch):
     assert sum(int(total) for _, total, _ in parts) == np.count_nonzero(points) * (q * q + q)
     if seed is None:
         assert np.flatnonzero(counts == q).tolist() == [row]
+
+
+@pytest.mark.parametrize("q", [5, 13, 23, 37])
+def test_every_step_bincounts_at_most_step_bins(q, monkeypatch):
+    # the streams group d1 values and the prune groups directions until a
+    # step's counts fill STEP_BINS, never past q^3 counts where one d1 or q
+    # directions already hold more. x1 x2 - x3 has a zero top form, so the
+    # prune tries all q^2 + q + 1 directions and fills every step
+    f = TriPoly(q, 3, tuple({(1, 1, 0): 1, (0, 0, 1): q - 1}.get(m, 0) for m in monomials(3)))
+    bins = []
+    bincount = np.bincount
+
+    def spy(x, weights=None, minlength=0):
+        out = bincount(x, weights, minlength)
+        bins.append(out.size)
+        return out
+
+    for x0 in (zero_set(q, f), zero_set(q, sample_poly(q, 3, 1))):
+        monkeypatch.setattr(np, "bincount", spy)
+        for _ in line_counts(q, x0.points):
+            pass
+        for _ in plane_counts(q, x0.points):
+            pass
+        prune_bad_lines(q, f, x0)
+        monkeypatch.undo()
+    bound = max(q**3, STEP_BINS)
+    assert max(bins) <= bound, (max(bins), bound)
+    if q < 26:  # a step groups several d1 values or more than q directions
+        assert max(bins) > q**3
 
 
 @pytest.mark.parametrize("q", QS)
