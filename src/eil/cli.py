@@ -3,10 +3,11 @@
 _check rejects bad parameters of every command. Then construct, montecarlo
 and sweep share one path: the command returns (report, {path: text},
 stdout lines), and main creates --out, writes each file with _write and
-prints it, the lines and the checks. A rejected run creates nothing. verify
-prints its report in --format and writes the same text to --out if given.
+prints it, the lines and the checks. A run rejected or out of memory
+creates nothing. verify prints its report in --format and writes the same
+text to --out if given.
 
-Exit codes: 0 success, 1 parameter/validation error, 2 an acceptance-style
+Exit codes: 0 success, 1 bad parameters or out of memory, 2 an acceptance-style
 check failed, 3 I/O or parse error. Outputs are byte-identical across
 reruns of the same configuration regardless of worker count: every trial
 owns the seed base_seed + trial_index, results are merged in trial order,
@@ -413,6 +414,9 @@ def main(argv=None) -> int:
             code = 0 if report.all_passed() else 2
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc or 'an allocation was refused'}", file=sys.stderr)
         return 1
     except GraphFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

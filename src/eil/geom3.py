@@ -8,18 +8,18 @@ pivot) is 1, and base is slid along the line so its pivot coordinate is 0.
 In canonical form a line passes through the origin exactly when base is
 (0,0,0).
 
-The q^2 (q^2 + q + 1) canonical lines have closed-form rows: with pivot p,
-direction tail dir[p+1:] read as a base-q number, and v0, v1 the two
-non-pivot base coordinates in increasing position order, the row is
+The q^2 (q^2 + q + 1) canonical lines have closed-form rows. With v0, v1
+the two non-pivot base coordinates in increasing position order, the row is
 
-    offset[p] + tail*q^2 + v0*q + v1,   offset = (0, q^4, q^4 + q^3).
+    row = k*q^2 + v0*q + v1,
 
-line_at maps rows back to (base, dir). Both offsets and tail*q^2 are
-multiples of q^2, so a row is a line through the origin exactly when it
-is 0 mod q^2. No table of lines is kept: the line through a point x with
-direction d has base x - x_p*d, so line_counts gets |X intersect l| for
-every row by bincounting the rows of the q^2 + q + 1 lines through each
-point of X, in O(|X| q^2) time.
+k being the index of the direction: d1*q + d2 for (1, d1, d2), q^2 + d2
+for (0, 1, d2) and q^2 + q for (0, 0, 1). line_at maps rows back to
+(base, dir) by divmod(row, q^2) and divmod(k, q). A row is a line through
+the origin exactly when it is 0 mod q^2. No table of lines is kept: the
+line through a point x with direction d has base x - x_p*d, so
+line_counts gets |X intersect l| for every row by bincounting the rows of
+the q^2 + q + 1 lines through each point of X, in O(|X| q^2) time.
 
 The lines inside a plane H_x = {y : x.y = 1} have closed-form rows as
 well: (base, dir) lies in H_x exactly when x.dir = 0 and x.base = 1,
@@ -27,10 +27,9 @@ which picks q^2 + q rows for each x != 0. So plane_counts gets
 |{x in X : l inside H_x}| for every row by the same bincounts. For a
 line l off the origin that is |X intersect l*|, l* = {z : base.z = 1,
 dir.z = 0} being its dual; a line through the origin lies in no H_x.
-Both stream (slice of rows, counts) in the same slices, in row order,
-so no array of every row is made (q^4 bytes: 250 MiB at q = 127). A
-pivot-0 slice is a group of consecutive d1 values whose counts fit in
-STEP_BINS, or one d1 where q^3 alone is more (q >= 26).
+Both stream (slice of rows, counts) in the same slices, in row order
+(_pivot0_steps, then one slice each for pivots 1 and 2), so no array of
+every row is made (q^4 bytes: 250 MiB at q = 127).
 """
 
 from __future__ import annotations
@@ -56,21 +55,17 @@ def n_lines(q: int) -> int:
 
 def d1_step(q: int) -> int:
     """How many consecutive d1 values a pivot-0 slice of line_counts and plane_counts holds:
-    as many as STEP_BINS holds, at least 1 (from q = 26 on) and at most q."""
+    as many as STEP_BINS holds, at least 1 (from q = 21 on) and at most q."""
     return max(1, min(q, STEP_BINS // q**3))
 
 
 def line_at(q: int, rows) -> tuple[np.ndarray, np.ndarray]:
     """Canonical (base, dir) of each row in the layout above."""
-    r = np.asarray(rows, dtype=np.int64)
-    p = (r >= q**4).astype(np.int64) + (r >= q**4 + q**3)
-    offset = np.array([0, q**4, q**4 + q**3], dtype=np.int64)
-    tail, free = np.divmod(r - offset[p], q * q)
-    v0, v1 = np.divmod(free, q)
-    p0, p1, p2 = p == 0, p == 1, p == 2
+    k, free = np.divmod(np.asarray(rows, dtype=np.int64), q * q)
+    (v0, v1), (ka, kb) = np.divmod(free, q), np.divmod(k, q)
+    p0, p1, p2 = ka < q, ka == q, ka > q  # ka is d1, q or q + 1
     base = (np.where(p0, 0, v0), np.where(p0, v0, np.where(p1, 0, v1)), np.where(p2, 0, v1))
-    direction = (p0.astype(np.int64), np.where(p0, tail // q, p1),
-                 np.where(p0, tail % q, np.where(p1, tail, 1)))
+    direction = (p0.astype(np.int64), np.where(p0, ka, p1), np.where(p2, 1, kb))
     return np.stack(base, axis=-1), np.stack(direction, axis=-1)
 
 
@@ -97,6 +92,31 @@ def line_points(q: int, base, direction) -> np.ndarray:
     return (pts[..., 0] * q + pts[..., 1]) * q + pts[..., 2]
 
 
+def _pivot0_steps(q: int, high: np.ndarray, low: np.ndarray):
+    """(slice, counts) of the pivot-0 rows high[d1, None] + low, in row order.
+
+    high is (q, c) int64, the part of each row that depends on d1, and low
+    (m, c) int64 the rest, with a column per point. A step takes d1_step(q)
+    consecutive d1 values from lo on (fewer in the last step), so high
+    first gets the offset (d1 - lo) q^3 of each d1 in its group, in place.
+    A step makes its rows in one int64 buffer for all steps (a fresh one
+    per step made the heap shrink and grow again each time, which doubled
+    the time at q = 37), bincounts them into q^3 counts per d1 and narrows
+    the counts to the smallest unsigned type that holds q. A step of g d1
+    values holds g (m c + q^3) int64 entries. The callers keep no reference
+    to high or low, so both and the buffer are freed once the steps run
+    out, before the callers make their pivot-1 rows.
+    """
+    q3, g, small = q**3, d1_step(q), np.min_scalar_type(q)
+    high += np.arange(q, dtype=np.int64)[:, None] % g * q3
+    rows = np.empty((g, *low.shape), dtype=np.int64)
+    for lo in range(0, q, g):
+        n = min(g, q - lo)
+        yield slice(lo * q3, (lo + n) * q3), np.bincount(
+            np.add(high[lo : lo + n, None], low, out=rows[:n]).ravel(),
+            minlength=n * q3).astype(small)
+
+
 def line_counts(q: int, points):
     """|X intersect l| for every row, for X given by its point indices.
 
@@ -104,30 +124,18 @@ def line_counts(q: int, points):
     with base x - x_p*d. With coordinates taken mod q its row is
 
         pivot 0, d = (1, d1, d2):  (d1*q + d2)*q^2 + (x1 - x0*d1)*q + (x2 - x0*d2)
-        pivot 1, d = (0, 1, d2):   q^4 + d2*q^2 + x0*q + (x2 - x1*d2)
-        pivot 2, d = (0, 0, 1):    q^4 + q^3 + x0*q + x1
+        pivot 1, d = (0, 1, d2):   (q^2 + d2)*q^2 + x0*q + (x2 - x1*d2)
+        pivot 2, d = (0, 0, 1):    (q^2 + q)*q^2 + x0*q + x1
 
-    so the counts are bincounts of |X| (q^2 + q + 1) rows. The slices are
-    those of plane_counts: pivot 0 yields one per group of d1_step(q)
-    consecutive d1 values, the bincount of the group's q |X| rows per d1
-    into its q^3 counts per d1, and pivot 1 and pivot 2 one each. Counts
-    come in the smallest unsigned type that holds q.
+    so the counts are bincounts of |X| (q^2 + q + 1) rows: the pivot-0
+    slices of _pivot0_steps, then pivot 1 and pivot 2 in one slice each.
+    Counts come in the smallest unsigned type that holds q.
     """
     x0, x1, x2 = point_coords(q, points).T
     field = np.arange(q, dtype=np.int64)[:, None]
-    q2, q3, q4 = q * q, q**3, q**4
-    small, g = np.min_scalar_type(q), d1_step(q)
-    # the part of a pivot-0 row that does not depend on d1, one row per d2
-    low = field * q2 + (x2 - field * x0) % q
-    high = (x1 - field * x0) % q * q  # the part that depends on d1, one row per d1,
-    high += field % g * q3  # and the offset (d1 - lo) q^3 of d1 in its group
-    rows = np.empty((g, *low.shape), dtype=np.int64)
-    for lo in range(0, q, g):
-        n = min(g, q - lo)
-        yield slice(lo * q3, (lo + n) * q3), np.bincount(
-            np.add(high[lo : lo + n, None], low, out=rows[:n]).ravel(),
-            minlength=n * q3).astype(small)
-    del low, high, rows  # freed before the pivot-1 rows are made
+    q2, q3, q4, small = q * q, q**3, q**4, np.min_scalar_type(q)
+    # the part of a row that depends on d1, one row per d1, and the rest, one per d2
+    yield from _pivot0_steps(q, (x1 - field * x0) % q * q, field * q2 + (x2 - field * x0) % q)
     yield slice(q4, q4 + q3), np.bincount(
         (field * q2 + x0 * q + (x2 - field * x1) % q).ravel(), minlength=q3).astype(small)
     yield slice(q4 + q3, n_lines(q)), np.bincount(x0 * q + x1, minlength=q2).astype(small)
@@ -146,41 +154,27 @@ def plane_counts(q: int, points):
         x1 = x2 = 0:   pivot 1, each d2, v1:  v0 = 1/x0
                        pivot 2, each v1:      v0 = 1/x0
 
-    Counts come in the smallest unsigned type that holds q. Pivot 0 yields
-    one slice per group of d1_step(q) consecutive d1 values, from one
-    bincount: the points with x2 != 0 give q rows per d1 each, and each
-    point with x2 = 0 != x1 adds 1 to the q^2 rows of its (d1, v0) in
-    place. The d2*q^2 parts of the rows, q |X| int64 for all d1, are
-    computed once; a step holds the one-byte counts of its group and its
-    int64 rows and bincount, g (q |X| + q^3) entries for a group of g.
-    Pivot 1 and pivot 2 are one slice each.
+    Counts come in the smallest unsigned type that holds q. The pivot-0
+    slices are those of _pivot0_steps, over the q rows per d1 of each point
+    with x2 != 0; each point with x2 = 0 != x1 then adds 1 to the q^2 rows
+    of its (d1, v0) in place. Pivot 1 and pivot 2 are one slice each.
     """
     x0, x1, x2 = point_coords(q, points).T
     inv, field = inverses(q), np.arange(q, dtype=np.int64)[:, None]
-    q2, q3, q4 = q * q, q**3, q**4
-    small, g = np.min_scalar_type(q), d1_step(q)
+    q2, q3, q4, small = q * q, q**3, q**4, np.min_scalar_type(q)
     up = x2 != 0
     flat = ~up & ((x0 != 0) | (x1 != 0))  # in the plane x2 = 0, less the origin
     axis = flat & (x1 == 0)
     a0, a1, i2 = x0[up], x1[up], inv[x2[up]]
-    # v0*q + v1 of the pivot-0 rows of each point with x2 != 0, one row per v0
-    low = field * q + (1 - a1 * field) * i2 % q
-    high = -(a0 + a1 * field) * i2 % q * q2  # d2*q^2 of each point, one row per d1,
-    high += field % g * q3  # and the offset (d1 - lo) q^3 of d1 in its group
     # how many points with x2 = 0 != x1 have each (d1, v0)
     side = flat & ~axis
     i1 = inv[x1[side]]
     fold = np.bincount(-x0[side] * i1 % q * q + i1, minlength=q2).astype(small).reshape(q, q)
-    # one buffer for the rows of every group: a fresh one per d1 made the
-    # heap shrink and grow again each step, which doubled the time at q = 37
-    rows = np.empty((g, *low.shape), dtype=np.int64)
-    for lo in range(0, q, g):
-        n = min(g, q - lo)
-        counts = np.bincount(np.add(high[lo : lo + n, None], low, out=rows[:n]).ravel(),
-                             minlength=n * q3).astype(small)
-        counts.reshape(n, q, q, q)[:] += fold[lo : lo + n, None, :, None]
-        yield slice(lo * q3, (lo + n) * q3), counts
-    del low, high, rows  # freed before the pivot-1 rows are made
+    # d2*q^2 of each point with x2 != 0, one row per d1, and v0*q + v1, one per v0
+    for part, counts in _pivot0_steps(q, -(a0 + a1 * field) * i2 % q * q2,
+                                      field * q + (1 - a1 * field) * i2 % q):
+        counts.reshape(-1, q, q, q)[:] += fold[part.start // q3 : part.stop // q3, None, :, None]
+        yield part, counts
     counts = np.bincount(
         ((1 - a0 * field) * i2 % q + field * q + -a1 * i2 % q * q2).ravel(), minlength=q3)
     counts.reshape(q, q, q)[:] += np.bincount(inv[x0[axis]], minlength=q)[:, None]

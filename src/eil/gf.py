@@ -13,8 +13,9 @@ import numpy as np
 
 from .errors import ParameterError
 
-# Desk-scale experiments aim at q up to 37-61; the cap keeps q^2 products far
-# from any integer-width trouble in the numpy-backed bulk paths.
+# Desk-scale experiments run q up to 211. The cap is no safeguard: int64
+# line rows overflow past q = 55108 (q^4 > 2^63), and memory runs out far
+# below that (zero_set asks for 7.65 GiB at q = 1009); see ROADMAP item 6.
 Q_LIMIT = 1 << 20
 
 

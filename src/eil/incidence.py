@@ -115,7 +115,7 @@ def count_ktt_via_lines(c: IncidenceConstruction) -> int:
     the number of x in X whose plane H_x holds l (0 through the origin).
 
     Read from the one line pass, which zips the slices of both streams: two
-    pivot-0 slices and pivots 1 and 2 at q = 13, q + 2 slices from q = 26 on
+    pivot-0 slices and pivots 1 and 2 at q = 13, q + 2 slices from q = 21 on
     (geom3.d1_step)."""
     return c._line_pass[1]
 

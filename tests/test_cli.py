@@ -181,6 +181,25 @@ def test_bad_parameters_exit_1(argv, message, tmp_path, capsys):
     assert not out.exists()  # nothing is created before the parameters pass
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["construct", "incidence", "--q", "1048573", "--t", "3"], "build_incidence"),
+    (["montecarlo", "--q", "1048573", "--t", "3"], "zero_set"),
+], ids=["construct", "montecarlo"])
+def test_out_of_memory_exits_1_and_writes_nothing(argv, name, tmp_path, monkeypatch, capsys):
+    # numpy raises MemoryError for an array it cannot allocate, such as the
+    # 32 TiB of values at q = 1048573; whether the allocation is refused
+    # depends on the machine, so the command raises it here instead
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 32.0 TiB for an array")
+
+    monkeypatch.setattr(f"eil.cli.{name}", refuse)
+    out = tmp_path / "d"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 32.0 TiB for an array\n"
+    assert not out.exists()
+
+
 def test_bad_flags_exit_1(tmp_path, capsys):
     assert main(["construct", "incidence", "--q", "7"]) == 1  # missing --t
     assert main(["frobnicate"]) == 1
