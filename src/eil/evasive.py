@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geom3 import STEP_BINS, line_table, point_coords
+from .geom3 import line_table, point_coords, step_groups
 
 # Fixed reference line (base, dir) used by the Monte Carlo commands:
 # canonical and not through the origin, valid for every q.
@@ -243,11 +243,11 @@ def prune_bad_lines(q: int, f: TriPoly, x0: PointSet) -> tuple[PointSet, np.ndar
     For t < q those are the lines in the zero directions of top_form(f) whose
     q points lie in x0 (a restriction of degree <= t with q roots is 0): the
     lines with more than t points of x0. For t = q nothing is pruned, even
-    where f restricts to 0. A step bincounts max(q, STEP_BINS // q^2)
-    directions of one pivot, into at most max(q^3, STEP_BINS) bins, from
-    int64 keys in one buffer for all steps; a point is cleared when its key
-    in some direction of the step counts q. Returns the pruned set (x0
-    itself if no line is cleared) and the cleared rows, increasing.
+    where f restricts to 0. A step bincounts geom3.step_groups(q, q^2)
+    directions of one pivot, q^2 bins each, from int64 keys in one buffer
+    for all steps; a point is cleared when its key in some direction of
+    the step counts q. Returns the pruned set (x0 itself if no line is
+    cleared) and the cleared rows, increasing.
     """
     vanishing = [np.empty(0, dtype=np.int64)]
     if f.t == q:
@@ -258,7 +258,7 @@ def prune_bad_lines(q: int, f: TriPoly, x0: PointSet) -> tuple[PointSet, np.ndar
     dirs[0, zeros >= q2] = 0  # (0, d2) for (0, 1, d2) and (0, 0) for (0, 0, 1)
     x = point_coords(q, x0.points).T
     ends = np.searchsorted(zeros, [0, q2, q2 + q, q2 + q + 1])
-    step = max(q, STEP_BINS // q2)
+    step = step_groups(q, q2)
     buf = np.empty((2, min(step, zeros.size), x0.count), dtype=np.int64)
     gone = False  # becomes a bool per point of x0 at the first cleared line
     # the line of direction d through x has base x - x_p d: v0 = x_a - x_p d_a, v1 = x_b - x_p d_b

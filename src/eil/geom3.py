@@ -27,9 +27,9 @@ which picks q^2 + q rows for each x != 0. So plane_counts gets
 |{x in X : l inside H_x}| for every row by the same bincounts. For a
 line l off the origin that is |X intersect l*|, l* = {z : base.z = 1,
 dir.z = 0} being its dual; a line through the origin lies in no H_x.
-Both stream (slice of rows, counts) in the same slices, in row order
-(_pivot0_steps, then one slice each for pivots 1 and 2), so no array of
-every row is made (q^4 bytes: 250 MiB at q = 127).
+Both stream (slice of rows, counts) in the same slices, in row order,
+from one step loop (_steps), so no array of every row is made (q^4
+bytes: 250 MiB at q = 127).
 """
 
 from __future__ import annotations
@@ -49,14 +49,10 @@ from .gf import inverses
 STEP_BINS = 2**14
 
 
-def n_lines(q: int) -> int:
-    return q * q * (q * q + q + 1)
-
-
-def d1_step(q: int) -> int:
-    """How many consecutive d1 values a pivot-0 slice of line_counts and plane_counts holds:
-    as many as STEP_BINS holds, at least 1 (from q = 21 on) and at most q."""
-    return max(1, min(q, STEP_BINS // q**3))
+def step_groups(q: int, size: int) -> int:
+    """How many groups of size bins one bincount step takes: as many as
+    max(STEP_BINS, q^3) bins hold, and at least one."""
+    return max(1, max(STEP_BINS, q**3) // size)
 
 
 def line_at(q: int, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -75,7 +71,7 @@ def line_table(q: int) -> tuple[np.ndarray, np.ndarray]:
     O(q^4) memory; only the symbolic oracle (evasive.restriction_tensor)
     enumerates all lines, no command does.
     """
-    return line_at(q, np.arange(n_lines(q), dtype=np.int64))
+    return line_at(q, np.arange(q * q * (q * q + q + 1), dtype=np.int64))
 
 
 def point_coords(q: int, points) -> np.ndarray:
@@ -92,29 +88,31 @@ def line_points(q: int, base, direction) -> np.ndarray:
     return (pts[..., 0] * q + pts[..., 1]) * q + pts[..., 2]
 
 
-def _pivot0_steps(q: int, high: np.ndarray, low: np.ndarray):
-    """(slice, counts) of the pivot-0 rows high[d1, None] + low, in row order.
+def _steps(q: int, first: int, size: int, high: np.ndarray, low: np.ndarray):
+    """(slice, counts) of the rows first + high[i, None] + low, group by group.
 
-    high is (q, c) int64, the part of each row that depends on d1, and low
-    (m, c) int64 the rest, with a column per point. A step takes d1_step(q)
-    consecutive d1 values from lo on (fewer in the last step), so high
-    first gets the offset (d1 - lo) q^3 of each d1 in its group, in place.
-    A step makes its rows in one int64 buffer for all steps (a fresh one
-    per step made the heap shrink and grow again each time, which doubled
-    the time at q = 37), bincounts them into q^3 counts per d1 and narrows
-    the counts to the smallest unsigned type that holds q. A step of g d1
-    values holds g (m c + q^3) int64 entries. The callers keep no reference
-    to high or low, so both and the buffer are freed once the steps run
-    out, before the callers make their pivot-1 rows.
+    Group i is the size rows from first + i*size on. high is (h, c) int64,
+    the part of a row that depends on the group ((h, 1) if no part depends
+    on the point), and low (m, c) int64 the rest, a column per point. A
+    step takes step_groups(q, size) groups; where that is more than one,
+    high first gets each group's offset in its step, in place. All steps
+    make their rows in one int64 buffer (a fresh one per step made the
+    heap shrink and grow again each time, which doubled the time at
+    q = 37), bincount them and narrow the counts to the smallest unsigned
+    type that holds q, so a step of g groups holds g (m c + size) int64
+    entries. The callers keep no reference to high or low, so both and the
+    buffer are freed when the steps run out, before the next slice's rows.
     """
-    q3, g, small = q**3, d1_step(q), np.min_scalar_type(q)
-    high += np.arange(q, dtype=np.int64)[:, None] % g * q3
+    h, small = len(high), np.min_scalar_type(q)
+    g = min(h, step_groups(q, size))
+    if g > 1:
+        high += np.arange(h, dtype=np.int64)[:, None] % g * size
     rows = np.empty((g, *low.shape), dtype=np.int64)
-    for lo in range(0, q, g):
-        n = min(g, q - lo)
-        yield slice(lo * q3, (lo + n) * q3), np.bincount(
+    for lo in range(0, h, g):
+        n = min(g, h - lo)
+        yield slice(first + lo * size, first + (lo + n) * size), np.bincount(
             np.add(high[lo : lo + n, None], low, out=rows[:n]).ravel(),
-            minlength=n * q3).astype(small)
+            minlength=n * size).astype(small)
 
 
 def line_counts(q: int, points):
@@ -127,18 +125,17 @@ def line_counts(q: int, points):
         pivot 1, d = (0, 1, d2):   (q^2 + d2)*q^2 + x0*q + (x2 - x1*d2)
         pivot 2, d = (0, 0, 1):    (q^2 + q)*q^2 + x0*q + x1
 
-    so the counts are bincounts of |X| (q^2 + q + 1) rows: the pivot-0
-    slices of _pivot0_steps, then pivot 1 and pivot 2 in one slice each.
-    Counts come in the smallest unsigned type that holds q.
+    so the counts are bincounts of |X| (q^2 + q + 1) rows, in the steps of
+    _steps: a group per d1 for pivot 0, and one group each for pivots 1
+    and 2. Counts come in the smallest unsigned type that holds q.
     """
     x0, x1, x2 = point_coords(q, points).T
     field = np.arange(q, dtype=np.int64)[:, None]
-    q2, q3, q4, small = q * q, q**3, q**4, np.min_scalar_type(q)
+    q2, q3, q4 = q * q, q**3, q**4
     # the part of a row that depends on d1, one row per d1, and the rest, one per d2
-    yield from _pivot0_steps(q, (x1 - field * x0) % q * q, field * q2 + (x2 - field * x0) % q)
-    yield slice(q4, q4 + q3), np.bincount(
-        (field * q2 + x0 * q + (x2 - field * x1) % q).ravel(), minlength=q3).astype(small)
-    yield slice(q4 + q3, n_lines(q)), np.bincount(x0 * q + x1, minlength=q2).astype(small)
+    yield from _steps(q, 0, q3, (x1 - field * x0) % q * q, field * q2 + (x2 - field * x0) % q)
+    yield from _steps(q, q4, q3, x0[None] * q, field * q2 + (x2 - field * x1) % q)
+    yield from _steps(q, q4 + q3, q2, x0[None] * q, x1[None])
 
 
 def plane_counts(q: int, points):
@@ -154,10 +151,11 @@ def plane_counts(q: int, points):
         x1 = x2 = 0:   pivot 1, each d2, v1:  v0 = 1/x0
                        pivot 2, each v1:      v0 = 1/x0
 
-    Counts come in the smallest unsigned type that holds q. The pivot-0
-    slices are those of _pivot0_steps, over the q rows per d1 of each point
-    with x2 != 0; each point with x2 = 0 != x1 then adds 1 to the q^2 rows
-    of its (d1, v0) in place. Pivot 1 and pivot 2 are one slice each.
+    Counts come in the smallest unsigned type that holds q, in the slices
+    of line_counts, from _steps over the rows of the points with x2 != 0
+    and, for pivot 2, of those with x2 = 0. The points with x2 = 0 != x1
+    then add 1 to the q^2 pivot-0 rows of their (d1, v0), and those with
+    x1 = x2 = 0 to the q^2 pivot-1 rows of their v0, in place.
     """
     x0, x1, x2 = point_coords(q, points).T
     inv, field = inverses(q), np.arange(q, dtype=np.int64)[:, None]
@@ -171,15 +169,16 @@ def plane_counts(q: int, points):
     i1 = inv[x1[side]]
     fold = np.bincount(-x0[side] * i1 % q * q + i1, minlength=q2).astype(small).reshape(q, q)
     # d2*q^2 of each point with x2 != 0, one row per d1, and v0*q + v1, one per v0
-    for part, counts in _pivot0_steps(q, -(a0 + a1 * field) * i2 % q * q2,
-                                      field * q + (1 - a1 * field) * i2 % q):
+    for part, counts in _steps(q, 0, q3, -(a0 + a1 * field) * i2 % q * q2,
+                               field * q + (1 - a1 * field) * i2 % q):
         counts.reshape(-1, q, q, q)[:] += fold[part.start // q3 : part.stop // q3, None, :, None]
         yield part, counts
-    counts = np.bincount(
-        ((1 - a0 * field) * i2 % q + field * q + -a1 * i2 % q * q2).ravel(), minlength=q3)
-    counts.reshape(q, q, q)[:] += np.bincount(inv[x0[axis]], minlength=q)[:, None]
-    yield slice(q4, q4 + q3), counts.astype(small)
+    # how many points with x1 = x2 = 0 have each v0
+    fold = np.bincount(inv[x0[axis]], minlength=q).astype(small)
+    for part, counts in _steps(q, q4, q3, -a1[None] * i2 % q * q2,
+                               field * q + (1 - a0 * field) * i2 % q):
+        counts.reshape(q, q, q)[:] += fold[:, None]
+        yield part, counts
     x0, x1 = x0[flat], x1[flat]
-    yield slice(q4 + q3, n_lines(q)), np.bincount(np.where(
-        x1 != 0, field * q + (1 - x0 * field) % q * inv[x1] % q, inv[x0] * q + field
-    ).ravel(), minlength=q2).astype(small)
+    yield from _steps(q, q4 + q3, q2, np.zeros((1, 1), dtype=np.int64), np.where(
+        x1 != 0, field * q + (1 - x0 * field) % q * inv[x1] % q, inv[x0] * q + field))

@@ -116,7 +116,7 @@ def count_ktt_via_lines(c: IncidenceConstruction) -> int:
 
     Read from the one line pass, which zips the slices of both streams: two
     pivot-0 slices and pivots 1 and 2 at q = 13, q + 2 slices from q = 21 on
-    (geom3.d1_step)."""
+    (geom3.step_groups)."""
     return c._line_pass[1]
 
 

@@ -3,7 +3,8 @@
 None of these is on a production path: field residues and inverses, points
 and lines one tuple at a time, the row of a line and of its dual (by
 Cramer's rule), equality of built sets and graphs, the whole table of
-lines with the q points of every row and line counts gathered through it,
+lines, its row count, the q points of every row and line counts gathered
+through it,
 the streamed line counts joined into one array of every row,
 the polynomial sampler on numpy's own Philox bit generator,
 pointwise polynomial evaluation, symbolic restriction of a polynomial to
@@ -118,6 +119,11 @@ def points_on(q: int, line: AffineLine) -> list[Point3]:
 def passes_origin(line: AffineLine) -> bool:
     """True iff (0,0,0) lies on the (canonical) line."""
     return line.base == ORIGIN
+
+
+def n_lines(q: int) -> int:
+    """How many canonical lines F_q^3 has: q^2 (q^2 + q + 1)."""
+    return q * q * (q * q + q + 1)
 
 
 def line_index(q: int, base, direction) -> np.ndarray:

@@ -11,7 +11,6 @@ import numpy as np
 
 from eil.cli import log_log_slope, main, run_montecarlo, run_sweep
 from eil.evasive import TriPoly, restriction_tensor, sample_poly
-from eil.geom3 import n_lines
 from eil.incidence import build_incidence, count_ktt_via_lines
 from eil.subgraph import count_biclique_general, is_ksm_free
 from oracles import (
@@ -20,6 +19,7 @@ from oracles import (
     line_count_array,
     line_index,
     line_table_oracle,
+    n_lines,
     restrict_all_lines,
     restrict_to_line,
 )

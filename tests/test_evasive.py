@@ -18,7 +18,7 @@ from eil.evasive import (
     top_form,
     zero_set,
 )
-from eil.geom3 import STEP_BINS, line_at, line_points, n_lines
+from eil.geom3 import STEP_BINS, line_at, line_points
 from oracles import (
     AffineLine,
     UniPoly,
@@ -27,6 +27,7 @@ from oracles import (
     line_count_array,
     line_index,
     line_table_oracle,
+    n_lines,
     point_index,
     points_on,
     prune_by_counts,

@@ -28,11 +28,9 @@ from eil.evasive import (
 )
 from eil.geom3 import (
     STEP_BINS,
-    d1_step,
     line_at,
     line_counts,
     line_points,
-    n_lines,
     plane_counts,
 )
 from eil.incidence import build_incidence, count_ktt_via_lines
@@ -43,6 +41,7 @@ from oracles import (
     line_count_array,
     line_index,
     line_table_oracle,
+    n_lines,
 )
 
 QS = [2, 3, 5, 7, 11, 13]
@@ -128,20 +127,22 @@ def test_built_sets_are_their_q_and_points():
 
 
 @pytest.mark.parametrize("seed", [1, 7, 100])
-@pytest.mark.parametrize("q", [7, 11, 13, 17, 19])
+@pytest.mark.parametrize("q", [3, 7, 11, 13, 17, 19, 23])
 def test_blocked_projection_matches_the_gather(q, seed):
-    # pivot-0 slices of d1_step(q) consecutive d1 values (one group at
-    # q = 7 and 11; 7 + 6 at q = 13, 5 * 3 + 2 at q = 17 and 9 * 2 + 1 at
-    # q = 19, where the last group is short), then pivot 1 and pivot 2, in
-    # both streams. The points with x2 = 0 != x1 add their counts through
-    # fold[d1], which every group reads. The gather oracle stops at q = 13;
-    # above it the plane counts are checked against the line counts.
+    # pivot-0 slices of as many consecutive d1 values as STEP_BINS counts
+    # hold (one group at q = 3, 7 and 11; 7 + 6 at q = 13, 5 * 3 + 2 at
+    # q = 17 and 9 * 2 + 1 at q = 19, where the last group is short; one d1
+    # per slice at q = 23, the first prime with q^3 > STEP_BINS), then
+    # pivot 1 and pivot 2, in both streams. The points with x2 = 0 != x1
+    # add their counts through fold[d1], which every group reads. The
+    # gather oracle stops at q = 13; above it the plane counts are checked
+    # against the line counts.
     x0 = zero_set(q, sample_poly(q, 3, seed))
     x1, x2 = x0.points // q % q, x0.points % q
     assert np.any((x2 == 0) & (x1 != 0))
     parts = list(plane_counts(q, x0.points))
-    q3, q4, g = q**3, q**4, d1_step(q)
-    assert g == {7: 7, 11: 11, 13: 7, 17: 3, 19: 2}[q]
+    q3, q4, g = q**3, q**4, max(1, min(q, STEP_BINS // q**3))
+    assert g == {3: 3, 7: 7, 11: 11, 13: 7, 17: 3, 19: 2, 23: 1}[q]
     groups = [slice(lo * q3, min(lo + g, q) * q3) for lo in range(0, q, g)]
     assert [p for p, _ in parts] == groups + [slice(q4, q4 + q3), slice(q4 + q3, n_lines(q))]
     assert [p for p, _ in line_counts(q, x0.points)] == [p for p, _ in parts]
