@@ -291,12 +291,13 @@ class ExactProbabilities:
 
 
 def exact_probabilities(q: int, t: int) -> ExactProbabilities:
-    """p_vanish = q^-(t+1); e_binom = C(q,t) q^-t; p_exact_t = (1-1/q) e_binom.
+    """p_vanish = q^-(t+1); e_binom = C(q,t) q^-t; p_exact_t = (1-1/q) e_binom
+    for t < q, and q^-q at t = q, where the zero restriction has q zeros too.
 
     All three are exact rationals rounded once to double precision.
     """
     return ExactProbabilities(
         p_vanish=1 / q ** (t + 1),
-        p_exact_t=(q - 1) * math.comb(q, t) / q ** (t + 1),
+        p_exact_t=((q - 1) * math.comb(q, t) + (t == q)) / q ** (t + 1),
         e_binom=math.comb(q, t) / q**t,
     )

@@ -3,14 +3,21 @@
 Two independently sampled evasive sets X, Y in F_q^3 are joined by the
 bilinear relation x1*y1 + x2*y2 + x3*y3 = 1 (y acting as the plane H_y).
 Two vertices of one side share neighbours only on the line where their
-planes meet, so K_{2,t+1}-freeness is exact from line counts
-(IncidenceConstruction.k2_free); built sets are free since the prune
-leaves at most t of their points on any line. Copies of K_{t,t} are
-counted exactly by scanning lines: a line l off the origin yields a copy
-precisely when l carries t points of Y and t planes H_x of X hold it (so
-its dual carries t points of X), and every copy arises that way exactly
-once. One pass zips Y's line counts and X's plane counts (geom3) for
-both, without the graph, built on first use of IncidenceConstruction.graph.
+planes meet: a point of Y on a line l is joined to the points x of X whose
+plane H_x holds l, which are the points of X on l*, the dual of l (geom3;
+no H_x holds a line through the origin). So with cy = |Y on l| and
+px = |X on l*|, every biclique with two or more vertices on each side lies
+on exactly one row l.
+
+One pass zips Y's line counts and X's plane counts (geom3) into the joint
+histogram H (IncidenceConstruction.line_histogram), a (t+2) x (t+2) int64
+array: H[c, p] counts the rows with min(cy, px) >= 2 and c = min(cy, t+1),
+p = min(px, t+1). Both checks of a construction read H, not the graph:
+- k2_free: the graph is K_{2,t+1}-free iff row t+1 and column t+1 of H are
+  zero, no row having min(cy, px) >= 2 and max(cy, px) > t. Built sets are
+  free since the prune leaves at most t of their points on any line.
+- count_ktt_via_lines: the number of K_{t,t} is H[t, t], the rows whose
+  cy = t points of Y and px = t points of X make one copy each.
 """
 
 from __future__ import annotations
@@ -51,25 +58,22 @@ class IncidenceConstruction:
 
     @property
     def k2_free(self) -> bool:
-        """No row l has min(cy, px) >= 2 and max(cy, px) > t (cy = |Y on l|,
-        px = |X on l*|); exactly then the graph is K_{2,t+1}-free.
-
-        Two points of X whose planes meet in l share Y on l; two points of Y
-        on l share X on l*, the line where their planes meet. Rows through
-        the origin have px = 0.
-        """
-        return self._line_pass[0]
+        """Exact K_{2,t+1}-freeness, read from H (see the module docstring)."""
+        t, h = self.t, self.line_histogram
+        return not (h[t + 1].any() or h[:, t + 1].any())
 
     @cached_property
-    def _line_pass(self) -> tuple[bool, int]:
-        """(k2_free, the K_{t,t} count): Y's line and X's plane counts zipped."""
+    def line_histogram(self) -> np.ndarray:
+        """H, from Y's line counts and X's plane counts zipped slice by slice."""
         t = self.t
-        free, count = True, 0
+        h = np.zeros((t + 2) ** 2, dtype=np.int64)
         for (_, cy), (_, px) in zip(line_counts(self.q, self.y_set.points),
                                     plane_counts(self.q, self.x_set.points)):
-            free = free and not np.any((np.maximum(cy, px) > t) & (np.minimum(cy, px) >= 2))
-            count += int(np.count_nonzero((cy == t) & (px == t)))
-        return free, count
+            rich = np.flatnonzero(np.minimum(cy, px) >= 2)
+            c, p = (np.minimum(a[rich], t + 1).astype(np.int64) for a in (cy, px))
+            h += np.bincount(c * (t + 2) + p, minlength=(t + 2) ** 2)
+        h.flags.writeable = False  # cached and shared by every reader
+        return h.reshape(t + 2, t + 2)
 
     @cached_property
     def graph(self) -> BitGraph:
@@ -111,13 +115,8 @@ def build_incidence(q: int, t: int, seed_x: int) -> IncidenceConstruction:
 
 
 def count_ktt_via_lines(c: IncidenceConstruction) -> int:
-    """Exact K_{t,t} count: lines l with |Y on l| = t and |X on dual(l)| = t,
-    the number of x in X whose plane H_x holds l (0 through the origin).
-
-    Read from the one line pass, which zips the slices of both streams: two
-    pivot-0 slices and pivots 1 and 2 at q = 13, q + 2 slices from q = 21 on
-    (geom3.step_groups)."""
-    return c._line_pass[1]
+    """Exact K_{t,t} count, H[t, t] (see the module docstring)."""
+    return int(c.line_histogram[c.t, c.t])
 
 
 def verify_construction(c: IncidenceConstruction) -> StatsReport:

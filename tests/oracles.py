@@ -10,7 +10,8 @@ the polynomial sampler on numpy's own Philox bit generator,
 pointwise polynomial evaluation, symbolic restriction of a polynomial to
 a line (one line at a time, or to every line through the restriction
 tensor), the prune by its count rule (the rows with more than t points),
-Furedi orbits one member at a time and Furedi's graph from the
+the K_{s,m} count of a free incidence graph read from its joint line
+histogram, Furedi orbits one member at a time and Furedi's graph from the
 dense n x n product of its classes, edge lists, graph neighbourhoods as
 sets or n-bit masks, brute-force subset scans, the line-by-line graph
 parser and the per-edge graph writer.
@@ -246,6 +247,19 @@ def ktt_count_by_table(x: PointSet, y: PointSet, t: int) -> int:
     cx, cy = gather_line_counts(x), gather_line_counts(y)
     ok = ~table.origin_mask & (cy == t)
     return int((ok & (cx[table.dual_idx] == t)).sum())
+
+
+def ksm_count_from_histogram(h, s: int, m: int) -> int:
+    """K_{s,m} copies, 2 <= s <= m, of a K_{2,t+1}-free incidence graph from its
+    joint histogram H (eil.incidence): each copy lies on one row l, a side of it
+    among the c points of Y on l and the other among the p points of X on l*."""
+    total = 0
+    for (c, p), rows in np.ndenumerate(h):
+        copies = math.comb(c, m) * math.comb(p, s)
+        if s < m:
+            copies += math.comb(c, s) * math.comb(p, m)
+        total += int(rows) * copies
+    return total
 
 
 def philox_poly(q: int, t: int, seed: int) -> TriPoly:

@@ -261,6 +261,15 @@ def test_montecarlo_constant_statistic_far_from_target_fails(monkeypatch):
     assert not check["passed"] and check["z"] > 3
 
 
+def test_montecarlo_exact_t_target_at_t_equal_q():
+    # at t = q = 3 the reference line holds all 3 points of X0 exactly when f
+    # restricts to c (s^3 - s), zero or not: rate 1/27, not (1 - 1/q) C(q,t) q^-t
+    doc = run_montecarlo(3, 3, 11, 10000).to_json_dict()
+    check = next(c for c in doc["checks"] if c["name"] == "exact_t_rate_z")
+    assert check["target"] == 1 / 27
+    assert check["passed"] and abs(check["rate"] - 1 / 27) < 0.006
+
+
 def test_montecarlo_cli_writes_report(tmp_path):
     assert main(["montecarlo", "--q", "5", "--t", "3", "--seed", "9",
                  "--trials", "120", "--out", str(tmp_path)]) == 0
@@ -424,7 +433,9 @@ def test_a_q13_sweep_trial_makes_13_bincounts(monkeypatch):
     # d1 values in two pivot-0 steps, not one step per d1 (35 bincounts):
     # X's prune takes 1 step (11 zero directions, all of pivot 0), Y's 2
     # (9 of pivot 0, 1 of pivot 1); Y's line counts 2 + 2; X's plane counts
-    # its fold, 2 pivot-0 steps, 2 for pivot 1 and 1 for pivot 2
+    # its fold, 2 pivot-0 steps, 2 for pivot 1 and 1 for pivot 2. The joint
+    # histogram H takes one more of (t + 2)^2 bins for each of the 4 zipped
+    # slices (two of pivot 0, one each of pivots 1 and 2)
     import numpy as np
 
     from eil.cli import _sweep_trial
@@ -433,13 +444,14 @@ def test_a_q13_sweep_trial_makes_13_bincounts(monkeypatch):
     bincount = np.bincount
 
     def spy(*args, **kwargs):
-        calls.append(1)
+        calls.append(kwargs.get("minlength") == (3 + 2) ** 2)
         return bincount(*args, **kwargs)
 
     monkeypatch.setattr(np, "bincount", spy)
     record = _sweep_trial((13, 3, 1, 0))
     monkeypatch.undo()
-    assert record["k2_free"] and len(calls) == 1 + 2 + 4 + 6
+    assert record["k2_free"] and calls.count(False) == 1 + 2 + 4 + 6
+    assert calls.count(True) == 4
 
 
 @pytest.mark.parametrize("q,t,seed", [(7, 3, 0), (11, 3, 1), (13, 4, 2), (23, 3, 1), (37, 4, 9)])
@@ -514,10 +526,10 @@ def test_every_traced_cli_name_is_reached(tmp_path, monkeypatch, capsys):
 # A reason that names the benchmark holds only for a name that
 # perfbench/spans.py::call_sites patches or perfbench/run.py imports.
 UNREACHED = {
-    "geom3.line_table": "the benchmark traces it (ROADMAP item 2)",
+    "geom3.line_table": "the benchmark traces it (ROADMAP item 1)",
     "geom3.line_at": "called only by geom3.line_table; moves to tests/oracles.py with it "
                      "(ROADMAP item 1)",
-    "evasive.restriction_tensor": "the benchmark traces it (ROADMAP item 2)",
+    "evasive.restriction_tensor": "the benchmark traces it (ROADMAP item 1)",
     "report.validate_report": "the benchmark's gate checks every report with it",
     "subgraph.count_biclique_general": "only a Furedi graph that fails its K_{3,t} check",
 }

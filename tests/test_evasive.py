@@ -444,6 +444,8 @@ def test_exact_probabilities_closed_form_values():
     p = exact_probabilities(7, 3)
     assert p.p_exact_t == pytest.approx(30 / 343, abs=0, rel=0)
     assert p.e_binom == pytest.approx(35 / 343, abs=0, rel=0)
+    # t = q: c (s^q - s) for each of the q values of c, the zero restriction too
+    assert exact_probabilities(3, 3).p_exact_t == 1 / 27
 
 
 def test_unipoly_zero_and_eval():

@@ -17,12 +17,13 @@ from eil.incidence import (
     verify_construction,
 )
 from eil.report import validate_report
-from eil.subgraph import BitGraph, is_ksm_free
+from eil.subgraph import BitGraph, count_biclique_general, is_ksm_free
 from oracles import (
     adjacency_sets,
     count_biclique,
     dual_index,
     edge_list,
+    ksm_count_from_histogram,
     line_count_array,
     point_index,
     same,
@@ -111,6 +112,18 @@ def test_count_matches_bruteforce_oracle_t4():
         assert count_ktt_via_lines(c) == count_biclique(c.graph, 4, 4)
 
 
+@pytest.mark.parametrize("q,t", [(7, 3), (11, 3), (13, 3), (11, 4)])
+def test_ksm_counts_read_from_the_histogram_match_the_graph(q, t):
+    # a built construction is K_{2,t+1}-free, so every K_{s,m} with
+    # 2 <= s <= m <= t lies on one row and its count follows from H alone
+    c = build_incidence(q, t, q)
+    for s in range(2, t + 1):
+        for m in range(s, t + 1):
+            expected = count_biclique_general(c.graph, s, m)
+            assert ksm_count_from_histogram(c.line_histogram, s, m) == expected, (s, m)
+    assert expected > 0
+
+
 def test_count_zero_for_empty_x():
     c = build_incidence(5, 3, 7)
     gutted = IncidenceConstruction(
@@ -184,12 +197,27 @@ def test_a_non_evasive_set_can_be_free(monkeypatch):
     assert record["k2_free"] and record["freeness_witness"] is None
 
 
+def _histogram_by_rows(c):
+    """H from arrays of every row: cy from line_count_array of Y, and px as
+    the count of X on the dual row (0 for a row through the origin)."""
+    q, t = c.q, c.t
+    cy = line_count_array(q, c.y_set.points).astype(np.int64)
+    px = np.zeros_like(cy)
+    off = np.flatnonzero(np.arange(cy.size) % (q * q))
+    px[off] = line_count_array(q, c.x_set.points)[dual_index(q, off)]
+    rich = np.minimum(cy, px) >= 2
+    h = np.zeros((t + 2, t + 2), dtype=np.int64)
+    np.add.at(h, (np.minimum(cy[rich], t + 1), np.minimum(px[rich], t + 1)), 1)
+    return h
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_k2_free_matches_the_scan_on_random_sets(seed):
     # dense random X and Y at q in {3, 5, 7} and 3 <= t <= q: the rule read
     # from the line counts agrees with the K_{2,t+1} scan, and the sides that
     # fail, found from the co-degrees of the x.y = 1 matrix, include X alone
-    # and Y alone
+    # and Y alone. H is the histogram of the rows' counts taken whole, its
+    # row and column t + 1 included
     rng = random.Random(seed)
     sides = collections.Counter()
     for _ in range(100):
@@ -199,6 +227,7 @@ def test_k2_free_matches_the_scan_on_random_sets(seed):
                               for _ in range(2))
         c = _by_hand(q, t, x_points, y_points)
         assert c.k2_free == is_ksm_free(c.graph, 2, t + 1).free
+        assert np.array_equal(c.line_histogram, _histogram_by_rows(c))
         a = (np.array(list(_coords(c.x_set))) @ np.array(list(_coords(c.y_set))).T % q == 1)
         a = a.astype(np.int64)
         rich = [bool(np.any(np.triu(co, 1) > t)) for co in (a @ a.T, a.T @ a)]
