@@ -3,9 +3,12 @@
 _check rejects bad parameters of every command. Then construct, montecarlo
 and sweep share one path: the command returns (report, {path: text},
 stdout lines), and main creates --out, writes each file with _write and
-prints it, the lines and the checks. A run rejected or out of memory
-creates nothing. verify prints its report in --format and writes the same
-text to --out if given.
+prints its path, the lines and the checks. A text is a str or an iterable
+of str chunks: `construct incidence` hands over its graph file as chunks
+made while the file is written, so no BitGraph or whole file text is held.
+A run rejected or out of memory creates nothing; memory that runs out while
+a file is written removes the files and directories the run made. verify
+prints its report in --format and writes the same text to --out if given.
 
 Exit codes: 0 success, 1 bad parameters or out of memory, 2 an acceptance-style
 check failed, 3 I/O or parse error. Outputs are byte-identical across
@@ -234,7 +237,7 @@ def cmd_construct(args) -> tuple[StatsReport, dict, list[str]]:
         report = verify_construction(c)
         base = Path(args.out) / f"incidence-q{q}-t{t}-seed{args.seed}"
         files = {
-            f"{base}.graph.txt": graph_to_text(c.graph),
+            f"{base}.graph.txt": c.graph_text(),
             f"{base}.x.txt": c.x_set.to_text(),
             f"{base}.y.txt": c.y_set.to_text(),
             f"{base}.report.{ext}": report.render(ext),
@@ -299,9 +302,31 @@ def cmd_verify(args) -> int:
 COMMANDS = {"construct": cmd_construct, "montecarlo": cmd_montecarlo, "sweep": cmd_sweep}
 
 
-def _write(path, text: str) -> None:
+def _write(path, text) -> None:
+    """Write text, a str or an iterable of str chunks, to path."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines([text] if isinstance(text, str) else text)
+
+
+def _write_files(out: Path, files: dict) -> None:
+    """Create out and write every file; on MemoryError remove them and the new directories.
+
+    A chunked file is made while it is written, so memory can run out
+    after out and earlier files exist.
+    """
+    made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
+    written = []
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for path, text in files.items():
+            written.append(Path(path))
+            _write(path, text)
+    except MemoryError:
+        for path in written:
+            path.unlink(missing_ok=True)
+        for d in made:
+            d.rmdir()
+        raise
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -403,9 +428,8 @@ def main(argv=None) -> int:
             code = cmd_verify(args)
         else:
             report, files, lines = COMMANDS[args.command](args)
-            Path(args.out).mkdir(parents=True, exist_ok=True)
-            for path, text in files.items():
-                _write(path, text)
+            _write_files(Path(args.out), files)
+            for path in files:
                 print(f"wrote {path}")
             for line in lines:
                 print(line)

@@ -18,6 +18,12 @@ p = min(px, t+1). Both checks of a construction read H, not the graph:
   free since the prune leaves at most t of their points on any line.
 - count_ktt_via_lines: the number of K_{t,t} is H[t, t], the rows whose
   cy = t points of Y and px = t points of X make one copy each.
+
+The graph itself comes from one generator, IncidenceConstruction.biadjacency,
+which yields the matrix x.y == 1 (mod q) q rows of X at a time. graph_text
+turns each block into the next lines of the graph file, so `construct`
+writes the file with no BitGraph; the graph property builds one from the
+same blocks.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .geom3 import line_counts, plane_counts, point_coords
 from .geom3 import line_table  # noqa: F401  (perfbench/spans.py traces this name)
 from .gf import check_field
 from .report import StatsReport
-from .subgraph import BitGraph, FreenessResult, is_ksm_free
+from .subgraph import BitGraph, FreenessResult, biadjacency_to_text, is_ksm_free
 
 # Y's seed is X's seed XOR this salt; being nonzero, it makes the two
 # seeds, and so the two coefficient streams, differ.
@@ -75,22 +81,29 @@ class IncidenceConstruction:
         h.flags.writeable = False  # cached and shared by every reader
         return h.reshape(t + 2, t + 2)
 
+    def biadjacency(self):
+        """Yield the boolean matrix x.y == 1 (mod q), X's points as rows, q rows at a time.
+
+        A block holds at most q |Y| <= t q^3 int64 entries of the product.
+        """
+        q = self.q
+        xc, yc = (point_coords(q, s.points) for s in (self.x_set, self.y_set))
+        for lo in range(0, len(xc), q):
+            dots = xc[lo : lo + q] @ yc.T
+            yield np.remainder(dots, q, out=dots) == 1
+
+    def graph_text(self):
+        """Yield the graph file in chunks, the edges of one block of the product each."""
+        return biadjacency_to_text(self.biadjacency(), (self.x_set.count, self.y_set.count))
+
     @cached_property
     def graph(self) -> BitGraph:
         """The incidence graph, X as the left side; built on first use.
 
-        The boolean matrix x.y == 1 (mod q) streams q rows of X at a time,
-        at most q |Y| <= t q^3 int64 entries per block.
+        It reads the blocks that graph_text writes. No command needs it: only
+        a construction that is not free is scanned for its witness.
         """
-        q = self.q
-        xc, yc = (point_coords(q, s.points) for s in (self.x_set, self.y_set))
-
-        def rows():
-            for lo in range(0, len(xc), q):
-                dots = xc[lo : lo + q] @ yc.T
-                yield np.remainder(dots, q, out=dots) == 1
-
-        return BitGraph.from_biadjacency(rows(), (len(xc), len(yc)))
+        return BitGraph.from_biadjacency(self.biadjacency(), (self.x_set.count, self.y_set.count))
 
 
 def build_incidence(q: int, t: int, seed_x: int) -> IncidenceConstruction:

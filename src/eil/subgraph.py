@@ -9,6 +9,11 @@ neighbour of its set, and sorted blocks of keys give the co-degrees in
 time and memory O(sum of C(deg w, s)), not O(C(n, s)). The brute-force
 subset scans are kept in the tests as the oracles.
 
+One digit writer makes the edge lines of every graph file: graph_to_text
+feeds it a BitGraph's edges, and biadjacency_to_text the edges of each
+row block of a bipartite matrix, so a file can be written block by block
+without a BitGraph.
+
 graph_from_text is the one validator of graphs from outside the program;
 the BitGraph constructor checks nothing and trusts its in-program callers.
 """
@@ -56,14 +61,9 @@ class BitGraph:
     def from_biadjacency(cls, blocks, shape: tuple[int, int]) -> "BitGraph":
         """Bipartite graph from the row blocks, top to bottom, of an (L, R) boolean matrix."""
         left, right = shape
-        # each edge as its flat index row * R + column, one int64 while streaming
-        parts = [np.empty(0, dtype=np.int64)]
-        row = 0
-        for block in blocks:
-            parts.append(np.flatnonzero(block) + row * right)
-            row += len(block)
-        u, v = np.divmod(np.concatenate(parts), max(1, right))
-        return cls(left + right, np.column_stack((u, v + left)), (left, right))
+        edges = [np.empty((0, 2), dtype=np.int64)]
+        edges += (np.column_stack(uv) for uv in _block_edges(blocks, shape))
+        return cls(left + right, np.concatenate(edges), (left, right))
 
     def edge_count(self) -> int:
         return self.nbr.size // 2
@@ -73,6 +73,20 @@ class BitGraph:
         src = np.repeat(np.arange(self.n), np.diff(self.offsets))
         up = src < self.nbr
         return src[up], self.nbr[up]
+
+
+def _block_edges(blocks, shape: tuple[int, int]):
+    """Yield (u, v) for the edges of each row block, top to bottom, of an (L, R) boolean matrix.
+
+    Row-major order within a block and blocks top to bottom: the edges come
+    in increasing (u, v), the order of the graph file.
+    """
+    left, right = shape
+    row = 0
+    for block in blocks:
+        u, v = np.divmod(np.flatnonzero(block), max(1, right))
+        yield u + row, v + left
+        row += len(block)
 
 
 @dataclass(frozen=True)
@@ -221,12 +235,26 @@ def count_biclique_general(graph: BitGraph, a: int, b: int) -> int:
 
 
 def graph_to_text(graph: BitGraph) -> str:
-    """The graph file, its edge lines written as ASCII digits into one byte buffer."""
+    """The graph file of a BitGraph, as one str."""
     if graph.sides is not None:
         head = f"bipartite {graph.sides[0]} {graph.sides[1]}\n"
     else:
         head = f"general {graph.n}\n"
-    u, v = graph.edge_arrays()
+    return head + _edge_lines(*graph.edge_arrays())
+
+
+def biadjacency_to_text(blocks, shape: tuple[int, int]):
+    """Yield the file of BitGraph.from_biadjacency(blocks, shape) in chunks, one per block.
+
+    No graph is built: a block's edges are the next lines of the file.
+    """
+    yield f"bipartite {shape[0]} {shape[1]}\n"
+    for u, v in _block_edges(blocks, shape):
+        yield _edge_lines(u, v)
+
+
+def _edge_lines(u: np.ndarray, v: np.ndarray) -> str:
+    """The lines "u v\n" of the edges (u, v), written as ASCII digits into one byte buffer."""
     # decimal digits of each number, counted by where it falls among 10, 100, ...
     tens = 10 ** np.arange(1, 19, dtype=np.int64)
     du = np.searchsorted(tens, u, side="right") + 1
@@ -237,7 +265,7 @@ def graph_to_text(graph: BitGraph) -> str:
     buf[ends - dv - 2] = ord(" ")
     _put_digits(buf, ends - dv - 3, u, du)
     _put_digits(buf, ends - 2, v, dv)
-    return head + buf.tobytes().decode("ascii")
+    return buf.tobytes().decode("ascii")
 
 
 def _put_digits(buf: np.ndarray, last: np.ndarray, x: np.ndarray, digits: np.ndarray) -> None:

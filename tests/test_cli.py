@@ -182,22 +182,36 @@ def test_bad_parameters_exit_1(argv, message, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,name", [
-    (["construct", "incidence", "--q", "1048573", "--t", "3"], "build_incidence"),
-    (["montecarlo", "--q", "1048573", "--t", "3"], "zero_set"),
-], ids=["construct", "montecarlo"])
+    (["construct", "incidence", "--q", "1048573", "--t", "3"], "cli.build_incidence"),
+    (["montecarlo", "--q", "1048573", "--t", "3"], "cli.zero_set"),
+    (["construct", "incidence", "--q", "7", "--t", "3"],
+     "incidence.IncidenceConstruction.biadjacency"),
+], ids=["construct", "montecarlo", "construct-stream"])
 def test_out_of_memory_exits_1_and_writes_nothing(argv, name, tmp_path, monkeypatch, capsys):
     # numpy raises MemoryError for an array it cannot allocate, such as the
     # 32 TiB of values at q = 1048573; whether the allocation is refused
-    # depends on the machine, so the command raises it here instead
+    # depends on the machine, so the command raises it here instead. The
+    # stream case refuses after its first block of the point-plane product,
+    # once main has made --out and its parent and begun the graph file.
     def refuse(*args):
         raise MemoryError("Unable to allocate 32.0 TiB for an array")
 
-    monkeypatch.setattr(f"eil.cli.{name}", refuse)
-    out = tmp_path / "d"
+    blocks = eil.incidence.IncidenceConstruction.biadjacency
+    begun = []
+
+    def first_block_then_refuse(c):
+        yield next(blocks(c))
+        begun.append([p.name for p in out.iterdir()])
+        refuse()
+
+    stream = name.endswith("biadjacency")
+    monkeypatch.setattr(f"eil.{name}", first_block_then_refuse if stream else refuse)
+    out = tmp_path / "d" / "e"
     assert main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err == "error: out of memory: Unable to allocate 32.0 TiB for an array\n"
-    assert not out.exists()
+    assert begun == ([["incidence-q7-t3-seed1.graph.txt"]] if stream else [])
+    assert not any(tmp_path.iterdir())
 
 
 def test_bad_flags_exit_1(tmp_path, capsys):
@@ -532,6 +546,10 @@ UNREACHED = {
     "evasive.restriction_tensor": "the benchmark traces it (ROADMAP item 1)",
     "report.validate_report": "the benchmark's gate checks every report with it",
     "subgraph.count_biclique_general": "only a Furedi graph that fails its K_{3,t} check",
+    "incidence.IncidenceConstruction.graph": "built only for the witness of a construction "
+                                             "that is not free, which no command makes",
+    "subgraph.BitGraph.from_biadjacency": "called only by IncidenceConstruction.graph; the "
+                                          "benchmark traces it (ROADMAP item 1)",
 }
 RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
@@ -630,19 +648,21 @@ def test_every_package_function_is_reached_by_a_command(tmp_path, capsys):
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
 @pytest.mark.parametrize("q,t,seed,bound_mb", [
-    (37, 3, 1, 60), (31, 7, 1, 70), (61, 3, 1, 62), (61, 3, 3, 62), (101, 3, 3, 200),
+    (37, 3, 1, 60), (31, 7, 1, 70), (61, 3, 1, 50), (61, 3, 3, 50), (101, 3, 3, 110),
     pytest.param(109, 3, None, 120, id="furedi-109-3-120")])
 def test_construct_incidence_memory(q, t, seed, bound_mb, tmp_path):
     # the zero set is O(q^3) and no array of every line is made: no table
     # of lines or of monomial values is built, which the t = 7 case checks;
-    # the |X| x |Y| point-plane product is built q rows of X at a time,
-    # which q = 37 checks, and the line counts of Y and the plane counts
-    # of X are streamed one d1 at a time, which q = 61 checks (a
-    # q^4-byte array of Y's line counts took it to 66 and 68 MB). The
-    # prune counts X0 only on the lines of the zero directions of f's top
-    # form, and seed 3 prunes two lines of Y. Freeness is read from the
-    # line counts, so no subset scan refuses (101, 3, 3), whose K_{2,4}
-    # scan needs 1.03e8 keys.
+    # the line counts of Y and the plane counts of X are streamed one d1 at
+    # a time (a q^4-byte array of Y's line counts took q = 61 to 66 and
+    # 68 MB). The graph file is written from the |X| x |Y| point-plane
+    # product q rows of X at a time, with no BitGraph and no whole file
+    # text, which q = 61 and 101 check: with both they peaked at 54 / 58
+    # MB and 153 MB, streamed at 44.5 MB and 94 MB. The prune counts X0
+    # only on the lines of the zero directions of f's top form, and seed
+    # 3 prunes two lines of Y. Freeness is read from the line counts, so
+    # no subset scan refuses (101, 3, 3), whose K_{2,4} scan needs 1.03e8
+    # keys.
     # seed None runs `construct furedi`, which takes no seed: its graph is
     # built from one line per class in O(q^3/t) memory, not from the n x n
     # product of the classes (336 MB at q = 109), and the key budget of the

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import eil.incidence
+from eil.cli import _write
 from eil.errors import ParameterError
 from eil.evasive import PointSet
 from eil.geom3 import line_at, line_points
@@ -17,7 +18,7 @@ from eil.incidence import (
     verify_construction,
 )
 from eil.report import validate_report
-from eil.subgraph import BitGraph, count_biclique_general, is_ksm_free
+from eil.subgraph import BitGraph, count_biclique_general, graph_to_text, is_ksm_free
 from oracles import (
     adjacency_sets,
     count_biclique,
@@ -91,6 +92,31 @@ def test_graph_streams_the_point_plane_product_in_blocks_of_q_rows():
         tracemalloc.stop()
     assert edges > 0
     assert peak < 8_000_000, peak
+
+
+@pytest.mark.parametrize("q,t,seed", [(7, 3, 42), (13, 4, 1), (23, 3, 1), (61, 3, 3)])
+def test_graph_text_streams_the_text_of_the_graph(q, t, seed):
+    # a header, then one chunk per block of q rows of X
+    c = build_incidence(q, t, seed)
+    chunks = list(c.graph_text())
+    assert len(chunks) == 1 + -(-c.x_set.count // q)
+    assert "".join(chunks) == graph_to_text(c.graph)
+
+
+def test_graph_file_is_written_one_block_at_a_time(tmp_path):
+    # at (61, 3, 3) the graph and its whole text took the writing to 21.0
+    # MiB traced; one block of the product at a time takes it to 3.9 MiB
+    c = build_incidence(61, 3, 3)
+    path = tmp_path / "g.txt"
+    tracemalloc.start()
+    try:
+        _write(path, c.graph_text())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "graph" not in vars(c)  # the cached BitGraph was never built
+    assert peak < 6_000_000, peak
+    assert path.stat().st_size > 0
 
 
 def _coords(point_set):

@@ -19,6 +19,7 @@ from eil.furedi import build_furedi
 from eil.incidence import build_incidence
 from eil.subgraph import (
     BitGraph,
+    biadjacency_to_text,
     count_biclique_general,
     graph_from_text,
     graph_to_text,
@@ -485,14 +486,20 @@ def test_edges_listing():
 
 @pytest.mark.parametrize("step", [1, 3, pytest.param(None, id="all-rows")])
 def test_streamed_biadjacency_matches_argwhere(step):
+    # the graph and its file text, one chunk per block after the header
     rng = np.random.default_rng(step or 0)
     # 7 rows of 1 column: slices of 3 rows leave a last slice of 1
     for left, right in [(7, 1), (7, 5), (10, 3), (0, 4), (4, 0), (0, 0), (1, 1)]:
         adj = rng.random((left, right)) < 0.4
         rows = step or max(1, left)
-        blocks = (adj[lo : lo + rows] for lo in range(0, left, rows))
+        starts = range(0, left, rows)
         expected = BitGraph(left + right, np.argwhere(adj) + [0, left], (left, right))
+        blocks = (adj[lo : lo + rows] for lo in starts)
         assert same(BitGraph.from_biadjacency(blocks, (left, right)), expected)
+        blocks = (adj[lo : lo + rows] for lo in starts)
+        chunks = list(biadjacency_to_text(blocks, (left, right)))
+        assert len(chunks) == 1 + len(starts)
+        assert "".join(chunks) == graph_to_text(expected)
 
 
 @settings(max_examples=200, deadline=None)
